@@ -56,6 +56,12 @@ class RunConfig:
             raise ConfigError(f"grid_count must be >= 1, got {self.grid_count}")
         if any(level < 0 for level in self.noise_levels_m):
             raise ConfigError(f"noise levels must be >= 0, got {self.noise_levels_m}")
+        tags = [_level_tag(level) for level in self.noise_levels_m]
+        if len(set(tags)) != len(tags):
+            raise ConfigError(
+                "noise levels name output files, so they must differ within 6 "
+                f"significant digits; got {list(self.noise_levels_m)}"
+            )
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.codebook_beams < self.codebook_antennas:
@@ -323,28 +329,69 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+# Artifact files evaluate reads, by their key under the manifest's "files".
+_MANIFEST_FILES = ("test", "anchor", "txid_model", "denoiser_model", "lut")
+
+
+def _manifest_field(manifest, path: Path, key: str, parse):
+    """The manifest value at a dotted key, parsed; errors name the file and key."""
+    value = manifest
+    parts = key.split(".")
+    for depth, part in enumerate(parts, 1):
+        if not isinstance(value, dict) or part not in value:
+            raise ConfigError(f"{path}: missing key '{'.'.join(parts[:depth])}'")
+        value = value[part]
+    try:
+        return parse(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: key '{key}': {exc}") from None
+
+
+def _read_manifest(artifact_dir: Path) -> tuple[int, float, dict[str, Path]]:
+    """Grid count, noise level and artifact file paths from a train manifest."""
+    path = artifact_dir / "manifest.json"
+    if not path.exists():
+        raise ConfigError(f"{artifact_dir}: no manifest.json; not a train output directory")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    z = _manifest_field(manifest, path, "grid_count", int)
+    level = _manifest_field(manifest, path, "noise_rms_m", float)
+    files = {
+        name: artifact_dir / _manifest_field(manifest, path, f"files.{name}", str)
+        for name in _MANIFEST_FILES
+    }
+    return z, level, files
+
+
 def _evaluate_artifacts(artifact_dirs: list[Path], out_dir: Path, bin_width_m: float) -> None:
+    manifests = [_read_manifest(d) for d in artifact_dirs]
+    owners: dict[str, Path] = {}
+    for artifact_dir, (_, level, _) in zip(artifact_dirs, manifests):
+        tag = _level_tag(level)
+        if tag in owners:
+            raise ConfigError(
+                f"{owners[tag]} and {artifact_dir} both have noise level {level:g} m; "
+                f"their {tag} reports would overwrite each other"
+            )
+        owners[tag] = artifact_dir
+
     out_dir.mkdir(parents=True, exist_ok=True)
     reports: dict[float, evaluate.EvalReport] = {}
     exported = False
-    for artifact_dir in artifact_dirs:
-        manifest_path = artifact_dir / "manifest.json"
-        if not manifest_path.exists():
-            raise ConfigError(f"{artifact_dir}: no manifest.json; not a train output directory")
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        z = int(manifest["grid_count"])
-        level = float(manifest["noise_rms_m"])
-        test_bundle = dataset.load_csv(artifact_dir / manifest["files"]["test"])
-        anchor = grid.load_grid_table_csv(artifact_dir / manifest["files"]["anchor"], z)
-        txid_model = nn.load_weights(artifact_dir / manifest["files"]["txid_model"])
+    for artifact_dir, (z, level, files) in zip(artifact_dirs, manifests):
+        test_bundle = dataset.load_csv(files["test"])
+        anchor = grid.load_grid_table_csv(files["anchor"], z)
+        txid_model = nn.load_weights(files["txid_model"])
         if txid_model.layer_dims[0] != test_bundle.metadata.codebook_size:
             raise ConfigError(
                 f"{artifact_dir}: txid model expects {txid_model.layer_dims[0]} beams but "
                 f"dataset codebook has {test_bundle.metadata.codebook_size}"
             )
-        denoiser_model = nn.load_weights(artifact_dir / manifest["files"]["denoiser_model"])
-        lut = denoise.load_lut_csv(artifact_dir / manifest["files"]["lut"], z)
+        denoiser_model = nn.load_weights(files["denoiser_model"])
+        lut = denoise.load_lut_csv(files["lut"], z)
 
         predictions, tx_preds = evaluate.predict_methods(
             test_bundle, txid_model, lut, denoiser_model

@@ -198,6 +198,37 @@ def _parse_enum(row_num: int, field: str, raw: str, enum_cls):
         ) from None
 
 
+# Every key the sidecar must hold, with the parser for its value.
+_META_FIELDS = (
+    ("grid_count", int),
+    ("codebook_size", int),
+    ("noise_rms_m", float),
+    ("seed", int),
+    ("direction", Direction),
+    ("source", str),
+)
+
+
+def _load_meta(meta_file: Path) -> DatasetMeta:
+    """Parse a metadata sidecar; errors name the file and the key."""
+    try:
+        with open(meta_file, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"{meta_file}: not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise DatasetFormatError(f"{meta_file}: expected a JSON object")
+    fields = {}
+    for key, parse in _META_FIELDS:
+        if key not in raw:
+            raise DatasetFormatError(f"{meta_file}: missing key '{key}'")
+        try:
+            fields[key] = parse(raw[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DatasetFormatError(f"{meta_file}: key '{key}': {exc}") from None
+    return DatasetMeta(**fields)
+
+
 def load_csv(path: str | Path) -> DatasetBundle:
     """Read a bundle from CSV, enforcing the schema and all field invariants.
 
@@ -274,16 +305,7 @@ def load_csv(path: str | Path) -> DatasetBundle:
 
     meta_file = _meta_path(path)
     if meta_file.exists():
-        with open(meta_file, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        metadata = DatasetMeta(
-            grid_count=int(raw["grid_count"]),
-            codebook_size=int(raw["codebook_size"]),
-            noise_rms_m=float(raw["noise_rms_m"]),
-            seed=int(raw["seed"]),
-            direction=Direction(raw["direction"]),
-            source=str(raw["source"]),
-        )
+        metadata = _load_meta(meta_file)
     else:
         directions = {s.direction for s in samples}
         if len(directions) > 1:

@@ -4,6 +4,12 @@ Everything is plain numpy with explicit weights so gradients can be
 checked against finite differences. Training is mini-batch gradient
 descent with Adam-style adaptive moments (beta1 0.9, beta2 0.999,
 epsilon 1e-8) and a seeded shuffle, so runs are bit-reproducible.
+
+The trainer moves a model's weights and biases into one contiguous
+float64 buffer (the model's arrays become views of it) and writes each
+step's gradients into a matching buffer, so the Adam update is a dozen
+whole-buffer in-place operations. Each step runs one forward pass: its
+output error gives both the reported loss and the backprop delta.
 """
 
 from __future__ import annotations
@@ -33,8 +39,10 @@ class Normalizer:
     scale: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.any(self.scale <= 0):
-            raise ValueError("normalizer scale must be positive for every feature")
+        if not np.all(np.isfinite(self.shift)):
+            raise ValueError("normalizer shift must be finite for every feature")
+        if not np.all(np.isfinite(self.scale) & (self.scale > 0)):
+            raise ValueError("normalizer scale must be finite and positive for every feature")
 
     @classmethod
     def from_data(cls, data: np.ndarray, constant_feature_scale: str = "unit") -> "Normalizer":
@@ -167,18 +175,37 @@ def _forward_cached(model: MlpModel, x: np.ndarray):
     return pre, acts
 
 
+def _backward(model: MlpModel, pre, acts, diff: np.ndarray, grad_w, grad_b) -> None:
+    """Write the backprop gradients of the MSE into grad_w/grad_b.
+
+    pre/acts come from _forward_cached and diff is its output minus the
+    targets.
+    """
+    delta = 2.0 * diff / diff.size
+    for i in range(len(model.weights) - 1, -1, -1):
+        np.matmul(acts[i].T, delta, out=grad_w[i])
+        np.sum(delta, axis=0, out=grad_b[i])
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0)
+
+
 def _gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
     """Backprop gradients of mse_loss(forward(model, x), y)."""
     pre, acts = _forward_cached(model, x)
     grad_w = [np.empty_like(w) for w in model.weights]
     grad_b = [np.empty_like(b) for b in model.biases]
-    delta = 2.0 * (acts[-1] - y) / y.size
-    for i in range(len(model.weights) - 1, -1, -1):
-        grad_w[i] = acts[i].T @ delta
-        grad_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0)
+    _backward(model, pre, acts, acts[-1] - y, grad_w, grad_b)
     return grad_w, grad_b
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of a flat buffer, one per shape."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views
 
 
 def train(
@@ -192,6 +219,8 @@ def train(
 
     Inputs/targets are passed through the model's normalizers (when set),
     so the recorded loss is in normalized units. Zero epochs is a no-op.
+    The model's weights and biases are rebound to views of one flat
+    parameter buffer, which every step updates in place.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -208,41 +237,60 @@ def train(
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
-    m_w = [np.zeros_like(w) for w in model.weights]
-    v_w = [np.zeros_like(w) for w in model.weights]
-    m_b = [np.zeros_like(b) for b in model.biases]
-    v_b = [np.zeros_like(b) for b in model.biases]
+    layers = len(model.weights)
+    arrays = model.weights + model.biases
+    shapes = [a.shape for a in arrays]
+    params = np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays])
+    views = _views(params, shapes)
+    model.weights, model.biases = views[:layers], views[layers:]
+    grad = np.empty_like(params)
+    views = _views(grad, shapes)
+    grad_w, grad_b = views[:layers], views[layers:]
+    # Adam moments and two scratch buffers. The in-place update below must
+    # keep this operation order, element by element:
+    #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
+    #   p -= lr*(m/corr1) / (sqrt(v/corr2) + eps)
+    # Reordering it (say, folding lr/corr1 into one constant) changes the
+    # rounding, and with it every trained model; tests/test_nn.py pins the
+    # result bit for bit to a per-array reference trainer.
+    m, v, step_buf, denom = (np.zeros_like(params) for _ in range(4))
+    lr = config.learning_rate
     step = 0
     history: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(x))
+        xs, ys = x[order], y[order]
         losses, weights_seen = [], []
         for start in range(0, len(x), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            xb, yb = x[batch], y[batch]
-            loss = mse_loss(forward(model, xb), yb)
+            xb = xs[start : start + config.batch_size]
+            yb = ys[start : start + config.batch_size]
+            pre, acts = _forward_cached(model, xb)
+            diff = acts[-1] - yb
+            loss = float(np.mean(diff**2))
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss {loss} at epoch {epoch}, step {step}; "
-                    f"lower the learning rate ({config.learning_rate})"
+                    f"lower the learning rate ({lr})"
                 )
             losses.append(loss)
-            weights_seen.append(len(batch))
-            grad_w, grad_b = _gradients(model, xb, yb)
+            weights_seen.append(len(xb))
+            _backward(model, pre, acts, diff, grad_w, grad_b)
             step += 1
             corr1 = 1.0 - ADAM_BETA1**step
             corr2 = 1.0 - ADAM_BETA2**step
-            for i in range(len(model.weights)):
-                m_w[i] = ADAM_BETA1 * m_w[i] + (1 - ADAM_BETA1) * grad_w[i]
-                v_w[i] = ADAM_BETA2 * v_w[i] + (1 - ADAM_BETA2) * grad_w[i] ** 2
-                model.weights[i] -= config.learning_rate * (m_w[i] / corr1) / (
-                    np.sqrt(v_w[i] / corr2) + ADAM_EPSILON
-                )
-                m_b[i] = ADAM_BETA1 * m_b[i] + (1 - ADAM_BETA1) * grad_b[i]
-                v_b[i] = ADAM_BETA2 * v_b[i] + (1 - ADAM_BETA2) * grad_b[i] ** 2
-                model.biases[i] -= config.learning_rate * (m_b[i] / corr1) / (
-                    np.sqrt(v_b[i] / corr2) + ADAM_EPSILON
-                )
+            m *= ADAM_BETA1
+            m += np.multiply(grad, 1 - ADAM_BETA1, out=step_buf)
+            v *= ADAM_BETA2
+            np.square(grad, out=step_buf)
+            step_buf *= 1 - ADAM_BETA2
+            v += step_buf
+            np.divide(m, corr1, out=step_buf)
+            step_buf *= lr
+            np.divide(v, corr2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPSILON
+            step_buf /= denom
+            params -= step_buf
         history.append(float(np.average(losses, weights=weights_seen)))
     return model, history
 
@@ -305,10 +353,13 @@ def _norm_to_json(norm: Normalizer | None):
     return {"shift": norm.shift.tolist(), "scale": norm.scale.tolist()}
 
 
-def _norm_from_json(raw) -> Normalizer | None:
+def _norm_from_json(raw, path: str | Path, field: str) -> Normalizer | None:
     if raw is None:
         return None
-    return Normalizer(np.array(raw["shift"], dtype=float), np.array(raw["scale"], dtype=float))
+    try:
+        return Normalizer(np.array(raw["shift"], dtype=float), np.array(raw["scale"], dtype=float))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {field}: {exc}") from None
 
 
 def save_weights(model: MlpModel, path: str | Path) -> None:
@@ -342,8 +393,8 @@ def load_weights(path: str | Path) -> MlpModel:
             raise ValueError(
                 f"unsupported activations {doc['hidden_activation']}/{doc['output_activation']}"
             )
-        input_norm = _norm_from_json(doc["input_norm"])
-        target_norm = _norm_from_json(doc["target_norm"])
+        input_norm = _norm_from_json(doc["input_norm"], path, "input_norm")
+        target_norm = _norm_from_json(doc["target_norm"], path, "target_norm")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: missing or malformed field: {exc}") from None
     if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
@@ -358,4 +409,7 @@ def load_weights(path: str | Path) -> MlpModel:
             raise ValueError(
                 f"{path}: layer {i} biases have shape {b.shape}, expected {(dims[i + 1],)}"
             )
+        for field, arr in (("weights", w), ("biases", b)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{path}: layer {i} {field} are not all finite")
     return MlpModel(dims, weights, biases, input_norm, target_norm)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -101,6 +102,13 @@ class TestSimulateCommand:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("levels", [[0.5, 0.5], [0.1, 0.1000001]])
+    def test_duplicate_noise_levels_exit_2(self, tmp_path, levels):
+        config = write_config(tmp_path, noise_levels_m=levels)
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestCharacterizeCommand:
     def test_coincident_clean_dataset_skips_fit(self, tmp_path, capsys):
@@ -148,6 +156,20 @@ class TestCharacterizeCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("id,direction\n0,L2R\n")
         assert main(["characterize", "--dataset", str(bad), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "key", ["grid_count", "codebook_size", "noise_rms_m", "seed", "direction", "source"]
+    )
+    def test_sidecar_missing_key_exit_2(self, tmp_path, capsys, key):
+        data_path = tmp_path / "data.csv"
+        dataset.save_csv(make_bundle([make_sample(0, 0.5, BASE)]), data_path)
+        meta_path = tmp_path / "data.csv.meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta[key]
+        meta_path.write_text(json.dumps(meta))
+        assert main(["characterize", "--dataset", str(data_path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert str(meta_path) in err and f"'{key}'" in err
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +283,66 @@ class TestEvaluateCommand:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["evaluate", "--artifacts", str(empty), "--out", str(tmp_path / "e")]) == 2
+
+    def test_duplicate_noise_level_exit_2(self, small_artifacts, tmp_path, capsys):
+        out = tmp_path / "e"
+        dirs = [str(small_artifacts[d]) for d in ("l2r", "r2l")]
+        assert main(["evaluate", "--artifacts", *dirs, "--out", str(out)]) == 2
+        assert "overwrite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key",
+        ["grid_count", "noise_rms_m", "files", "files.test", "files.anchor",
+         "files.txid_model", "files.denoiser_model", "files.lut"],
+    )
+    def test_manifest_missing_key_exit_2(self, small_artifacts, tmp_path, capsys, key):
+        art = tmp_path / "art"
+        shutil.copytree(small_artifacts["l2r"], art)
+        manifest = json.loads((art / "manifest.json").read_text())
+        *parents, leaf = key.split(".")
+        holder = manifest
+        for part in parents:
+            holder = holder[part]
+        del holder[leaf]
+        (art / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["evaluate", "--artifacts", str(art), "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert str(art / "manifest.json") in err and f"'{key}'" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("target_norm.scale", float("nan")), ("weights", float("inf"))],
+    )
+    def test_non_finite_model_exit_2(self, small_artifacts, tmp_path, capsys, field, value):
+        art = tmp_path / "art"
+        shutil.copytree(small_artifacts["l2r"], art)
+        model_path = art / "denoiser.json"
+        doc = json.loads(model_path.read_text())
+        if field == "weights":
+            doc["weights"][0][0][0] = value
+        else:
+            doc["target_norm"]["scale"][0] = value
+        model_path.write_text(json.dumps(doc))
+        assert main(["evaluate", "--artifacts", str(art), "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert str(model_path) in err and field.split(".")[0] in err
+
+
+@pytest.fixture(scope="module")
+def small_artifacts(tmp_path_factory):
+    """Briefly trained L2R and R2L artifacts at the same 0.5 m noise level."""
+    tmp_path = tmp_path_factory.mktemp("small_artifacts")
+    config = write_config(tmp_path, noise_levels_m=[0.5],
+                          samples_left_to_right=60, samples_right_to_left=60)
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
+    arts = {}
+    for dtag in ("l2r", "r2l"):
+        arts[dtag] = tmp_path / dtag
+        assert main(["train", "--dataset", str(run / "datasets" / f"{dtag}_rms0.5.csv"),
+                     "--out", str(arts[dtag]), "--epochs", "2"]) == 0
+    return arts
 
 
 class TestDefaultConfig:

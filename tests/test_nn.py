@@ -124,6 +124,13 @@ class TestNormalizer:
         with pytest.raises(ValueError):
             Normalizer(np.zeros(2), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="scale"):
+            Normalizer(np.zeros(2), np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="shift"):
+            Normalizer(np.array([bad, 0.0]), np.ones(2))
+
 
 class TestGradientCheck:
     def test_small_random_model(self):
@@ -206,6 +213,123 @@ class TestTrain:
             fit(x, y, (4,), TrainConfig(epochs=1, batch_size=11))
 
 
+def reference_gradients(model, x, y):
+    """Backprop into freshly allocated arrays, as the per-array trainer did."""
+    pre, acts = [], [x]
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ w + b
+        pre.append(z)
+        acts.append(np.maximum(z, 0.0) if i < len(model.weights) - 1 else z)
+    grad_w, grad_b = [None] * len(model.weights), [None] * len(model.biases)
+    delta = 2.0 * (acts[-1] - y) / y.size
+    for i in range(len(model.weights) - 1, -1, -1):
+        grad_w[i] = acts[i].T @ delta
+        grad_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0)
+    return grad_w, grad_b
+
+
+def reference_train(model, inputs, targets, config):
+    """The per-array Adam trainer the fused one replaced, kept as its oracle.
+
+    Two forward passes per step (one for the loss, one for backprop), a
+    gather per batch and four moment arrays per layer, updated array by
+    array.
+    """
+    x = np.atleast_2d(np.asarray(inputs, dtype=float))
+    y = np.atleast_2d(np.asarray(targets, dtype=float))
+    if model.input_norm is not None:
+        x = model.input_norm.normalize(x)
+    if model.target_norm is not None:
+        y = model.target_norm.normalize(y)
+    rng = np.random.default_rng(config.seed)
+    m_w = [np.zeros_like(w) for w in model.weights]
+    v_w = [np.zeros_like(w) for w in model.weights]
+    m_b = [np.zeros_like(b) for b in model.biases]
+    v_b = [np.zeros_like(b) for b in model.biases]
+    b1, b2, eps = nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPSILON
+    step = 0
+    history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(x))
+        losses, weights_seen = [], []
+        for start in range(0, len(x), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            xb, yb = x[batch], y[batch]
+            losses.append(mse_loss(forward(model, xb), yb))
+            weights_seen.append(len(batch))
+            grad_w, grad_b = reference_gradients(model, xb, yb)
+            step += 1
+            corr1 = 1.0 - b1**step
+            corr2 = 1.0 - b2**step
+            for i in range(len(model.weights)):
+                m_w[i] = b1 * m_w[i] + (1 - b1) * grad_w[i]
+                v_w[i] = b2 * v_w[i] + (1 - b2) * grad_w[i] ** 2
+                model.weights[i] -= config.learning_rate * (m_w[i] / corr1) / (
+                    np.sqrt(v_w[i] / corr2) + eps
+                )
+                m_b[i] = b1 * m_b[i] + (1 - b1) * grad_b[i]
+                v_b[i] = b2 * v_b[i] + (1 - b2) * grad_b[i] ** 2
+                model.biases[i] -= config.learning_rate * (m_b[i] / corr1) / (
+                    np.sqrt(v_b[i] / corr2) + eps
+                )
+        history.append(float(np.average(losses, weights=weights_seen)))
+    return model, history
+
+
+class TestFusedTrainerOracle:
+    """train() must round every element exactly as the per-array trainer does."""
+
+    @pytest.mark.parametrize(
+        "dims, n, batch_size, normalize, one_hot",
+        [
+            ((2, 16, 16, 2), 45, 8, True, False),  # partial last batch (45 = 5*8 + 5)
+            ((3, 2), 40, 7, False, False),  # single affine layer, partial batch
+            ((64, 64, 64, 2), 90, 32, True, True),  # stage-1 shape: deep, one-hot input
+            ((64, 64, 64, 2), 90, 32, False, True),
+            ((2, 16, 16, 2), 64, 16, False, False),
+        ],
+    )
+    def test_matches_per_array_reference(self, dims, n, batch_size, normalize, one_hot):
+        rng = np.random.default_rng(21)
+        if one_hot:
+            x = np.eye(dims[0])[rng.integers(0, dims[0], size=n)]
+        else:
+            x = rng.normal(size=(n, dims[0]))
+        y = rng.normal(size=(n, dims[-1]))
+        model = init_mlp(dims, np.random.default_rng(22))
+        if normalize:
+            model.input_norm = Normalizer.from_data(x)
+            model.target_norm = Normalizer.from_data(y, constant_feature_scale="negligible")
+        config = TrainConfig(epochs=12, batch_size=batch_size, seed=23, learning_rate=3e-3)
+
+        want, want_hist = reference_train(model.copy(), x, y, config)
+        got, got_hist = train(model.copy(), x, y, config)
+
+        assert got_hist == want_hist
+        assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights))
+        assert all(np.array_equal(a, b) for a, b in zip(got.biases, want.biases))
+
+    def test_copy_does_not_alias_trained_buffer(self):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(20, 3))
+        y = rng.normal(size=(20, 2))
+        model, _ = fit(x, y, (4,), TrainConfig(epochs=3, batch_size=5, seed=25))
+        snapshot = model.copy()
+        arrays = model.weights + model.biases
+        assert all(
+            not np.shares_memory(c, a)
+            for c in snapshot.weights + snapshot.biases
+            for a in arrays
+        )
+        frozen = [a.copy() for a in snapshot.weights + snapshot.biases]
+        train(model, x, y, TrainConfig(epochs=2, batch_size=5, seed=26))
+        assert all(
+            np.array_equal(a, b) for a, b in zip(snapshot.weights + snapshot.biases, frozen)
+        )
+
+
 class TestPersistence:
     def test_round_trip_outputs_identical(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -226,6 +350,36 @@ class TestPersistence:
         path.write_text(path.read_text()[:50])
         with pytest.raises(ValueError, match="not a valid model file"):
             load_weights(path)
+
+    @pytest.mark.parametrize(
+        "field, match",
+        [
+            ("weights", "layer 1 weights"),
+            ("biases", "layer 1 biases"),
+            ("input_norm.shift", "input_norm"),
+            ("target_norm.scale", "target_norm"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, tmp_path, field, match, bad):
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(10, 3))
+        y = rng.normal(size=(10, 2))
+        model, _ = fit(x, y, (4,), TrainConfig(epochs=1, batch_size=5, seed=19))
+        path = tmp_path / "model.json"
+        save_weights(model, path)
+        doc = json.loads(path.read_text())
+        if field == "weights":
+            doc["weights"][1][0][0] = bad
+        elif field == "biases":
+            doc["biases"][1][0] = bad
+        else:
+            norm, key = field.split(".")
+            doc[norm][key][0] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match) as exc:
+            load_weights(path)
+        assert str(path) in str(exc.value)
 
     def test_inconsistent_dims_name_the_layer(self, tmp_path):
         rng = np.random.default_rng(17)
