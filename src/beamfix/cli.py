@@ -28,6 +28,9 @@ from .nn import TrainConfig, TrainingDivergedError
 
 DEFAULT_NOISE_LEVELS = (0.1, 0.5, 1.0, 2.0, 3.0)
 
+# Evaluate exports plot data for the level whose report tag is this one.
+PLOT_LEVEL_TAG = "rms0.5"
+
 
 class ConfigError(ValueError):
     """Invalid configuration or command arguments."""
@@ -404,9 +407,9 @@ def _evaluate_artifacts(artifact_dirs: list[Path], out_dir: Path, bin_width_m: f
         txid.save_predictions_csv(
             [s.id for s in test_bundle.samples], tx_preds, out_dir / f"txid_predictions_{tag}.csv"
         )
-        if level == 0.5:
+        if tag == PLOT_LEVEL_TAG:
             evaluate.export_plot_data(
-                report, test_bundle, predictions, out_dir / "plots_rms0.5", bin_width_m
+                report, test_bundle, predictions, out_dir / f"plots_{tag}", bin_width_m
             )
             exported = True
 
@@ -419,7 +422,7 @@ def _evaluate_artifacts(artifact_dirs: list[Path], out_dir: Path, bin_width_m: f
         fh.write(table + "\n")
     print(table)
     if exported:
-        print(f"plot data for the 0.5 m level in {out_dir / 'plots_rms0.5'}")
+        print(f"plot data for the 0.5 m level in {out_dir / f'plots_{PLOT_LEVEL_TAG}'}")
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

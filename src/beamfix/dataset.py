@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from typing import Callable, Iterable, Literal, Sequence
+
 import numpy as np
 
 from . import geo
@@ -34,6 +36,9 @@ class DetectionClass(Enum):
 
 class DatasetFormatError(ValueError):
     """A dataset file violates the CSV schema or a field is out of range."""
+
+
+PositionSelector = Literal["ground_truth", "noisy"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,6 +121,84 @@ class DatasetBundle:
         return len(self.samples)
 
 
+def tx_centers(samples: Iterable[Sample]) -> np.ndarray:
+    """(n, 2) transmitter x/y centers in sample order; raises naming a sample without one."""
+    flat: list[float] = []
+    for s in samples:
+        tx = s.transmitter()
+        if tx is None:
+            raise ValueError(f"sample {s.id}: no transmitter detection")
+        flat += (tx.x_center, tx.y_center)
+    return np.array(flat, dtype=float).reshape(-1, 2)
+
+
+def positions(
+    samples: Sequence[Sample], selector: PositionSelector
+) -> tuple[np.ndarray, np.ndarray]:
+    """Latitudes and longitudes of each sample's ground-truth or noisy position."""
+    chosen = [s.noisy_position if selector == "noisy" else s.gt_position for s in samples]
+    for s, pos in zip(samples, chosen):
+        if pos is None:
+            raise ValueError(f"sample {s.id}: no noisy position")
+    return np.array([p.lat_deg for p in chosen]), np.array([p.lon_deg for p in chosen])
+
+
+def write_table_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header row, then the data rows; str() of a Python float round-trips exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table_csv(
+    path: str | Path, columns: Sequence[tuple[str, Callable[[str], object]]]
+) -> list[tuple[int, list]]:
+    """(data row number, parsed cells) for each non-blank row of a write_table_csv file.
+
+    The header must name ``columns`` exactly; each cell goes through its
+    column's parser. Errors name the file, the row and the column.
+    """
+    header = [name for name, _ in columns]
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found is None:
+            raise DatasetFormatError(f"{path}: empty file: missing header row")
+        if found != header:
+            raise DatasetFormatError(f"{path}: header mismatch: expected {header}, got {found}")
+        for row_num, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != len(columns):
+                raise DatasetFormatError(
+                    f"{path}: row {row_num}: {len(row)} cells, expected {len(columns)}"
+                )
+            cells = []
+            for (name, parse), raw in zip(columns, row):
+                try:
+                    cells.append(parse(raw))
+                except ValueError as exc:
+                    raise DatasetFormatError(
+                        f"{path}: row {row_num}: column '{name}': {exc}"
+                    ) from None
+            rows.append((row_num, cells))
+    return rows
+
+
+def float_cell(low: float, high: float) -> Callable[[str], float]:
+    """Cell parser for a float in [low, high]; NaN is never in range."""
+
+    def parse(raw: str) -> float:
+        value = float(raw)
+        if not low <= value <= high:
+            raise ValueError(f"{raw!r} outside [{low}, {high}]")
+        return value
+
+    return parse
+
+
 _BASE_COLUMNS = [
     "id", "direction", "beam_index",
     "gt_lat", "gt_lon", "noisy_lat", "noisy_lon", "num_detections",
@@ -138,24 +221,18 @@ def save_csv(bundle: DatasetBundle, path: str | Path) -> None:
     header = list(_BASE_COLUMNS)
     for k in range(max_det):
         header += [f"det{k}_class", f"det{k}_x", f"det{k}_y"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+
+    def rows():
         for s in bundle.samples:
-            row = [
-                str(s.id),
-                s.direction.value,
-                str(s.beam_index),
-                repr(s.gt_position.lat_deg),
-                repr(s.gt_position.lon_deg),
-                repr(s.noisy_position.lat_deg) if s.noisy_position else "",
-                repr(s.noisy_position.lon_deg) if s.noisy_position else "",
-                str(len(s.detections)),
-            ]
+            gt, noisy = s.gt_position, s.noisy_position
+            row = [s.id, s.direction.value, s.beam_index, gt.lat_deg, gt.lon_deg]
+            row += [noisy.lat_deg, noisy.lon_deg] if noisy else ["", ""]
+            row.append(len(s.detections))
             for d in s.detections:
-                row += [d.class_label.value, repr(d.x_center), repr(d.y_center)]
-            row += [""] * (3 * (max_det - len(s.detections)))
-            writer.writerow(row)
+                row += [d.class_label.value, d.x_center, d.y_center]
+            yield row + [""] * (3 * (max_det - len(s.detections)))
+
+    write_table_csv(path, header, rows())
     meta = bundle.metadata
     with open(_meta_path(path), "w", encoding="utf-8") as fh:
         json.dump(
@@ -328,8 +405,8 @@ def split_train_test(
 ) -> tuple[DatasetBundle, DatasetBundle]:
     """Seed-deterministic uniform shuffle split into ceil(n*f) train and the rest.
 
-    The two parts are disjoint, exhaustive, and preserve the original
-    sample order within each part.
+    The two parts are disjoint, exhaustive, non-empty, and preserve the
+    original sample order within each part.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
@@ -338,6 +415,11 @@ def split_train_test(
         raise ValueError("cannot split an empty bundle")
     # The 1e-9 slack keeps ceil() immune to products like 10 * 0.7 = 7.000...001.
     train_size = math.ceil(n * train_fraction - 1e-9)
+    if not 0 < train_size < n:
+        side = "test" if train_size else "train"
+        raise ValueError(
+            f"{n} samples at train_fraction {train_fraction} leave the {side} split empty"
+        )
     order = np.random.default_rng(seed).permutation(n)
     train_idx = sorted(int(i) for i in order[:train_size])
     test_idx = sorted(int(i) for i in order[train_size:])
@@ -375,29 +457,16 @@ def remove_outliers(bundle: DatasetBundle, grid_count: int | None = None) -> Dat
     grid's ground-truth mean exceeds 3 * (1.4826 * median displacement).
     Grids with fewer than 3 samples are left untouched.
     """
-    from .grid import assign_grid
+    from .grid import grid_means
 
     z = grid_count if grid_count is not None else bundle.metadata.grid_count
-    groups: dict[int, list[Sample]] = {}
-    for s in bundle.samples:
-        tx = s.transmitter()
-        if tx is None:
-            raise ValueError(f"sample {s.id}: no transmitter detection, cannot assign a grid")
-        groups.setdefault(assign_grid(tx.x_center, z), []).append(s)
-
-    keep_ids: set[int] = set()
-    for members in groups.values():
-        if len(members) < 3:
-            keep_ids.update(s.id for s in members)
+    x = tx_centers(bundle.samples)[:, 0]
+    lats, lons = positions(bundle.samples, "ground_truth")
+    keep = np.ones(len(bundle.samples), dtype=bool)
+    for idx, mean in grid_means(x, lats, lons, z).values():
+        if len(idx) < 3:
             continue
-        lats = np.array([s.gt_position.lat_deg for s in members])
-        lons = np.array([s.gt_position.lon_deg for s in members])
-        mean = geo.mean_position(lats, lons)
-        disp = geo.haversine_m(mean.lat_deg, mean.lon_deg, lats, lons)
-        threshold = 3.0 * 1.4826 * float(np.median(disp))
-        for s, d in zip(members, disp):
-            if d <= threshold:
-                keep_ids.add(s.id)
-
-    samples = tuple(s for s in bundle.samples if s.id in keep_ids)
+        disp = geo.haversine_m(mean.lat_deg, mean.lon_deg, lats[idx], lons[idx])
+        keep[idx] = disp <= 3.0 * 1.4826 * float(np.median(disp))
+    samples = tuple(s for s, kept in zip(bundle.samples, keep) if kept)
     return DatasetBundle(samples, bundle.metadata)

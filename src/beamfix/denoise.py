@@ -2,25 +2,28 @@
 
 Two interchangeable predictors built from the training split's noisy
 positions: a grid-indexed lookup table of mean positions, and an MLP
-regressing the selected bounding-box center to a position.
+regressing the selected bounding-box center to a position. The lookup
+table is ``grid.grid_means`` of noisy positions by identified center.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import geo, nn
+from . import dataset, grid, nn
 from .dataset import DatasetBundle
 from .geo import GeoPosition
-from .grid import assign_grid
 from .nn import MlpModel, TrainConfig
 
 DEFAULT_HIDDEN_DIMS = (64, 64)
+
+_LUT_COLUMNS = (
+    ("grid", int), ("count", int), ("mean_lat", grid.LATITUDE), ("mean_lon", grid.LONGITUDE)
+)
 
 
 @dataclass(frozen=True)
@@ -36,16 +39,6 @@ class LookupTable:
             raise ValueError("means and counts must cover the same grids")
 
 
-def _tx_centers(bundle: DatasetBundle) -> list[tuple[float, float]]:
-    centers = []
-    for s in bundle.samples:
-        tx = s.transmitter()
-        if tx is None:
-            raise ValueError(f"sample {s.id}: no transmitter detection")
-        centers.append((tx.x_center, tx.y_center))
-    return centers
-
-
 def build_lut(
     bundle: DatasetBundle,
     grid_count: int,
@@ -59,22 +52,16 @@ def build_lut(
     """
     if not bundle.samples:
         raise ValueError("cannot build a lookup table from an empty training set")
-    centers = list(tx_centers) if tx_centers is not None else _tx_centers(bundle)
-    if len(centers) != len(bundle.samples):
-        raise ValueError(f"{len(centers)} centers for {len(bundle.samples)} samples")
-    pairs = sorted(zip(bundle.samples, centers), key=lambda p: p[0].id)
-    groups: dict[int, list[GeoPosition]] = {}
-    for s, (x, _) in pairs:
-        if s.noisy_position is None:
-            raise ValueError(f"sample {s.id}: no noisy position to aggregate")
-        groups.setdefault(assign_grid(x, grid_count), []).append(s.noisy_position)
-    means = {
-        g: geo.mean_position(
-            [p.lat_deg for p in members], [p.lon_deg for p in members]
-        )
-        for g, members in groups.items()
-    }
-    counts = {g: len(members) for g, members in groups.items()}
+    if tx_centers is None:
+        tx_centers = dataset.tx_centers(bundle.samples)
+    if len(tx_centers) != len(bundle.samples):
+        raise ValueError(f"{len(tx_centers)} centers for {len(bundle.samples)} samples")
+    order = sorted(range(len(bundle.samples)), key=lambda i: bundle.samples[i].id)
+    x = np.asarray(tx_centers, dtype=float)[order, 0]
+    lats, lons = dataset.positions([bundle.samples[i] for i in order], "noisy")
+    cells = grid.grid_means(x, lats, lons, grid_count)
+    means = {g: mean for g, (_, mean) in cells.items()}
+    counts = {g: len(idx) for g, (idx, _) in cells.items()}
     return LookupTable(grid_count, means, counts)
 
 
@@ -84,12 +71,8 @@ def lut_predict(lut: LookupTable, x_center: float) -> GeoPosition:
     Empty grids fall back to the nearest populated grid; equidistant
     neighbors resolve to the lower index.
     """
-    if not lut.means:
-        raise ValueError("lookup table has no populated grids")
-    g = assign_grid(x_center, lut.grid_count)
-    if g not in lut.means:
-        g = min(lut.means, key=lambda k: (abs(k - g), k))
-    return lut.means[g]
+    g = int(grid.assign_grids(x_center, lut.grid_count))
+    return lut.means[grid.nearest_grid(lut.means, g)]
 
 
 def train_denoiser(
@@ -105,12 +88,8 @@ def train_denoiser(
     """
     if len(tx_centers) != len(bundle.samples):
         raise ValueError(f"{len(tx_centers)} centers for {len(bundle.samples)} samples")
-    targets = []
-    for s in bundle.samples:
-        if s.noisy_position is None:
-            raise ValueError(f"sample {s.id}: no noisy position to train against")
-        targets.append((s.noisy_position.lat_deg, s.noisy_position.lon_deg))
-    return nn.fit(np.array(tx_centers, dtype=float), np.array(targets), hidden_dims, config)
+    targets = np.column_stack(dataset.positions(bundle.samples, "noisy"))
+    return nn.fit(np.array(tx_centers, dtype=float), targets, hidden_dims, config)
 
 
 def mlp_predict(model: MlpModel, center: tuple[float, float]) -> GeoPosition:
@@ -120,26 +99,12 @@ def mlp_predict(model: MlpModel, center: tuple[float, float]) -> GeoPosition:
 
 
 def save_lut_csv(lut: LookupTable, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["grid", "count", "mean_lat", "mean_lon"])
-        for g in sorted(lut.means):
-            pos = lut.means[g]
-            writer.writerow([str(g), str(lut.counts[g]), repr(pos.lat_deg), repr(pos.lon_deg)])
+    rows = ((g, lut.counts[g], p.lat_deg, p.lon_deg) for g, p in sorted(lut.means.items()))
+    dataset.write_table_csv(path, [name for name, _ in _LUT_COLUMNS], rows)
 
 
 def load_lut_csv(path: str | Path, grid_count: int) -> LookupTable:
-    means: dict[int, GeoPosition] = {}
-    counts: dict[int, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["grid", "count", "mean_lat", "mean_lon"]:
-            raise ValueError(f"unexpected lookup table header: {header}")
-        for row in reader:
-            if not row:
-                continue
-            g = int(row[0])
-            counts[g] = int(row[1])
-            means[g] = GeoPosition(float(row[2]), float(row[3]))
+    rows = grid.read_grid_rows(path, _LUT_COLUMNS, grid_count)
+    means = {g: GeoPosition(lat, lon) for g, (_, lat, lon) in rows.items()}
+    counts = {g: count for g, (count, _, _) in rows.items()}
     return LookupTable(grid_count, means, counts)

@@ -1,14 +1,13 @@
 """Per-grid haversine evaluation, cross-noise-level comparison, plot exports.
 
-Errors are measured against per-grid ground-truth anchor means: for each
-test sample, the haversine distance between its grid's anchor mean and
-the predicted position, averaged within each grid and then equally
-weighted across populated grids.
+Errors are measured against per-grid ground-truth anchor means: test
+samples are grouped with ``grid.group_by_grid``, and each one's haversine
+distance from its grid's anchor mean to the predicted position is averaged
+within each grid, then equally weighted across populated grids.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import denoise, geo, grid, txid
+from . import dataset, denoise, geo, grid, txid
 from .dataset import DatasetBundle
 from .denoise import LookupTable
 from .geo import GeoPosition
@@ -57,6 +56,8 @@ def per_grid_error(
     """
     if not predictions:
         raise ValueError("no prediction methods to evaluate")
+    if not test_bundle.samples:
+        raise ValueError("no test samples to evaluate")
     for method, preds in predictions.items():
         if len(preds) != len(test_bundle.samples):
             raise ValueError(
@@ -66,36 +67,22 @@ def per_grid_error(
     methods = [m for m in METHOD_ORDER if m in predictions]
     methods += [m for m in predictions if m not in METHOD_ORDER]
 
-    errors: dict[int, dict[str, list[float]]] = {}
-    fallback_grids: set[int] = set()
+    x = dataset.tx_centers(test_bundle.samples)[:, 0]
+    rows = []
     fallback_samples = 0
-    for i, sample in enumerate(test_bundle.samples):
-        tx = sample.transmitter()
-        if tx is None:
-            raise ValueError(f"sample {sample.id}: no transmitter detection")
-        g = grid.assign_grid(tx.x_center, gt_anchor.grid_count)
-        anchor_grid = g
-        if g not in gt_anchor.cells:
-            anchor_grid = gt_anchor.nearest_populated(g)
-            fallback_grids.add(g)
-            fallback_samples += 1
+    for g, idx in grid.group_by_grid(x, gt_anchor.grid_count).items():
+        anchor_grid = gt_anchor.nearest_populated(g)
+        if anchor_grid != g:
+            fallback_samples += len(idx)
         anchor = gt_anchor.cells[anchor_grid].mean_position
-        per_method = errors.setdefault(g, {m: [] for m in methods})
-        for m in methods:
-            per_method[m].append(geo.haversine_distance(anchor, predictions[m][i]))
-
-    rows = tuple(
-        GridErrorRow(
-            grid=g,
-            count=len(next(iter(errors[g].values()))),
-            mean_error_m={m: float(np.mean(errors[g][m])) for m in methods},
-            anchor_fallback=g in fallback_grids,
-        )
-        for g in sorted(errors)
-    )
+        mean_error = {
+            m: float(np.mean([geo.haversine_distance(anchor, predictions[m][i]) for i in idx]))
+            for m in methods
+        }
+        rows.append(GridErrorRow(g, len(idx), mean_error, anchor_grid != g))
     overall = {m: float(np.mean([r.mean_error_m[m] for r in rows])) for m in methods}
     return EvalReport(
-        per_grid=rows,
+        per_grid=tuple(rows),
         overall=overall,
         noise_rms_m=test_bundle.metadata.noise_rms_m,
         grid_count=gt_anchor.grid_count,
@@ -155,11 +142,10 @@ def comparison_rows(reports: Mapping[float, EvalReport]) -> list[dict]:
 
 def save_comparison_csv(reports: Mapping[float, EvalReport], path: str | Path) -> None:
     methods = [m for m in METHOD_ORDER if all(m in r.overall for r in reports.values())]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["noise_rms_m"] + [f"{m}_m" for m in methods])
-        for level in sorted(reports):
-            writer.writerow([repr(float(level))] + [repr(reports[level].overall[m]) for m in methods])
+    rows = (
+        [float(level)] + [reports[level].overall[m] for m in methods] for level in sorted(reports)
+    )
+    dataset.write_table_csv(path, ["noise_rms_m"] + [f"{m}_m" for m in methods], rows)
 
 
 def comparison_text_table(reports: Mapping[float, EvalReport]) -> str:
@@ -199,15 +185,12 @@ def save_report_json(report: EvalReport, path: str | Path) -> None:
 
 def save_pergrid_csv(report: EvalReport, path: str | Path) -> None:
     methods = [m for m in METHOD_ORDER if m in report.overall]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["grid", "count"] + [f"mean_error_{m}_m" for m in methods] + ["anchor_fallback"])
-        for r in report.per_grid:
-            writer.writerow(
-                [str(r.grid), str(r.count)]
-                + [repr(r.mean_error_m[m]) for m in methods]
-                + [str(int(r.anchor_fallback))]
-            )
+    header = ["grid", "count"] + [f"mean_error_{m}_m" for m in methods] + ["anchor_fallback"]
+    rows = (
+        [r.grid, r.count] + [r.mean_error_m[m] for m in methods] + [int(r.anchor_fallback)]
+        for r in report.per_grid
+    )
+    dataset.write_table_csv(path, header, rows)
 
 
 def export_plot_data(
@@ -228,15 +211,14 @@ def export_plot_data(
     kind_map = {"noisy": "noisy", "lut": "denoised_lut", "mlp": "denoised_mlp"}
 
     positions_path = prefix / "positions.csv"
-    with open(positions_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "kind", "lat", "lon"])
-        for i, s in enumerate(bundle.samples):
-            writer.writerow([str(s.id), "gt", repr(s.gt_position.lat_deg), repr(s.gt_position.lon_deg)])
-            for method, kind in kind_map.items():
-                if method in predictions:
-                    p = predictions[method][i]
-                    writer.writerow([str(s.id), kind, repr(p.lat_deg), repr(p.lon_deg)])
+    rows = []
+    for i, s in enumerate(bundle.samples):
+        rows.append([s.id, "gt", s.gt_position.lat_deg, s.gt_position.lon_deg])
+        for method, kind in kind_map.items():
+            if method in predictions:
+                p = predictions[method][i]
+                rows.append([s.id, kind, p.lat_deg, p.lon_deg])
+    dataset.write_table_csv(positions_path, ["sample_id", "kind", "lat", "lon"], rows)
 
     pergrid_path = prefix / "pergrid.csv"
     save_pergrid_csv(report, pergrid_path)

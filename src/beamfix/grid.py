@@ -1,29 +1,30 @@
-"""Grid assignment, per-grid GPS error statistics, and Gaussian curve fitting.
+"""Grid assignment and grouping, per-grid GPS error statistics, Gaussian fitting.
 
 The normalized image width is divided into Z equal vertical grids. A
 sample belongs to the grid containing the x-center of its transmitter
-detection. Per-grid average displacement from the grid's mean position is
-the site-specific error measure; its distribution is summarized by a
-histogram and a least-squares Gaussian fit.
+detection. ``group_by_grid``, ``grid_means`` and the ``nearest_grid``
+fallback are the one grid layer that outlier removal, the lookup table
+and evaluation share. Per-grid average displacement from the grid's mean
+position is the site-specific error measure; its distribution is
+summarized by a histogram and a least-squares Gaussian fit.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Literal, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
-from . import geo
+from . import dataset, geo
+from .dataset import DatasetFormatError, PositionSelector, float_cell
 from .geo import GeoPosition
 
 if TYPE_CHECKING:
     from .dataset import Sample
-
-PositionSelector = Literal["ground_truth", "noisy"]
 
 
 class FitConvergenceError(RuntimeError):
@@ -34,22 +35,62 @@ class FitConvergenceError(RuntimeError):
         self.last_params = last_params
 
 
+def _snap(g, x, grid_count: int):
+    """Nudge g = min(floor(Z*x), Z-1) onto g/Z <= x < (g+1)/Z, for ints or int arrays.
+
+    The float product can land boundary values one cell off, never more.
+    """
+    g = g + ((g + 1 < grid_count) & ((g + 1) / grid_count <= x))
+    return g - ((g > 0) & (g / grid_count > x))
+
+
+def assign_grids(x_centers, grid_count: int) -> np.ndarray:
+    """Grid index g with g/Z <= x < (g+1)/Z for every x; x == 1 maps to Z-1."""
+    if grid_count < 1:
+        raise ValueError(f"grid_count must be >= 1, got {grid_count}")
+    x = np.asarray(x_centers, dtype=float)
+    outside = ~((x >= 0.0) & (x <= 1.0))
+    if outside.any():
+        raise ValueError(f"x_center {x[outside].flat[0]} outside [0, 1]")
+    g = np.minimum(np.floor(grid_count * x).astype(np.int64), grid_count - 1)
+    return _snap(g, x, grid_count)
+
+
 def assign_grid(x_center: float, grid_count: int) -> int:
-    """Grid index g with g/Z <= x_center < (g+1)/Z; x_center == 1 maps to Z-1."""
+    """assign_grids for one x-center, without the array round trip."""
     if grid_count < 1:
         raise ValueError(f"grid_count must be >= 1, got {grid_count}")
     if not 0.0 <= x_center <= 1.0:
         raise ValueError(f"x_center {x_center} outside [0, 1]")
-    if x_center == 1.0:
-        return grid_count - 1
-    g = int(math.floor(grid_count * x_center))
-    # The float product can land boundary values one cell off; nudge back
-    # onto the defining inequality.
-    while g + 1 < grid_count and (g + 1) / grid_count <= x_center:
-        g += 1
-    while g > 0 and g / grid_count > x_center:
-        g -= 1
-    return min(g, grid_count - 1)
+    return _snap(min(math.floor(grid_count * x_center), grid_count - 1), x_center, grid_count)
+
+
+def group_by_grid(x_centers, grid_count: int) -> dict[int, np.ndarray]:
+    """Indices of the x-centers in each populated grid, in input order; grids ascending."""
+    grids = assign_grids(x_centers, grid_count)
+    order = np.argsort(grids, kind="stable")
+    keys, starts = np.unique(grids[order], return_index=True)
+    return dict(zip(keys.tolist(), np.split(order, starts[1:])))
+
+
+def grid_means(
+    x_centers, lats: np.ndarray, lons: np.ndarray, grid_count: int
+) -> dict[int, tuple[np.ndarray, GeoPosition]]:
+    """Per populated grid: member indices and geo.mean_position of their positions,
+    both in input order."""
+    return {
+        g: (idx, geo.mean_position(lats[idx], lons[idx]))
+        for g, idx in group_by_grid(x_centers, grid_count).items()
+    }
+
+
+def nearest_grid(populated: Collection[int], grid: int) -> int:
+    """``grid`` if populated, else the closest populated grid; ties go to the lower index."""
+    if grid in populated:
+        return grid
+    if not populated:
+        raise ValueError("no populated grids to fall back to")
+    return min(populated, key=lambda g: (abs(g - grid), g))
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,19 +115,7 @@ class GridTable:
 
     def nearest_populated(self, grid: int) -> int:
         """Closest populated grid index; ties resolve to the lower index."""
-        if not self.cells:
-            raise ValueError("grid table has no populated grids")
-        return min(self.cells, key=lambda g: (abs(g - grid), g))
-
-
-def _select_position(sample: "Sample", selector: PositionSelector) -> GeoPosition:
-    if selector == "ground_truth":
-        return sample.gt_position
-    if selector == "noisy":
-        if sample.noisy_position is None:
-            raise ValueError(f"sample {sample.id}: no noisy position")
-        return sample.noisy_position
-    raise ValueError(f"unknown position selector {selector!r}")
+        return nearest_grid(self.cells, grid)
 
 
 def build_grid_table(
@@ -99,21 +128,13 @@ def build_grid_table(
     Samples are processed in id order, so the result is independent of the
     input ordering.
     """
-    groups: dict[int, list[Sample]] = {}
-    for s in sorted(samples, key=lambda s: s.id):
-        tx = s.transmitter()
-        if tx is None:
-            raise ValueError(f"sample {s.id}: no transmitter detection, cannot assign a grid")
-        _select_position(s, selector)  # fail early if the position is missing
-        groups.setdefault(assign_grid(tx.x_center, grid_count), []).append(s)
-
+    ordered = sorted(samples, key=lambda s: s.id)
+    x = dataset.tx_centers(ordered)[:, 0]
+    lats, lons = dataset.positions(ordered, selector)
     cells: dict[int, GridCell] = {}
-    for g, members in groups.items():
-        lats = np.array([_select_position(s, selector).lat_deg for s in members])
-        lons = np.array([_select_position(s, selector).lon_deg for s in members])
-        mean = geo.mean_position(lats, lons)
-        disp = geo.haversine_m(mean.lat_deg, mean.lon_deg, lats, lons)
-        cells[g] = GridCell(len(members), mean, float(disp.mean()))
+    for g, (idx, mean) in grid_means(x, lats, lons, grid_count).items():
+        disp = geo.haversine_m(mean.lat_deg, mean.lon_deg, lats[idx], lons[idx])
+        cells[g] = GridCell(len(idx), mean, float(disp.mean()))
     return GridTable(grid_count, cells)
 
 
@@ -121,17 +142,19 @@ def per_sample_displacements(
     samples: Iterable["Sample"], table: GridTable, selector: PositionSelector
 ) -> np.ndarray:
     """Each sample's haversine distance to its own grid's mean, in id order."""
-    out = []
-    for s in sorted(samples, key=lambda s: s.id):
-        tx = s.transmitter()
-        if tx is None:
-            raise ValueError(f"sample {s.id}: no transmitter detection, cannot assign a grid")
-        g = assign_grid(tx.x_center, table.grid_count)
+    ordered = sorted(samples, key=lambda s: s.id)
+    x = dataset.tx_centers(ordered)[:, 0]
+    lats, lons = dataset.positions(ordered, selector)
+    out = np.empty(len(ordered))
+    for g, idx in group_by_grid(x, table.grid_count).items():
         if g not in table.cells:
-            raise ValueError(f"sample {s.id}: grid {g} is not populated in the table")
-        pos = _select_position(s, selector)
-        out.append(geo.haversine_distance(table.cells[g].mean_position, pos))
-    return np.array(out)
+            raise ValueError(f"sample {ordered[idx[0]].id}: grid {g} is not populated in the table")
+        mean = table.cells[g].mean_position
+        out[idx] = [
+            geo.haversine_distance(mean, GeoPosition(lat, lon))
+            for lat, lon in zip(lats[idx].tolist(), lons[idx].tolist())
+        ]
+    return out
 
 
 @dataclass(frozen=True)
@@ -275,45 +298,53 @@ def fit_gaussian(histogram: Histogram, max_iterations: int = 200) -> GaussianFit
     )
 
 
-def save_grid_table_csv(table: GridTable, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["grid", "count", "mean_lat", "mean_lon", "avg_displacement_m"])
-        for g in table.populated():
-            cell = table.cells[g]
-            writer.writerow(
-                [
-                    str(g),
-                    str(cell.count),
-                    repr(cell.mean_position.lat_deg),
-                    repr(cell.mean_position.lon_deg),
-                    repr(cell.avg_displacement_m),
-                ]
+# Cell parsers for the position columns of the per-grid tables.
+LATITUDE = float_cell(-90.0, 90.0)
+LONGITUDE = float_cell(-180.0, 180.0)
+
+_GRID_TABLE_COLUMNS = (
+    ("grid", int),
+    ("count", int),
+    ("mean_lat", LATITUDE),
+    ("mean_lon", LONGITUDE),
+    ("avg_displacement_m", float_cell(0.0, sys.float_info.max)),
+)
+
+
+def read_grid_rows(
+    path: str | Path, columns: Sequence[tuple[str, Callable[[str], object]]], grid_count: int
+) -> dict[int, list]:
+    """Rows of a per-grid table CSV by their leading ``grid`` cell, which must
+    hold each grid in [0, grid_count) at most once; see dataset.read_table_csv."""
+    rows: dict[int, list] = {}
+    for row_num, (g, *cells) in dataset.read_table_csv(path, columns):
+        if not 0 <= g < grid_count:
+            raise DatasetFormatError(
+                f"{path}: row {row_num}: column 'grid': {g} outside [0, {grid_count})"
             )
+        if g in rows:
+            raise DatasetFormatError(f"{path}: row {row_num}: column 'grid': grid {g} repeated")
+        rows[g] = cells
+    return rows
+
+
+def save_grid_table_csv(table: GridTable, path: str | Path) -> None:
+    rows = (
+        (g, c.count, c.mean_position.lat_deg, c.mean_position.lon_deg, c.avg_displacement_m)
+        for g, c in sorted(table.cells.items())
+    )
+    dataset.write_table_csv(path, [name for name, _ in _GRID_TABLE_COLUMNS], rows)
 
 
 def load_grid_table_csv(path: str | Path, grid_count: int) -> GridTable:
-    cells: dict[int, GridCell] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["grid", "count", "mean_lat", "mean_lon", "avg_displacement_m"]:
-            raise ValueError(f"unexpected grid table header: {header}")
-        for row in reader:
-            if not row:
-                continue
-            g = int(row[0])
-            cells[g] = GridCell(
-                count=int(row[1]),
-                mean_position=GeoPosition(float(row[2]), float(row[3])),
-                avg_displacement_m=float(row[4]),
-            )
+    rows = read_grid_rows(path, _GRID_TABLE_COLUMNS, grid_count)
+    cells = {
+        g: GridCell(count, GeoPosition(lat, lon), avg)
+        for g, (count, lat, lon, avg) in rows.items()
+    }
     return GridTable(grid_count, cells)
 
 
 def save_histogram_csv(histogram: Histogram, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_start_m", "count"])
-        for start, count in zip(histogram.bin_starts(), histogram.counts):
-            writer.writerow([repr(float(start)), repr(float(count))])
+    rows = zip(histogram.bin_starts().tolist(), histogram.counts.tolist())
+    dataset.write_table_csv(path, ("bin_start_m", "count"), rows)

@@ -353,11 +353,25 @@ def _norm_to_json(norm: Normalizer | None):
     return {"shift": norm.shift.tolist(), "scale": norm.scale.tolist()}
 
 
-def _norm_from_json(raw, path: str | Path, field: str) -> Normalizer | None:
+def _float_array(raw, path: str | Path, field: str) -> np.ndarray:
+    try:
+        return np.array(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {field}: {exc}") from None
+
+
+def _norm_from_json(raw, path: str | Path, field: str, width: int) -> Normalizer | None:
     if raw is None:
         return None
+    shift = _float_array(raw["shift"], path, f"{field} shift")
+    scale = _float_array(raw["scale"], path, f"{field} scale")
+    if shift.shape != (width,) or scale.shape != (width,):
+        raise ValueError(
+            f"{path}: {field}: shift and scale need shape ({width},), "
+            f"got {shift.shape} and {scale.shape}"
+        )
     try:
-        return Normalizer(np.array(raw["shift"], dtype=float), np.array(raw["scale"], dtype=float))
+        return Normalizer(shift, scale)
     except ValueError as exc:
         raise ValueError(f"{path}: {field}: {exc}") from None
 
@@ -387,19 +401,23 @@ def load_weights(path: str | Path) -> MlpModel:
         raise ValueError(f"{path}: not a valid model file: {exc}") from None
     try:
         dims = tuple(int(d) for d in doc["layer_dims"])
-        weights = [np.array(w, dtype=float) for w in doc["weights"]]
-        biases = [np.array(b, dtype=float) for b in doc["biases"]]
+        if len(dims) < 2:
+            raise ValueError(f"{path}: layer_dims {list(dims)} needs an input and an output width")
+        raw_weights, raw_biases = list(doc["weights"]), list(doc["biases"])
         if doc["hidden_activation"] != "relu" or doc["output_activation"] != "identity":
             raise ValueError(
                 f"unsupported activations {doc['hidden_activation']}/{doc['output_activation']}"
             )
-        input_norm = _norm_from_json(doc["input_norm"], path, "input_norm")
-        target_norm = _norm_from_json(doc["target_norm"], path, "target_norm")
+        input_norm = _norm_from_json(doc["input_norm"], path, "input_norm", dims[0])
+        target_norm = _norm_from_json(doc["target_norm"], path, "target_norm", dims[-1])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: missing or malformed field: {exc}") from None
-    if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
-        raise ValueError(f"{path}: {len(weights)} weight arrays for {len(dims)} layer dims")
-    for i, (w, b) in enumerate(zip(weights, biases)):
+    if len(raw_weights) != len(dims) - 1 or len(raw_biases) != len(dims) - 1:
+        raise ValueError(f"{path}: {len(raw_weights)} weight arrays for {len(dims)} layer dims")
+    weights, biases = [], []
+    for i, (raw_w, raw_b) in enumerate(zip(raw_weights, raw_biases)):
+        w = _float_array(raw_w, path, f"layer {i} weights")
+        b = _float_array(raw_b, path, f"layer {i} biases")
         if w.shape != (dims[i], dims[i + 1]):
             raise ValueError(
                 f"{path}: layer {i} weights have shape {w.shape}, "
@@ -412,4 +430,6 @@ def load_weights(path: str | Path) -> MlpModel:
         for field, arr in (("weights", w), ("biases", b)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{path}: layer {i} {field} are not all finite")
+        weights.append(w)
+        biases.append(b)
     return MlpModel(dims, weights, biases, input_norm, target_norm)

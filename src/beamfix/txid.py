@@ -6,7 +6,6 @@ detected object nearest that estimate is declared the transmitter.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import nn
+from . import dataset, nn
 from .dataset import DatasetBundle, Detection, Sample
 from .nn import MlpModel, TrainConfig
 
@@ -50,14 +49,9 @@ def train_txid(
     first sample without one is named in the error.
     """
     q = bundle.metadata.codebook_size
-    inputs, targets = [], []
-    for s in bundle.samples:
-        tx = s.transmitter()
-        if tx is None:
-            raise ValueError(f"sample {s.id}: no transmitter label to supervise on")
-        inputs.append(encode_beam(s.beam_index, q))
-        targets.append((tx.x_center, tx.y_center))
-    return nn.fit(np.array(inputs), np.array(targets), hidden_dims, config)
+    targets = dataset.tx_centers(bundle.samples)
+    inputs = np.array([encode_beam(s.beam_index, q) for s in bundle.samples])
+    return nn.fit(inputs, targets, hidden_dims, config)
 
 
 def select_bounding_box(
@@ -103,17 +97,9 @@ def identify_all(model: MlpModel, bundle: DatasetBundle) -> list[TxPrediction]:
 def save_predictions_csv(
     sample_ids: Sequence[int], predictions: Sequence[TxPrediction], path: str | Path
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "pred_x", "pred_y", "selected_index", "selected_x", "selected_y"])
-        for sid, p in zip(sample_ids, predictions):
-            writer.writerow(
-                [
-                    str(sid),
-                    repr(p.estimated_center[0]),
-                    repr(p.estimated_center[1]),
-                    str(p.selected_index),
-                    repr(p.selected_center[0]),
-                    repr(p.selected_center[1]),
-                ]
-            )
+    header = ["sample_id", "pred_x", "pred_y", "selected_index", "selected_x", "selected_y"]
+    rows = (
+        (sid, *p.estimated_center, p.selected_index, *p.selected_center)
+        for sid, p in zip(sample_ids, predictions)
+    )
+    dataset.write_table_csv(path, header, rows)

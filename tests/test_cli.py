@@ -237,6 +237,16 @@ class TestTrainCommand:
         dataset.save_csv(bundle, path)
         assert main(["train", "--dataset", str(path), "--out", str(tmp_path / "x")]) == 2
 
+    def test_empty_test_split_exit_2(self, tmp_path, capsys):
+        # ceil(3 * 0.7) = 3 leaves nothing to evaluate on.
+        samples = [make_sample(i, 0.5, BASE, noisy=BASE) for i in range(3)]
+        path = tmp_path / "tiny.csv"
+        dataset.save_csv(make_bundle(samples), path)
+        assert main(
+            ["train", "--dataset", str(path), "--out", str(tmp_path / "x"), "--epochs", "1"]
+        ) == 2
+        assert "test split empty" in capsys.readouterr().err
+
 
 class TestEvaluateCommand:
     def test_reports_and_plot_exports(self, tmp_path):
@@ -327,6 +337,72 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--artifacts", str(art), "--out", str(tmp_path / "e")]) == 2
         err = capsys.readouterr().err
         assert str(model_path) in err and field.split(".")[0] in err
+
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda doc: doc["weights"][0][0].__setitem__(0, "x"), "layer 0 weights"),
+            (lambda doc: doc["biases"][1].__setitem__(0, "x"), "layer 1 biases"),
+            (lambda doc: _cut_normalizer(doc, "target_norm"), "target_norm"),
+            (lambda doc: _cut_normalizer(doc, "input_norm"), "input_norm"),
+        ],
+        ids=["weights-x", "biases-x", "target_norm-cut", "input_norm-cut"],
+    )
+    def test_malformed_model_exit_2(self, small_artifacts, tmp_path, capsys, edit, expected):
+        art = tmp_path / "art"
+        shutil.copytree(small_artifacts["l2r"], art)
+        model_path = art / "denoiser.json"
+        doc = json.loads(model_path.read_text())
+        edit(doc)
+        model_path.write_text(json.dumps(doc))
+        assert main(["evaluate", "--artifacts", str(art), "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert str(model_path) in err and expected in err
+
+    @pytest.mark.parametrize(
+        "name, edit, expected",
+        [
+            ("lut.csv", lambda rows: rows[:1] + [["5", "3"]], "row 1"),
+            ("anchor.csv", lambda rows: [], "empty file"),
+            ("anchor.csv", lambda rows: rows[:1] + [["x"] + rows[1][1:]], "column 'grid'"),
+            ("lut.csv", lambda rows: rows + [rows[1]], "repeated"),
+            ("anchor.csv", lambda rows: rows[:1] + [["100"] + rows[1][1:]], "column 'grid'"),
+            ("lut.csv", lambda rows: rows[:1] + [["-1"] + rows[1][1:]], "column 'grid'"),
+            ("anchor.csv", lambda rows: rows[:1] + [rows[1][:2] + ["nan"] + rows[1][3:]],
+             "column 'mean_lat'"),
+        ],
+        ids=["short-row", "empty", "grid-not-int", "grid-repeated", "grid-eq-z",
+             "grid-negative", "lat-nan"],
+    )
+    def test_malformed_table_exit_2(self, small_artifacts, tmp_path, capsys, name, edit, expected):
+        art = tmp_path / "art"
+        shutil.copytree(small_artifacts["l2r"], art)
+        path = art / name
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(edit(rows))
+        assert main(["evaluate", "--artifacts", str(art), "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and expected in err
+
+    def test_plot_export_keyed_on_level_tag(self, small_artifacts, tmp_path):
+        # 0.5000000000000001 != 0.5, but it writes report_rms0.5.json.
+        art = tmp_path / "art"
+        shutil.copytree(small_artifacts["l2r"], art)
+        manifest = json.loads((art / "manifest.json").read_text())
+        manifest["noise_rms_m"] = 0.5000000000000001
+        (art / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "e"
+        assert main(["evaluate", "--artifacts", str(art), "--out", str(out)]) == 0
+        assert (out / "report_rms0.5.json").exists()
+        assert (out / "plots_rms0.5" / "positions.csv").exists()
+
+
+def _cut_normalizer(doc, field):
+    """Keep only the first shift and scale entry of a model's normalizer."""
+    doc[field] = {key: values[:1] for key, values in doc[field].items()}
 
 
 @pytest.fixture(scope="module")

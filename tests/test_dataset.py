@@ -148,6 +148,12 @@ class TestSplit:
         with pytest.raises(ValueError, match="empty"):
             split_train_test(make_bundle([]), 0.7, seed=0)
 
+    @pytest.mark.parametrize("n,fraction", [(3, 0.7), (1, 0.5)])
+    def test_empty_test_side_rejected(self, n, fraction):
+        bundle = make_bundle([make_sample(i, 0.5, BASE) for i in range(n)])
+        with pytest.raises(ValueError, match="test split empty"):
+            split_train_test(bundle, fraction, seed=0)
+
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.4])
     def test_fraction_bounds(self, fraction):
         bundle = make_bundle([make_sample(0, 0.5, BASE)])
@@ -163,6 +169,10 @@ class TestSplit:
     def test_partition_property(self, n, fraction, seed):
         samples = [make_sample(i, 0.5, BASE) for i in range(n)]
         bundle = make_bundle(samples)
+        if math.ceil(n * fraction - 1e-9) in (0, n):
+            with pytest.raises(ValueError, match="split empty"):
+                split_train_test(bundle, fraction, seed)
+            return
         train, test = split_train_test(bundle, fraction, seed)
         train_ids = {s.id for s in train.samples}
         test_ids = {s.id for s in test.samples}

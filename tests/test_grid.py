@@ -10,9 +10,11 @@ from beamfix.geo import GeoPosition, LocalOffset
 from beamfix.grid import (
     Histogram,
     assign_grid,
+    assign_grids,
     build_grid_table,
     displacement_histogram,
     fit_gaussian,
+    group_by_grid,
     histogram_from_values,
     load_grid_table_csv,
     per_sample_displacements,
@@ -45,25 +47,51 @@ class TestAssignGrid:
     @given(
         x=st.floats(min_value=0.0, max_value=1.0),
         z=st.integers(min_value=1, max_value=300),
+        xs=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=30),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_brute_force(self, x, z):
+    def test_matches_brute_force(self, x, z, xs):
         assert assign_grid(x, z) == brute_force_grid(x, z)
+        assert assign_grids(xs, z).tolist() == [brute_force_grid(v, z) for v in xs]
 
     def test_boundary_values_match_brute_force(self):
-        for z in (1, 3, 7, 10, 64, 100):
-            for k in range(z + 1):
-                x = k / z
-                assert assign_grid(x, z) == brute_force_grid(x, z)
+        # Every k/Z and its one-ulp neighbours: a bare floor(Z*x) misses
+        # some of these at Z = 100 and Z = 400.
+        for z in (1, 3, 7, 10, 64, 100, 400):
+            ks = np.arange(z + 1) / z
+            xs = np.clip(np.concatenate([ks, np.nextafter(ks, -1), np.nextafter(ks, 2)]), 0, 1)
+            expected = [brute_force_grid(float(x), z) for x in xs]
+            assert [assign_grid(float(x), z) for x in xs] == expected
+            assert assign_grids(xs, z).tolist() == expected
 
     @pytest.mark.parametrize("x", [-0.01, 1.01])
     def test_out_of_range_rejected(self, x):
         with pytest.raises(ValueError):
             assign_grid(x, 100)
+        with pytest.raises(ValueError):
+            assign_grids([0.5, x], 100)
 
     def test_bad_grid_count_rejected(self):
         with pytest.raises(ValueError):
             assign_grid(0.5, 0)
+        with pytest.raises(ValueError):
+            assign_grids([0.5], 0)
+
+
+class TestGroupByGrid:
+    @given(
+        xs=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=60),
+        z=st.integers(min_value=1, max_value=300),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_partitions_indices_in_input_order(self, xs, z):
+        groups = group_by_grid(xs, z)
+        assert list(groups) == sorted(groups)
+        members = [i for idx in groups.values() for i in idx.tolist()]
+        assert sorted(members) == list(range(len(xs)))
+        for g, idx in groups.items():
+            assert idx.tolist() == sorted(idx.tolist())
+            assert all(assign_grid(xs[i], z) == g for i in idx)
 
 
 class TestGridTable:
