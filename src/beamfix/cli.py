@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -55,8 +57,10 @@ class RunConfig:
     bin_width_m: float = 0.05
 
     def validate(self) -> None:
-        if self.grid_count < 1:
-            raise ConfigError(f"grid_count must be >= 1, got {self.grid_count}")
+        if not 1 <= self.grid_count <= dataset.MAX_GRID_COUNT:
+            raise ConfigError(
+                f"grid_count must be in [1, {dataset.MAX_GRID_COUNT}], got {self.grid_count}"
+            )
         if any(level < 0 for level in self.noise_levels_m):
             raise ConfigError(f"noise levels must be >= 0, got {self.noise_levels_m}")
         tags = [_level_tag(level) for level in self.noise_levels_m]
@@ -67,6 +71,10 @@ class RunConfig:
             )
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if self.codebook_beams > dataset.MAX_CODEBOOK_SIZE:
+            raise ConfigError(
+                f"codebook_beams must be <= {dataset.MAX_CODEBOOK_SIZE}, got {self.codebook_beams}"
+            )
         if self.codebook_beams < self.codebook_antennas:
             raise ConfigError(
                 f"codebook_beams ({self.codebook_beams}) must be >= "
@@ -137,12 +145,12 @@ def _load_scene(config: RunConfig) -> simulate.SceneGeometry:
         raise ConfigError(f"cannot load scene {config.scene_path}: {exc}") from None
 
 
-def _simulate_datasets(config: RunConfig, seed: int, out_dir: Path) -> list[Path]:
-    """Write one clean bundle plus one bundle per noise level, per direction."""
+def _simulate_datasets(config: RunConfig, seed: int, out_dir: Path) -> Iterator[tuple]:
+    """Save one clean bundle plus one per noise level, per direction; yield each
+    as (direction, tag, path, bundle) once it is saved, clean first."""
     scene = _load_scene(config)
     codebook = simulate.build_dft_codebook(config.codebook_antennas, config.codebook_beams)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     counts = {
         Direction.LEFT_TO_RIGHT: config.samples_left_to_right,
         Direction.RIGHT_TO_LEFT: config.samples_right_to_left,
@@ -166,27 +174,24 @@ def _simulate_datasets(config: RunConfig, seed: int, out_dir: Path) -> list[Path
         clean = dataset.remove_outliers(clean)
         path = out_dir / f"{dtag}_clean.csv"
         dataset.save_csv(clean, path)
-        written.append(path)
+        yield direction, "clean", path, clean
         for level in config.noise_levels_m:
-            spec = NoiseSpec(level, derived_seed(seed, "noise", dtag, _level_tag(level)))
+            tag = _level_tag(level)
+            spec = NoiseSpec(level, derived_seed(seed, "noise", dtag, tag))
             noisy = dataset.inject_noise(clean, spec)
             noisy = DatasetBundle(
-                noisy.samples,
-                dataclasses.replace(noisy.metadata, source=f"synthetic:{dtag}:{_level_tag(level)}"),
+                noisy.samples, dataclasses.replace(noisy.metadata, source=f"synthetic:{dtag}:{tag}")
             )
-            path = out_dir / f"{dtag}_{_level_tag(level)}.csv"
+            path = out_dir / f"{dtag}_{tag}.csv"
             dataset.save_csv(noisy, path)
-            written.append(path)
-    return written
+            yield direction, tag, path, noisy
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config.seed)
     out_dir = Path(args.out if args.out else config.output_dir) / "datasets"
-    written = _simulate_datasets(config, seed, out_dir)
-    for path in written:
-        bundle = dataset.load_csv(path)
+    for _, _, path, bundle in _simulate_datasets(config, seed, out_dir):
         print(f"wrote {path} ({len(bundle)} samples, rms {bundle.metadata.noise_rms_m:g} m)")
     return 0
 
@@ -241,19 +246,47 @@ def _characterize(
 def cmd_characterize(args: argparse.Namespace) -> int:
     bundle = dataset.load_csv(args.dataset)
     grid_count = args.grid_count if args.grid_count else bundle.metadata.grid_count
+    if not 1 <= grid_count <= dataset.MAX_GRID_COUNT:
+        raise ConfigError(
+            f"--grid-count must be in [1, {dataset.MAX_GRID_COUNT}], got {grid_count}"
+        )
     out_dir = Path(args.out) if args.out else Path(args.dataset).parent / "characterize"
     _characterize(bundle, grid_count, args.bin_width, args.positions, out_dir)
     print(f"wrote characterization to {out_dir}")
     return 0
 
 
+class _Level(NamedTuple):
+    """What evaluate scores for one noise level, as train writes it."""
+
+    level: float
+    test: DatasetBundle
+    anchor: grid.GridTable
+    txid_model: nn.MlpModel
+    denoiser_model: nn.MlpModel
+    lut: denoise.LookupTable
+
+
+def _train_stage1(
+    bundle: DatasetBundle, train_fraction: float, seed: int, train_config: TrainConfig
+) -> tuple[nn.MlpModel, list[float]]:
+    """Stage 1 on the seed's train split; it reads beams and detections, never GPS."""
+    train_bundle, _ = dataset.split_train_test(bundle, train_fraction, derived_seed(seed, "split"))
+    batch_size = min(train_config.batch_size, len(train_bundle))
+    txid_seed = derived_seed(seed, "txid")
+    txid_config = dataclasses.replace(train_config, batch_size=batch_size, seed=txid_seed)
+    return txid.train_txid(train_bundle, txid_config)
+
+
 def _train_artifacts(
     bundle: DatasetBundle,
+    stage1: tuple[nn.MlpModel, list[float]],
     train_fraction: float,
     seed: int,
     train_config: TrainConfig,
     out_dir: Path,
-) -> dict:
+) -> _Level:
+    """Stage 2 on the seed's train split, given stage 1 trained on the same samples."""
     out_dir.mkdir(parents=True, exist_ok=True)
     z = bundle.metadata.grid_count
     anchor = grid.build_grid_table(bundle.samples, "ground_truth", z)
@@ -262,11 +295,8 @@ def _train_artifacts(
     )
     if train_config.batch_size > len(train_bundle):
         train_config = dataclasses.replace(train_config, batch_size=len(train_bundle))
-
-    txid_config = dataclasses.replace(train_config, seed=derived_seed(seed, "txid"))
-    txid_model, txid_history = txid.train_txid(train_bundle, txid_config)
-    tx_preds = txid.identify_all(txid_model, train_bundle)
-    centers = [p.selected_center for p in tx_preds]
+    txid_model, txid_history = stage1
+    centers = [p.selected_center for p in txid.identify_all(txid_model, train_bundle)]
     lut = denoise.build_lut(train_bundle, z, centers)
     denoiser_config = dataclasses.replace(train_config, seed=derived_seed(seed, "denoiser"))
     denoiser_model, denoiser_history = denoise.train_denoiser(
@@ -280,10 +310,7 @@ def _train_artifacts(
     nn.save_weights(denoiser_model, out_dir / "denoiser.json")
     denoise.save_lut_csv(lut, out_dir / "lut.csv")
     for name, history in (("txid_loss.csv", txid_history), ("denoiser_loss.csv", denoiser_history)):
-        with open(out_dir / name, "w", encoding="utf-8", newline="") as fh:
-            fh.write("epoch,loss\n")
-            for epoch, loss in enumerate(history):
-                fh.write(f"{epoch},{loss!r}\n")
+        dataset.write_table_csv(out_dir / name, ["epoch", "loss"], enumerate(history))
 
     manifest = {
         "grid_count": z,
@@ -313,22 +340,17 @@ def _train_artifacts(
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return manifest
+    return _Level(bundle.metadata.noise_rms_m, test_bundle, anchor, txid_model, denoiser_model, lut)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     bundle = dataset.load_csv(args.dataset)
     seed = resolve_seed(args.seed, RunConfig().seed)
-    train_config = TrainConfig(
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-    )
-    manifest = _train_artifacts(bundle, args.train_fraction, seed, train_config, Path(args.out))
-    print(
-        f"trained artifacts in {args.out} "
-        f"(train {manifest['train_samples']}, test {manifest['test_samples']})"
-    )
+    train_config = TrainConfig(args.learning_rate, args.epochs, args.batch_size)
+    stage1 = _train_stage1(bundle, args.train_fraction, seed, train_config)
+    out_dir = Path(args.out)
+    test = _train_artifacts(bundle, stage1, args.train_fraction, seed, train_config, out_dir).test
+    print(f"trained artifacts in {args.out} (train {len(bundle) - len(test)}, test {len(test)})")
     return 0
 
 
@@ -360,7 +382,7 @@ def _read_manifest(artifact_dir: Path) -> tuple[int, float, dict[str, Path]]:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    z = _manifest_field(manifest, path, "grid_count", int)
+    z = _manifest_field(manifest, path, "grid_count", dataset.count_in(dataset.MAX_GRID_COUNT))
     level = _manifest_field(manifest, path, "noise_rms_m", float)
     files = {
         name: artifact_dir / _manifest_field(manifest, path, f"files.{name}", str)
@@ -369,33 +391,26 @@ def _read_manifest(artifact_dir: Path) -> tuple[int, float, dict[str, Path]]:
     return z, level, files
 
 
-def _evaluate_artifacts(artifact_dirs: list[Path], out_dir: Path, bin_width_m: float) -> None:
-    manifests = [_read_manifest(d) for d in artifact_dirs]
-    owners: dict[str, Path] = {}
-    for artifact_dir, (_, level, _) in zip(artifact_dirs, manifests):
-        tag = _level_tag(level)
-        if tag in owners:
-            raise ConfigError(
-                f"{owners[tag]} and {artifact_dir} both have noise level {level:g} m; "
-                f"their {tag} reports would overwrite each other"
-            )
-        owners[tag] = artifact_dir
+def _load_level(artifact_dir: Path, z: int, level: float, files: dict[str, Path]) -> _Level:
+    """One train output directory's evaluation inputs, read from its manifest's files."""
+    test_bundle = dataset.load_csv(files["test"])
+    anchor = grid.load_grid_table_csv(files["anchor"], z)
+    txid_model = nn.load_weights(files["txid_model"])
+    if txid_model.layer_dims[0] != test_bundle.metadata.codebook_size:
+        raise ConfigError(
+            f"{artifact_dir}: txid model expects {txid_model.layer_dims[0]} beams but "
+            f"dataset codebook has {test_bundle.metadata.codebook_size}"
+        )
+    denoiser_model = nn.load_weights(files["denoiser_model"])
+    lut = denoise.load_lut_csv(files["lut"], z)
+    return _Level(level, test_bundle, anchor, txid_model, denoiser_model, lut)
 
+
+def _evaluate_artifacts(levels: Iterable[_Level], out_dir: Path, bin_width_m: float) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     reports: dict[float, evaluate.EvalReport] = {}
     exported = False
-    for artifact_dir, (z, level, files) in zip(artifact_dirs, manifests):
-        test_bundle = dataset.load_csv(files["test"])
-        anchor = grid.load_grid_table_csv(files["anchor"], z)
-        txid_model = nn.load_weights(files["txid_model"])
-        if txid_model.layer_dims[0] != test_bundle.metadata.codebook_size:
-            raise ConfigError(
-                f"{artifact_dir}: txid model expects {txid_model.layer_dims[0]} beams but "
-                f"dataset codebook has {test_bundle.metadata.codebook_size}"
-            )
-        denoiser_model = nn.load_weights(files["denoiser_model"])
-        lut = denoise.load_lut_csv(files["lut"], z)
-
+    for level, test_bundle, anchor, txid_model, denoiser_model, lut in levels:
         predictions, tx_preds = evaluate.predict_methods(
             test_bundle, txid_model, lut, denoiser_model
         )
@@ -430,7 +445,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for d in dirs:
         if not d.exists():
             raise ConfigError(f"artifact directory does not exist: {d}")
-    _evaluate_artifacts(dirs, Path(args.out), args.bin_width)
+    manifests = [_read_manifest(d) for d in dirs]
+    owners: dict[str, Path] = {}
+    for artifact_dir, (_, level, _) in zip(dirs, manifests):
+        tag = _level_tag(level)
+        if tag in owners:
+            raise ConfigError(
+                f"{owners[tag]} and {artifact_dir} both have noise level {level:g} m; "
+                f"their {tag} reports would overwrite each other"
+            )
+        owners[tag] = artifact_dir
+    levels = (_load_level(d, *manifest) for d, manifest in zip(dirs, manifests))
+    _evaluate_artifacts(levels, Path(args.out), args.bin_width)
     return 0
 
 
@@ -438,42 +464,23 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config.seed)
     root = Path(args.out if args.out else config.output_dir)
-    dataset_paths = _simulate_datasets(config, seed, root / "datasets")
-    print(f"simulated {len(dataset_paths)} datasets in {root / 'datasets'}")
-
-    train_config = TrainConfig(
-        learning_rate=config.learning_rate,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-    )
-    for direction in (Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT):
+    fraction = config.train_fraction
+    train_config = TrainConfig(config.learning_rate, config.epochs, config.batch_size)
+    simulated = _simulate_datasets(config, seed, root / "datasets")
+    for direction, bundles in itertools.groupby(simulated, key=lambda item: item[0]):
         dtag = _direction_tag(direction)
-        artifact_dirs = []
-        for path in dataset_paths:
-            if not path.name.startswith(f"{dtag}_"):
-                continue
-            bundle = dataset.load_csv(path)
-            tag = path.stem.removeprefix(f"{dtag}_")
-            _characterize(
-                bundle,
-                config.grid_count,
-                config.bin_width_m,
-                "auto",
-                root / "characterize" / f"{dtag}_{tag}",
-            )
+        dseed = derived_seed(seed, "train", dtag)
+        levels = []
+        for _, tag, _, bundle in bundles:
+            char_dir = root / "characterize" / f"{dtag}_{tag}"
+            _characterize(bundle, config.grid_count, config.bin_width_m, "auto", char_dir)
             if tag == "clean":
+                stage1 = _train_stage1(bundle, fraction, dseed, train_config)
                 continue
-            artifact_dir = root / "artifacts" / dtag / tag
-            _train_artifacts(
-                bundle,
-                config.train_fraction,
-                derived_seed(seed, "train", dtag, tag),
-                train_config,
-                artifact_dir,
-            )
-            artifact_dirs.append(artifact_dir)
+            art_dir = root / "artifacts" / dtag / tag
+            levels.append(_train_artifacts(bundle, stage1, fraction, dseed, train_config, art_dir))
             print(f"trained {dtag} {tag}")
-        _evaluate_artifacts(artifact_dirs, root / "eval" / dtag, config.bin_width_m)
+        _evaluate_artifacts(levels, root / "eval" / dtag, config.bin_width_m)
     print(f"pipeline outputs in {root}")
     return 0
 

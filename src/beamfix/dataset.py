@@ -187,6 +187,25 @@ def read_table_csv(
     return rows
 
 
+# Largest grid count and codebook size a sidecar, manifest or run config may
+# declare. A million grids is finer than any camera's pixel columns; stage 1
+# encodes each beam as a one-hot vector as wide as the codebook.
+MAX_GRID_COUNT = 1_000_000
+MAX_CODEBOOK_SIZE = 4096
+
+
+def count_in(high: int) -> Callable[[object], int]:
+    """Parser for an integer count in [1, high]."""
+
+    def parse(raw) -> int:
+        value = int(raw)
+        if not 1 <= value <= high:
+            raise ValueError(f"{value} outside [1, {high}]")
+        return value
+
+    return parse
+
+
 def float_cell(low: float, high: float) -> Callable[[str], float]:
     """Cell parser for a float in [low, high]; NaN is never in range."""
 
@@ -277,8 +296,8 @@ def _parse_enum(row_num: int, field: str, raw: str, enum_cls):
 
 # Every key the sidecar must hold, with the parser for its value.
 _META_FIELDS = (
-    ("grid_count", int),
-    ("codebook_size", int),
+    ("grid_count", count_in(MAX_GRID_COUNT)),
+    ("codebook_size", count_in(MAX_CODEBOOK_SIZE)),
     ("noise_rms_m", float),
     ("seed", int),
     ("direction", Direction),
@@ -309,12 +328,41 @@ def _load_meta(meta_file: Path) -> DatasetMeta:
 def load_csv(path: str | Path) -> DatasetBundle:
     """Read a bundle from CSV, enforcing the schema and all field invariants.
 
-    Errors carry the 1-based data row number and the offending field.
-    Metadata comes from the ``<file>.meta.json`` sidecar when present;
-    otherwise defaults are inferred (direction from the rows, codebook
-    size from the largest beam index rounded up to 64).
+    Errors name the file, and carry the 1-based data row number and the
+    offending field. Metadata comes from the ``<file>.meta.json`` sidecar
+    when present; otherwise defaults are inferred (direction from the rows,
+    codebook size from the largest beam index rounded up to 64).
     """
     path = Path(path)
+    try:
+        samples = _read_samples(path)
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
+    meta_file = _meta_path(path)
+    if meta_file.exists():
+        metadata = _load_meta(meta_file)
+    else:
+        directions = {s.direction for s in samples}
+        if len(directions) > 1:
+            raise DatasetFormatError(
+                f"{path}: mixed directions in one file; split by direction first"
+            )
+        direction = directions.pop() if directions else Direction.LEFT_TO_RIGHT
+        codebook_size = max(64, max((s.beam_index for s in samples), default=0) + 1)
+        if codebook_size > MAX_CODEBOOK_SIZE:
+            raise DatasetFormatError(
+                f"{path}: beam index {codebook_size - 1} needs a codebook larger than "
+                f"{MAX_CODEBOOK_SIZE}"
+            )
+        metadata = DatasetMeta(codebook_size=codebook_size, direction=direction, source=str(path))
+    try:
+        return DatasetBundle(tuple(samples), metadata)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
+
+
+def _read_samples(path: Path) -> list[Sample]:
+    """The samples of a dataset CSV; errors name the row and field, not the file."""
     samples: list[Sample] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -379,25 +427,7 @@ def load_csv(path: str | Path) -> DatasetBundle:
                 )
             except ValueError as exc:
                 raise DatasetFormatError(f"row {row_num}: {exc}") from None
-
-    meta_file = _meta_path(path)
-    if meta_file.exists():
-        metadata = _load_meta(meta_file)
-    else:
-        directions = {s.direction for s in samples}
-        if len(directions) > 1:
-            raise DatasetFormatError("mixed directions in one file; split by direction first")
-        direction = directions.pop() if directions else Direction.LEFT_TO_RIGHT
-        max_beam = max((s.beam_index for s in samples), default=0)
-        metadata = DatasetMeta(
-            codebook_size=max(64, max_beam + 1),
-            direction=direction,
-            source=str(path),
-        )
-    try:
-        return DatasetBundle(tuple(samples), metadata)
-    except ValueError as exc:
-        raise DatasetFormatError(str(exc)) from None
+    return samples
 
 
 def split_train_test(

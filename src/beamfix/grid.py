@@ -171,6 +171,11 @@ class Histogram:
         return np.arange(len(self.counts)) * self.bin_width_m
 
 
+# Most bins a histogram may lay out: 5 km at 0.05 m. Bins run from 0 to the
+# largest value, so one far-off GPS fix would otherwise size the table.
+MAX_HISTOGRAM_BINS = 100_000
+
+
 def histogram_from_values(values: Sequence[float], bin_width_m: float) -> Histogram:
     """Bin nonnegative values into fixed-width bins starting at 0."""
     if bin_width_m <= 0:
@@ -180,6 +185,12 @@ def histogram_from_values(values: Sequence[float], bin_width_m: float) -> Histog
         raise ValueError("cannot build a histogram from zero values")
     if np.any(vals < 0):
         raise ValueError("displacement values must be nonnegative")
+    largest = vals.max()
+    if not largest / bin_width_m < MAX_HISTOGRAM_BINS:
+        raise ValueError(
+            f"largest value {largest} m at bin width {bin_width_m} m needs more than "
+            f"{MAX_HISTOGRAM_BINS} histogram bins"
+        )
     idx = np.floor(vals / bin_width_m).astype(int)
     counts = np.bincount(idx, minlength=int(idx.max()) + 1).astype(float)
     return Histogram(bin_width_m, counts)

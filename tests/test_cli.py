@@ -22,6 +22,19 @@ SMALL_CONFIG = {
 }
 
 
+def _no_read_back(path):
+    raise AssertionError(f"load_csv({path}) called")
+
+
+def _set_meta(data_path, key, value):
+    """Set one key of a dataset's sidecar; returns the sidecar path."""
+    meta_path = data_path.parent / f"{data_path.name}.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    return meta_path
+
+
 def write_config(tmp_path, **overrides):
     doc = dict(SMALL_CONFIG)
     doc.update(overrides)
@@ -102,6 +115,26 @@ class TestSimulateCommand:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_reads_back_no_dataset(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(dataset, "load_csv", _no_read_back)
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"wrote {out / 'datasets' / 'l2r_clean.csv'} (160 samples, rms 0 m)"
+        assert lines[-1] == f"wrote {out / 'datasets' / 'r2l_rms1.csv'} (120 samples, rms 1 m)"
+        assert len(lines) == 6
+
+    @pytest.mark.parametrize(
+        "key, value", [("grid_count", 10**30), ("codebook_beams", 4097)]
+    )
+    def test_count_out_of_range_exit_2(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, **{key: value})
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("levels", [[0.5, 0.5], [0.1, 0.1000001]])
     def test_duplicate_noise_levels_exit_2(self, tmp_path, levels):
         config = write_config(tmp_path, noise_levels_m=levels)
@@ -171,6 +204,44 @@ class TestCharacterizeCommand:
         err = capsys.readouterr().err
         assert str(meta_path) in err and f"'{key}'" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("grid_count", 10**30), ("grid_count", 0), ("codebook_size", 10**30),
+         ("codebook_size", 4097)],
+    )
+    def test_sidecar_count_out_of_range_exit_2(self, tmp_path, capsys, key, value):
+        data_path = tmp_path / "data.csv"
+        dataset.save_csv(make_bundle([make_sample(0, 0.5, BASE)]), data_path)
+        meta_path = _set_meta(data_path, key, value)
+        assert main(["characterize", "--dataset", str(data_path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert str(meta_path) in err and f"'{key}'" in err and "outside [1, " in err
+
+    def test_grid_count_flag_out_of_range_exit_2(self, tmp_path, capsys):
+        data_path = tmp_path / "data.csv"
+        dataset.save_csv(make_bundle([make_sample(0, 0.5, BASE)]), data_path)
+        assert main(["characterize", "--dataset", str(data_path), "--grid-count", str(10**30),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "--grid-count" in capsys.readouterr().err
+
+    def test_far_gps_fix_exit_2(self, tmp_path, capsys):
+        # One fix ~380 km off would need millions of 0.05 m bins.
+        samples = [make_sample(i, 0.5, BASE, noisy=BASE) for i in range(9)]
+        samples.append(make_sample(9, 0.5, BASE, noisy=GeoPosition(30.0, BASE.lon_deg)))
+        data_path = tmp_path / "far.csv"
+        dataset.save_csv(make_bundle(samples), data_path)
+        assert main(["characterize", "--dataset", str(data_path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "largest value" in err and "bin width 0.05 m" in err
+
+    def test_bad_row_names_file(self, tmp_path, capsys):
+        data_path = tmp_path / "data.csv"
+        dataset.save_csv(make_bundle([make_sample(0, 0.5, BASE)]), data_path)
+        data_path.write_text(data_path.read_text().replace("\n0,L2R,", "\nx,L2R,"))
+        assert main(["characterize", "--dataset", str(data_path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{data_path}: row 1: field 'id'" in err
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -195,6 +266,25 @@ class TestTrainCommand:
                      "train.csv", "test.csv", "manifest.json",
                      "txid_loss.csv", "denoiser_loss.csv"):
             assert (art / name).exists()
+
+    def test_loss_histories_are_table_csvs(self, trained):
+        _, art, _ = trained
+        for name in ("txid_loss.csv", "denoiser_loss.csv"):
+            rows = dataset.read_table_csv(art / name, [("epoch", int), ("loss", float)])
+            assert [cells[0] for _, cells in rows] == list(range(30))
+            assert all(np.isfinite(cells[1]) for _, cells in rows)
+            assert (art / name).read_bytes().startswith(b"epoch,loss\r\n0,")
+
+    @pytest.mark.parametrize("key", ["grid_count", "codebook_size"])
+    def test_sidecar_count_out_of_range_exit_2(self, trained, tmp_path, capsys, key):
+        _, _, data_path = trained
+        copy = tmp_path / "data.csv"
+        shutil.copy(data_path, copy)
+        shutil.copy(f"{data_path}.meta.json", f"{copy}.meta.json")
+        meta_path = _set_meta(copy, key, 10**30)
+        assert main(["train", "--dataset", str(copy), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert str(meta_path) in err and f"'{key}'" in err
 
     def test_gradient_check_on_trained_models(self, trained):
         _, art, _ = trained
@@ -319,6 +409,32 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--artifacts", str(art), "--out", str(tmp_path / "e")]) == 2
         err = capsys.readouterr().err
         assert str(art / "manifest.json") in err and f"'{key}'" in err
+
+    @pytest.mark.parametrize("value", [10**30, 0])
+    def test_manifest_grid_count_out_of_range_exit_2(self, small_artifacts, tmp_path, capsys,
+                                                     value):
+        art = tmp_path / "art"
+        shutil.copytree(small_artifacts["l2r"], art)
+        manifest = json.loads((art / "manifest.json").read_text())
+        manifest["grid_count"] = value
+        (art / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["evaluate", "--artifacts", str(art), "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert str(art / "manifest.json") in err and "'grid_count'" in err
+
+    def test_bad_test_split_names_file(self, small_artifacts, tmp_path, capsys):
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        shutil.copytree(small_artifacts["l2r"], good)
+        shutil.copytree(small_artifacts["l2r"], bad)
+        manifest = json.loads((bad / "manifest.json").read_text())
+        manifest["noise_rms_m"] = 1.0
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        rows = (bad / "test.csv").read_text().split("\n")
+        rows[1] = "x" + rows[1][rows[1].index(","):]
+        (bad / "test.csv").write_text("\n".join(rows))
+        out = tmp_path / "e"
+        assert main(["evaluate", "--artifacts", str(good), str(bad), "--out", str(out)]) == 2
+        assert f"{bad / 'test.csv'}: row 1: field 'id'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field, value",
@@ -502,3 +618,56 @@ class TestPipelineCommand:
         assert (out / "artifacts" / "l2r" / "rms0.5" / "manifest.json").exists()
         assert (out / "eval" / "l2r" / "comparison.csv").exists()
         assert (out / "eval" / "r2l" / "comparison.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def two_level_pipeline(tmp_path_factory):
+    """A pipeline run at 0.5 and 1 m."""
+    tmp_path = tmp_path_factory.mktemp("two_level_pipeline")
+    config = write_config(tmp_path, samples_left_to_right=120, samples_right_to_left=100,
+                          epochs=20)
+    out = tmp_path / "pipe"
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
+class TestSharedStageOne:
+    def test_reads_back_no_dataset(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "load_csv", _no_read_back)
+        config = write_config(tmp_path, samples_left_to_right=60, samples_right_to_left=60,
+                              epochs=2)
+        out = tmp_path / "pipe"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "eval" / "r2l" / "comparison.csv").exists()
+
+    @pytest.mark.parametrize("dtag", ["l2r", "r2l"])
+    def test_one_stage1_and_split_per_direction(self, two_level_pipeline, dtag):
+        out = two_level_pipeline
+        levels = [out / "artifacts" / dtag / tag for tag in ("rms0.5", "rms1")]
+        for name in ("txid.json", "txid_loss.csv"):
+            assert len({(art / name).read_bytes() for art in levels}) == 1
+        ids = [[s.id for s in dataset.load_csv(art / "test.csv").samples] for art in levels]
+        assert ids[0] == ids[1]
+
+    def test_train_reproduces_pipeline_artifacts(self, two_level_pipeline, tmp_path):
+        # `beamfix train` runs the same two stages with the pipeline's per-direction seed.
+        out = two_level_pipeline
+        art = tmp_path / "art"
+        assert main(["train", "--dataset", str(out / "datasets" / "l2r_rms1.csv"),
+                     "--out", str(art), "--seed", str(derived_seed(21, "train", "l2r")),
+                     "--epochs", "20"]) == 0
+        expected = out / "artifacts" / "l2r" / "rms1"
+        assert sorted(p.name for p in art.iterdir()) == sorted(p.name for p in expected.iterdir())
+        for path in art.iterdir():
+            assert path.read_bytes() == (expected / path.name).read_bytes(), path.name
+
+    def test_evaluate_reproduces_pipeline_eval(self, two_level_pipeline, tmp_path):
+        # The pipeline scores its models in memory; evaluate reads them back from disk.
+        out = two_level_pipeline
+        levels = [str(out / "artifacts" / "r2l" / tag) for tag in ("rms0.5", "rms1")]
+        assert main(["evaluate", "--artifacts", *levels, "--out", str(tmp_path / "e")]) == 0
+        expected = sorted(p for p in (out / "eval" / "r2l").rglob("*") if p.is_file())
+        assert expected
+        for path in expected:
+            again = tmp_path / "e" / path.relative_to(out / "eval" / "r2l")
+            assert again.read_bytes() == path.read_bytes(), path.name

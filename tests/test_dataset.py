@@ -119,6 +119,32 @@ class TestCsvRoundTrip:
         with pytest.raises(DatasetFormatError, match="direction"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, expected",
+        [
+            ("x,L2R,3,33.0,-111.0,,,1,TX,0.3,0.5", "row 1: field 'id'"),
+            ("0,L2R,3,33.0,-111.0,,,1,TX,1.3,0.5", "row 1: det0"),
+            ("0,L2R,5000,33.0,-111.0,,,1,TX,0.3,0.5", "needs a codebook larger than 4096"),
+        ],
+        ids=["bad-id", "x-range", "huge-beam"],
+    )
+    def test_errors_name_the_file(self, tmp_path, row, expected):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "id,direction,beam_index,gt_lat,gt_lon,noisy_lat,noisy_lon,num_detections,"
+            f"det0_class,det0_x,det0_y\n{row}\n"
+        )
+        with pytest.raises(DatasetFormatError) as exc:
+            load_csv(path)
+        assert str(exc.value).startswith(f"{path}: ") and expected in str(exc.value)
+
+    def test_empty_file_names_the_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(DatasetFormatError, match="empty file") as exc:
+            load_csv(path)
+        assert str(path) in str(exc.value)
+
     def test_missing_noisy_fields_round_trip(self, tmp_path):
         bundle = make_bundle([make_sample(0, 0.25, BASE)])
         path = tmp_path / "nonoisy.csv"

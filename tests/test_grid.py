@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamfix import geo
+from beamfix import geo, grid
 from beamfix.geo import GeoPosition, LocalOffset
 from beamfix.grid import (
     Histogram,
@@ -194,6 +194,14 @@ class TestHistogram:
         hist = histogram_from_values([0.12, 0.12, 0.12], 0.05)
         assert np.count_nonzero(hist.counts) == 1
         assert hist.counts[2] == 3
+
+    def test_bin_count_capped(self):
+        # 4999.9 m at 0.05 m fits in 100,000 bins; 5000 m would need one more.
+        hist = histogram_from_values([0.0, 4999.9], 0.05)
+        assert len(hist.counts) <= grid.MAX_HISTOGRAM_BINS
+        for values, width in (([0.0, 5000.0], 0.05), ([1.0], 1e-9), ([0.0, np.inf], 0.05)):
+            with pytest.raises(ValueError, match=f"largest value .* bin width {width} m"):
+                histogram_from_values(values, width)
 
     def test_counts_cover_populated_grids(self, small_synthetic_bundle):
         table = build_grid_table(small_synthetic_bundle.samples, "ground_truth", 100)
