@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import json
 import os
 import sys
 import zlib
@@ -86,6 +85,24 @@ class RunConfig:
             raise ConfigError(f"scene file does not exist: {self.scene_path}")
 
 
+def _float_list(raw) -> tuple[float, ...]:
+    if not isinstance(raw, list):
+        raise ValueError(f"expected a list of numbers, got {raw!r}")
+    return tuple(dataset.json_float(v) for v in raw)
+
+
+def _config_parser(default):
+    """Parser for a run config value, from the type of its RunConfig default."""
+    if default is None:
+        return lambda raw: None if raw is None else dataset.json_str(raw)
+    if isinstance(default, tuple):
+        return _float_list
+    return {int: dataset.json_int, float: dataset.json_float, str: dataset.json_str}[type(default)]
+
+
+_CONFIG_PARSERS = {f.name: _config_parser(f.default) for f in dataclasses.fields(RunConfig)}
+
+
 def load_run_config(path: str | Path | None) -> RunConfig:
     if path is None:
         config = RunConfig()
@@ -94,18 +111,12 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file does not exist: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(raw) - known
+    raw = dataset.read_json(path)
+    unknown = set(raw) - set(_CONFIG_PARSERS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    if "noise_levels_m" in raw:
-        raw["noise_levels_m"] = tuple(float(v) for v in raw["noise_levels_m"])
-    config = RunConfig(**raw)
+    fields = {key: dataset.json_field(raw, path, key, _CONFIG_PARSERS[key]) for key in raw}
+    config = RunConfig(**fields)
     config.validate()
     return config
 
@@ -199,18 +210,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _characterize(
     bundle: DatasetBundle, grid_count: int, bin_width_m: float, positions: str, out_dir: Path
 ) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     if positions == "auto":
         selector = "noisy" if all(s.noisy_position for s in bundle.samples) else "ground_truth"
     else:
         selector = {"ground-truth": "ground_truth", "noisy": "noisy"}[positions]
     table = grid.build_grid_table(bundle.samples, selector, grid_count)
-    grid.save_grid_table_csv(table, out_dir / "pergrid.csv")
     pergrid_hist = grid.displacement_histogram(table, bin_width_m)
-    grid.save_histogram_csv(pergrid_hist, out_dir / "histogram.csv")
     disp = grid.per_sample_displacements(bundle.samples, table, selector)
     sample_hist = grid.histogram_from_values(disp, bin_width_m)
-    grid.save_histogram_csv(sample_hist, out_dir / "sample_histogram.csv")
 
     summary: dict = {
         "positions": selector,
@@ -238,9 +245,11 @@ def _characterize(
         summary["fit"] = None
         summary["fit_skipped_reason"] = str(exc)
         print(f"gaussian fit skipped: {exc}")
-    with open(out_dir / "fit.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    grid.save_grid_table_csv(table, out_dir / "pergrid.csv")
+    grid.save_histogram_csv(pergrid_hist, out_dir / "histogram.csv")
+    grid.save_histogram_csv(sample_hist, out_dir / "sample_histogram.csv")
+    dataset.write_json(out_dir / "fit.json", summary)
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:
@@ -337,9 +346,7 @@ def _train_artifacts(
             "lut": "lut.csv",
         },
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dataset.write_json(out_dir / "manifest.json", manifest)
     return _Level(bundle.metadata.noise_rms_m, test_bundle, anchor, txid_model, denoiser_model, lut)
 
 
@@ -358,34 +365,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 _MANIFEST_FILES = ("test", "anchor", "txid_model", "denoiser_model", "lut")
 
 
-def _manifest_field(manifest, path: Path, key: str, parse):
-    """The manifest value at a dotted key, parsed; errors name the file and key."""
-    value = manifest
-    parts = key.split(".")
-    for depth, part in enumerate(parts, 1):
-        if not isinstance(value, dict) or part not in value:
-            raise ConfigError(f"{path}: missing key '{'.'.join(parts[:depth])}'")
-        value = value[part]
-    try:
-        return parse(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: key '{key}': {exc}") from None
-
-
 def _read_manifest(artifact_dir: Path) -> tuple[int, float, dict[str, Path]]:
     """Grid count, noise level and artifact file paths from a train manifest."""
     path = artifact_dir / "manifest.json"
     if not path.exists():
         raise ConfigError(f"{artifact_dir}: no manifest.json; not a train output directory")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    z = _manifest_field(manifest, path, "grid_count", dataset.count_in(dataset.MAX_GRID_COUNT))
-    level = _manifest_field(manifest, path, "noise_rms_m", float)
+    manifest = dataset.read_json(path)
+    z = dataset.json_field(manifest, path, "grid_count", dataset.count_in(dataset.MAX_GRID_COUNT))
+    level = dataset.json_field(manifest, path, "noise_rms_m", dataset.json_float)
     files = {
-        name: artifact_dir / _manifest_field(manifest, path, f"files.{name}", str)
+        name: artifact_dir / dataset.json_field(manifest, path, f"files.{name}", dataset.json_str)
         for name in _MANIFEST_FILES
     }
     return z, level, files
@@ -429,9 +418,7 @@ def _evaluate_artifacts(levels: Iterable[_Level], out_dir: Path, bin_width_m: fl
             exported = True
 
     evaluate.save_comparison_csv(reports, out_dir / "comparison.csv")
-    with open(out_dir / "comparison.json", "w", encoding="utf-8") as fh:
-        json.dump(evaluate.comparison_rows(reports), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dataset.write_json(out_dir / "comparison.json", evaluate.comparison_rows(reports))
     table = evaluate.comparison_text_table(reports)
     with open(out_dir / "comparison.txt", "w", encoding="utf-8") as fh:
         fh.write(table + "\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Literal, Sequence
@@ -35,7 +35,7 @@ class DetectionClass(Enum):
 
 
 class DatasetFormatError(ValueError):
-    """A dataset file violates the CSV schema or a field is out of range."""
+    """An input file violates its format or a field is out of range."""
 
 
 PositionSelector = Literal["ground_truth", "noisy"]
@@ -194,16 +194,75 @@ MAX_GRID_COUNT = 1_000_000
 MAX_CODEBOOK_SIZE = 4096
 
 
+def json_int(raw) -> int:
+    """A JSON integer; booleans and fractional numbers are refused, 100.0 reads as 100."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    raise ValueError(f"expected an integer, got {raw!r}")
+
+
+def json_float(raw) -> float:
+    """A finite JSON number; booleans and strings are refused."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and math.isfinite(raw):
+        return float(raw)
+    raise ValueError(f"expected a finite number, got {raw!r}")
+
+
+def json_str(raw) -> str:
+    """A JSON string."""
+    if isinstance(raw, str):
+        return raw
+    raise ValueError(f"expected a string, got {raw!r}")
+
+
 def count_in(high: int) -> Callable[[object], int]:
-    """Parser for an integer count in [1, high]."""
+    """Parser for a JSON integer count in [1, high]."""
 
     def parse(raw) -> int:
-        value = int(raw)
+        value = json_int(raw)
         if not 1 <= value <= high:
             raise ValueError(f"{value} outside [1, {high}]")
         return value
 
     return parse
+
+
+def write_json(path: str | Path, doc, indent: int | None = 2) -> None:
+    """Write a JSON document with sorted keys and a trailing newline; indent None is compact."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object a file holds; errors name the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(f"{path}: expected a JSON object")
+    return doc
+
+
+def json_field(doc: dict, path: str | Path, key: str, parse: Callable = lambda raw: raw):
+    """The value at a dotted key of a read_json document, parsed.
+
+    Errors name the file and the key: ``<file>: missing key '<k>'`` or
+    ``<file>: key '<k>': <why>``.
+    """
+    value = doc
+    parts = key.split(".")
+    for depth, part in enumerate(parts, 1):
+        if not isinstance(value, dict) or part not in value:
+            raise DatasetFormatError(f"{path}: missing key '{'.'.join(parts[:depth])}'")
+        value = value[part]
+    try:
+        return parse(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DatasetFormatError(f"{path}: key '{key}': {exc}") from None
 
 
 def float_cell(low: float, high: float) -> Callable[[str], float]:
@@ -253,21 +312,7 @@ def save_csv(bundle: DatasetBundle, path: str | Path) -> None:
 
     write_table_csv(path, header, rows())
     meta = bundle.metadata
-    with open(_meta_path(path), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "grid_count": meta.grid_count,
-                "codebook_size": meta.codebook_size,
-                "noise_rms_m": meta.noise_rms_m,
-                "seed": meta.seed,
-                "direction": meta.direction.value,
-                "source": meta.source,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(_meta_path(path), {**asdict(meta), "direction": meta.direction.value})
 
 
 def _parse_int(row_num: int, field: str, raw: str) -> int:
@@ -298,30 +343,17 @@ def _parse_enum(row_num: int, field: str, raw: str, enum_cls):
 _META_FIELDS = (
     ("grid_count", count_in(MAX_GRID_COUNT)),
     ("codebook_size", count_in(MAX_CODEBOOK_SIZE)),
-    ("noise_rms_m", float),
-    ("seed", int),
+    ("noise_rms_m", json_float),
+    ("seed", json_int),
     ("direction", Direction),
-    ("source", str),
+    ("source", json_str),
 )
 
 
 def _load_meta(meta_file: Path) -> DatasetMeta:
     """Parse a metadata sidecar; errors name the file and the key."""
-    try:
-        with open(meta_file, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{meta_file}: not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise DatasetFormatError(f"{meta_file}: expected a JSON object")
-    fields = {}
-    for key, parse in _META_FIELDS:
-        if key not in raw:
-            raise DatasetFormatError(f"{meta_file}: missing key '{key}'")
-        try:
-            fields[key] = parse(raw[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DatasetFormatError(f"{meta_file}: key '{key}': {exc}") from None
+    doc = read_json(meta_file)
+    fields = {key: json_field(doc, meta_file, key, parse) for key, parse in _META_FIELDS}
     return DatasetMeta(**fields)
 
 
@@ -472,8 +504,8 @@ def inject_noise(bundle: DatasetBundle, spec: NoiseSpec) -> DatasetBundle:
     lons = np.array([s.gt_position.lon_deg for s in bundle.samples])
     new_lat, new_lon = geo.apply_offsets_arrays(lats, lons, offsets[:, 0], offsets[:, 1])
     samples = tuple(
-        replace(s, noisy_position=GeoPosition(float(new_lat[i]), float(new_lon[i])))
-        for i, s in enumerate(bundle.samples)
+        Sample(s.id, s.direction, s.detections, s.beam_index, s.gt_position, GeoPosition(lat, lon))
+        for s, lat, lon in zip(bundle.samples, new_lat.tolist(), new_lon.tolist())
     )
     metadata = replace(bundle.metadata, noise_rms_m=spec.target_rms_m, seed=spec.seed)
     return DatasetBundle(samples, metadata)

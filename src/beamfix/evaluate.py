@@ -8,7 +8,6 @@ within each grid, then equally weighted across populated grids.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -113,24 +112,6 @@ def predict_methods(
     return {"noisy": noisy, "lut": lut_out, "mlp": mlp_out}, tx_preds
 
 
-def compare_methods(
-    test_bundles: Mapping[float, DatasetBundle],
-    txid_model: MlpModel,
-    denoisers: Mapping[float, tuple[LookupTable, MlpModel]],
-    gt_anchor: GridTable,
-) -> dict[float, EvalReport]:
-    """Evaluate every noise level with its own trained artifacts."""
-    missing = set(test_bundles) - set(denoisers)
-    if missing:
-        raise ValueError(f"no trained artifacts for noise levels {sorted(missing)}")
-    reports = {}
-    for level in sorted(test_bundles):
-        lut, mlp_model = denoisers[level]
-        predictions, _ = predict_methods(test_bundles[level], txid_model, lut, mlp_model)
-        reports[level] = per_grid_error(test_bundles[level], predictions, gt_anchor)
-    return reports
-
-
 def comparison_rows(reports: Mapping[float, EvalReport]) -> list[dict]:
     rows = []
     for level in sorted(reports):
@@ -178,9 +159,7 @@ def report_to_json(report: EvalReport) -> dict:
 
 
 def save_report_json(report: EvalReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_json(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dataset.write_json(path, report_to_json(report))
 
 
 def save_pergrid_csv(report: EvalReport, path: str | Path) -> None:

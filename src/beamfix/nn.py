@@ -14,13 +14,14 @@ output error gives both the reported loss and the backprop delta.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from . import dataset
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -360,11 +361,13 @@ def _float_array(raw, path: str | Path, field: str) -> np.ndarray:
         raise ValueError(f"{path}: {field}: {exc}") from None
 
 
-def _norm_from_json(raw, path: str | Path, field: str, width: int) -> Normalizer | None:
-    if raw is None:
+def _norm_from_json(doc: dict, path: str | Path, field: str, width: int) -> Normalizer | None:
+    if dataset.json_field(doc, path, field) is None:
         return None
-    shift = _float_array(raw["shift"], path, f"{field} shift")
-    scale = _float_array(raw["scale"], path, f"{field} scale")
+    shift, scale = (
+        dataset.json_field(doc, path, f"{field}.{part}", lambda raw: np.array(raw, dtype=float))
+        for part in ("shift", "scale")
+    )
     if shift.shape != (width,) or scale.shape != (width,):
         raise ValueError(
             f"{path}: {field}: shift and scale need shape ({width},), "
@@ -377,7 +380,7 @@ def _norm_from_json(raw, path: str | Path, field: str, width: int) -> Normalizer
 
 
 def save_weights(model: MlpModel, path: str | Path) -> None:
-    """Persist the model as JSON with row-major weight arrays."""
+    """Persist the model as compact JSON with row-major weight arrays."""
     doc = {
         "layer_dims": list(model.layer_dims),
         "weights": [w.tolist() for w in model.weights],
@@ -387,31 +390,30 @@ def save_weights(model: MlpModel, path: str | Path) -> None:
         "input_norm": _norm_to_json(model.input_norm),
         "target_norm": _norm_to_json(model.target_norm),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    dataset.write_json(path, doc, indent=None)
 
 
 def load_weights(path: str | Path) -> MlpModel:
     """Load a model saved by save_weights; outputs reproduce bit for bit."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not a valid model file: {exc}") from None
-    try:
-        dims = tuple(int(d) for d in doc["layer_dims"])
-        if len(dims) < 2:
-            raise ValueError(f"{path}: layer_dims {list(dims)} needs an input and an output width")
-        raw_weights, raw_biases = list(doc["weights"]), list(doc["biases"])
-        if doc["hidden_activation"] != "relu" or doc["output_activation"] != "identity":
-            raise ValueError(
-                f"unsupported activations {doc['hidden_activation']}/{doc['output_activation']}"
-            )
-        input_norm = _norm_from_json(doc["input_norm"], path, "input_norm", dims[0])
-        target_norm = _norm_from_json(doc["target_norm"], path, "target_norm", dims[-1])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: missing or malformed field: {exc}") from None
+        doc = dataset.read_json(path)
+    except dataset.DatasetFormatError as exc:
+        raise dataset.DatasetFormatError(f"not a valid model file: {exc}") from None
+    dims = dataset.json_field(
+        doc, path, "layer_dims", lambda raw: tuple(dataset.json_int(d) for d in raw)
+    )
+    if len(dims) < 2:
+        raise ValueError(f"{path}: layer_dims {list(dims)} needs an input and an output width")
+    raw_weights = dataset.json_field(doc, path, "weights", list)
+    raw_biases = dataset.json_field(doc, path, "biases", list)
+    activations = [
+        dataset.json_field(doc, path, key, dataset.json_str)
+        for key in ("hidden_activation", "output_activation")
+    ]
+    if activations != ["relu", "identity"]:
+        raise ValueError(f"{path}: unsupported activations {'/'.join(activations)}")
+    input_norm = _norm_from_json(doc, path, "input_norm", dims[0])
+    target_norm = _norm_from_json(doc, path, "target_norm", dims[-1])
     if len(raw_weights) != len(dims) - 1 or len(raw_biases) != len(dims) - 1:
         raise ValueError(f"{path}: {len(raw_weights)} weight arrays for {len(dims)} layer dims")
     weights, biases = [], []

@@ -9,7 +9,6 @@ distractor detections and calibrated GPS noise complete the sample.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -177,14 +176,11 @@ def scene_from_json(doc: dict) -> SceneGeometry:
 
 
 def load_scene(path: str | Path) -> SceneGeometry:
-    with open(path, encoding="utf-8") as fh:
-        return scene_from_json(json.load(fh))
+    return scene_from_json(dataset.read_json(path))
 
 
 def save_scene(scene: SceneGeometry, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_json(scene), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dataset.write_json(path, scene_to_json(scene))
 
 
 def _interpolate(a: GeoPosition, b: GeoPosition, t: float) -> GeoPosition:

@@ -143,6 +143,41 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            (None, None),
+            (5, None),
+            ({"grid_count": "100"}, "grid_count"),
+            ({"grid_count": 100.7}, "grid_count"),
+            ({"grid_count": True}, "grid_count"),
+            ({"noise_levels_m": 5}, "noise_levels_m"),
+            ({"epochs": "3"}, "epochs"),
+            ({"learning_rate": "x"}, "learning_rate"),
+        ],
+        ids=["null", "number", "count-str", "count-fraction", "count-bool",
+             "levels-number", "epochs-str", "rate-str"],
+    )
+    def test_malformed_config_exit_2(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert key is None or f"key '{key}': " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_integral_float_count_accepted(self, tmp_path):
+        config = write_config(tmp_path, grid_count=50.0)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        meta = json.loads((out / "datasets" / "l2r_clean.csv.meta.json").read_text())
+        assert meta["grid_count"] == 50 and isinstance(meta["grid_count"], int)
+
+
 class TestCharacterizeCommand:
     def test_coincident_clean_dataset_skips_fit(self, tmp_path, capsys):
         # Coincident points per grid: every average displacement is zero,
@@ -217,6 +252,17 @@ class TestCharacterizeCommand:
         err = capsys.readouterr().err
         assert str(meta_path) in err and f"'{key}'" in err and "outside [1, " in err
 
+    @pytest.mark.parametrize("value", [100.7, True])
+    def test_sidecar_count_not_integer_exit_2(self, tmp_path, capsys, value):
+        data_path = tmp_path / "data.csv"
+        dataset.save_csv(make_bundle([make_sample(0, 0.5, BASE)]), data_path)
+        meta_path = _set_meta(data_path, "grid_count", value)
+        out = tmp_path / "x"
+        assert main(["characterize", "--dataset", str(data_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(meta_path) in err and "'grid_count'" in err and "expected an integer" in err
+        assert not out.exists()
+
     def test_grid_count_flag_out_of_range_exit_2(self, tmp_path, capsys):
         data_path = tmp_path / "data.csv"
         dataset.save_csv(make_bundle([make_sample(0, 0.5, BASE)]), data_path)
@@ -230,9 +276,11 @@ class TestCharacterizeCommand:
         samples.append(make_sample(9, 0.5, BASE, noisy=GeoPosition(30.0, BASE.lon_deg)))
         data_path = tmp_path / "far.csv"
         dataset.save_csv(make_bundle(samples), data_path)
-        assert main(["characterize", "--dataset", str(data_path), "--out", str(tmp_path / "x")]) == 2
+        out = tmp_path / "x"
+        assert main(["characterize", "--dataset", str(data_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "largest value" in err and "bin width 0.05 m" in err
+        assert not out.exists()
 
     def test_bad_row_names_file(self, tmp_path, capsys):
         data_path = tmp_path / "data.csv"
@@ -421,6 +469,26 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--artifacts", str(art), "--out", str(tmp_path / "e")]) == 2
         err = capsys.readouterr().err
         assert str(art / "manifest.json") in err and "'grid_count'" in err
+
+    def test_manifest_grid_count_not_integer_exit_2(self, small_artifacts, tmp_path, capsys):
+        art = tmp_path / "art"
+        shutil.copytree(small_artifacts["l2r"], art)
+        manifest = json.loads((art / "manifest.json").read_text())
+        manifest["grid_count"] = 100.7
+        (art / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "e"
+        assert main(["evaluate", "--artifacts", str(art), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{art / 'manifest.json'}: key 'grid_count': expected an integer" in err
+        assert not out.exists()
+
+    def test_model_not_an_object_exit_2(self, small_artifacts, tmp_path, capsys):
+        art = tmp_path / "art"
+        shutil.copytree(small_artifacts["l2r"], art)
+        (art / "txid.json").write_text("[1, 2]\n")
+        assert main(["evaluate", "--artifacts", str(art), "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert str(art / "txid.json") in err and "expected a JSON object" in err
 
     def test_bad_test_split_names_file(self, small_artifacts, tmp_path, capsys):
         good, bad = tmp_path / "good", tmp_path / "bad"

@@ -13,10 +13,15 @@ from beamfix.dataset import (
     Direction,
     Sample,
     inject_noise,
+    json_field,
+    json_int,
+    json_str,
     load_csv,
+    read_json,
     remove_outliers,
     save_csv,
     split_train_test,
+    write_json,
 )
 from beamfix.geo import GeoPosition, LocalOffset, NoiseSpec
 
@@ -151,6 +156,47 @@ class TestCsvRoundTrip:
         save_csv(bundle, path)
         loaded = load_csv(path)
         assert loaded.samples[0].noisy_position is None
+
+
+class TestJsonLayer:
+    def test_write_json_sorted_indented_newline(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(path, {"b": 1, "a": [0.1, None]})
+        assert path.read_text() == '{\n  "a": [\n    0.1,\n    null\n  ],\n  "b": 1\n}\n'
+        write_json(path, {"b": 1, "a": [0.1, None]}, indent=None)
+        assert path.read_text() == '{"a": [0.1, null], "b": 1}\n'
+
+    @pytest.mark.parametrize(
+        "text, expected", [("{", "not valid JSON"), ("[1]", "expected a JSON object")]
+    )
+    def test_read_json_errors_name_the_file(self, tmp_path, text, expected):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError) as exc:
+            read_json(path)
+        assert str(exc.value).startswith(f"{path}: {expected}")
+
+    def test_field_errors_name_the_file_and_key(self, tmp_path):
+        doc = {"files": {"test": 5}, "flat": 1}
+        assert json_field(doc, "m.json", "flat", json_int) == 1
+        with pytest.raises(DatasetFormatError, match=r"^m\.json: missing key 'files\.lut'$"):
+            json_field(doc, "m.json", "files.lut")
+        with pytest.raises(DatasetFormatError, match=r"^m\.json: missing key 'flat\.x'$"):
+            json_field(doc, "m.json", "flat.x")
+        with pytest.raises(
+            DatasetFormatError, match=r"^m\.json: key 'files\.test': expected a string, got 5$"
+        ):
+            json_field(doc, "m.json", "files.test", json_str)
+
+    @pytest.mark.parametrize("raw, expected", [(3, 3), (3.0, 3), (10**30, 10**30)])
+    def test_json_int_accepts_integers(self, raw, expected):
+        value = json_int(raw)
+        assert value == expected and type(value) is int
+
+    @pytest.mark.parametrize("raw", [True, False, 100.7, "3", None, [3], math.nan, math.inf])
+    def test_json_int_refuses_non_integers(self, raw):
+        with pytest.raises(ValueError, match="expected an integer"):
+            json_int(raw)
 
 
 class TestSplit:

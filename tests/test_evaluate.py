@@ -7,10 +7,10 @@ import pytest
 from beamfix import denoise, geo, grid, simulate, txid
 from beamfix.dataset import Direction
 from beamfix.evaluate import (
-    compare_methods,
     comparison_text_table,
     export_plot_data,
     per_grid_error,
+    predict_methods,
 )
 from beamfix.geo import GeoPosition, LocalOffset, NoiseSpec
 from beamfix.nn import TrainConfig
@@ -176,15 +176,6 @@ class TestCompareMethods:
             overall.append(report.overall["noisy"])
         assert all(b >= a for a, b in zip(overall, overall[1:]))
 
-    def test_missing_artifacts_rejected(self, scene, codebook):
-        traj = simulate.TrajectoryConfig(10, Direction.LEFT_TO_RIGHT, 0, seed=12)
-        bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 13))
-        anchor = grid.build_grid_table(bundle.samples, "ground_truth", 100)
-        model, _ = txid.train_txid(bundle, TrainConfig(epochs=1, seed=14, batch_size=10))
-        with pytest.raises(ValueError, match="noise levels"):
-            compare_methods({0.5: bundle}, model, {}, anchor)
-
-
 class TestExports:
     def _report_fixture(self):
         samples = [
@@ -233,9 +224,8 @@ class TestExports:
         centers = [(s.transmitter().x_center, s.transmitter().y_center) for s in bundle.samples]
         lut = denoise.build_lut(bundle, 100)
         den, _ = denoise.train_denoiser(bundle, centers, TrainConfig(epochs=5, seed=18))
-        reports = compare_methods(
-            {0.5: bundle}, txid_model, {0.5: (lut, den)}, anchor
-        )
+        predictions, _ = predict_methods(bundle, txid_model, lut, den)
+        reports = {0.5: per_grid_error(bundle, predictions, anchor)}
         table = comparison_text_table(reports)
         lines = table.splitlines()
         assert len(lines) == 2
