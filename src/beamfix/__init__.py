@@ -1,16 +1,9 @@
 """Site-specific GPS error characterization and denoising from camera
 detections and mmWave beam indices."""
 
-from .geo import GeoPosition, LocalOffset, NoiseSpec, haversine_distance
-from .dataset import (
-    DatasetBundle,
-    DatasetMeta,
-    Detection,
-    DetectionClass,
-    Direction,
-    Sample,
-)
-from .grid import GridTable, assign_grid, build_grid_table, fit_gaussian
+from .geo import GeoPosition, LocalOffset, NoiseSpec
+from .dataset import DatasetBundle, DatasetMeta, DetectionClass, Direction
+from .grid import GridTable
 from .nn import MlpModel, Normalizer, TrainConfig
 from .simulate import BeamCodebook, SceneGeometry, TrajectoryConfig
 from .txid import TxPrediction
@@ -22,7 +15,6 @@ __all__ = [
     "BeamCodebook",
     "DatasetBundle",
     "DatasetMeta",
-    "Detection",
     "DetectionClass",
     "Direction",
     "GeoPosition",
@@ -32,13 +24,8 @@ __all__ = [
     "MlpModel",
     "NoiseSpec",
     "Normalizer",
-    "Sample",
     "SceneGeometry",
     "TrainConfig",
     "TrajectoryConfig",
     "TxPrediction",
-    "assign_grid",
-    "build_grid_table",
-    "fit_gaussian",
-    "haversine_distance",
 ]

@@ -81,6 +81,9 @@ class RunConfig:
             )
         if min(self.samples_left_to_right, self.samples_right_to_left) < 1:
             raise ConfigError("sample counts must be >= 1")
+        for key in ("seed", "num_distractors"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.scene_path is not None and not Path(self.scene_path).exists():
             raise ConfigError(f"scene file does not exist: {self.scene_path}")
 
@@ -109,15 +112,19 @@ def load_run_config(path: str | Path | None) -> RunConfig:
         config.validate()
         return config
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file does not exist: {path}")
+    if not path.is_file():
+        why = "is not a file" if path.exists() else "does not exist"
+        raise ConfigError(f"config file {why}: {path}")
     raw = dataset.read_json(path)
     unknown = set(raw) - set(_CONFIG_PARSERS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
     fields = {key: dataset.json_field(raw, path, key, _CONFIG_PARSERS[key]) for key in raw}
     config = RunConfig(**fields)
-    config.validate()
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return config
 
 
@@ -128,15 +135,18 @@ def derived_seed(master: int, *tags: str) -> int:
 
 
 def resolve_seed(flag_seed: int | None, config_seed: int) -> int:
-    if flag_seed is not None:
-        return flag_seed
+    """The --seed flag, else BEAMFIX_SEED, else the config seed; seeds are >= 0."""
     env = os.environ.get("BEAMFIX_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"BEAMFIX_SEED must be an integer, got {env!r}") from None
-    return config_seed
+    name, raw = ("--seed", flag_seed) if flag_seed is not None else ("BEAMFIX_SEED", env)
+    if raw is None:
+        return config_seed
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {raw!r}")
+    return seed
 
 
 def _level_tag(level: float) -> str:
@@ -190,9 +200,8 @@ def _simulate_datasets(config: RunConfig, seed: int, out_dir: Path) -> Iterator[
             tag = _level_tag(level)
             spec = NoiseSpec(level, derived_seed(seed, "noise", dtag, tag))
             noisy = dataset.inject_noise(clean, spec)
-            noisy = DatasetBundle(
-                noisy.samples, dataclasses.replace(noisy.metadata, source=f"synthetic:{dtag}:{tag}")
-            )
+            metadata = dataclasses.replace(noisy.metadata, source=f"synthetic:{dtag}:{tag}")
+            noisy = dataclasses.replace(noisy, metadata=metadata)
             path = out_dir / f"{dtag}_{tag}.csv"
             dataset.save_csv(noisy, path)
             yield direction, tag, path, noisy
@@ -211,12 +220,12 @@ def _characterize(
     bundle: DatasetBundle, grid_count: int, bin_width_m: float, positions: str, out_dir: Path
 ) -> None:
     if positions == "auto":
-        selector = "noisy" if all(s.noisy_position for s in bundle.samples) else "ground_truth"
+        selector = "ground_truth" if np.isnan(bundle.noisy_lat).any() else "noisy"
     else:
         selector = {"ground-truth": "ground_truth", "noisy": "noisy"}[positions]
-    table = grid.build_grid_table(bundle.samples, selector, grid_count)
+    table = grid.build_grid_table(bundle, selector, grid_count)
     pergrid_hist = grid.displacement_histogram(table, bin_width_m)
-    disp = grid.per_sample_displacements(bundle.samples, table, selector)
+    disp = grid.per_sample_displacements(bundle, table, selector)
     sample_hist = grid.histogram_from_values(disp, bin_width_m)
 
     summary: dict = {
@@ -259,8 +268,13 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--grid-count must be in [1, {dataset.MAX_GRID_COUNT}], got {grid_count}"
         )
+    if not args.bin_width > 0:
+        raise ConfigError(f"--bin-width must be > 0, got {args.bin_width}")
     out_dir = Path(args.out) if args.out else Path(args.dataset).parent / "characterize"
-    _characterize(bundle, grid_count, args.bin_width, args.positions, out_dir)
+    try:
+        _characterize(bundle, grid_count, args.bin_width, args.positions, out_dir)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{args.dataset}: {exc}") from None
     print(f"wrote characterization to {out_dir}")
     return 0
 
@@ -298,7 +312,7 @@ def _train_artifacts(
     """Stage 2 on the seed's train split, given stage 1 trained on the same samples."""
     out_dir.mkdir(parents=True, exist_ok=True)
     z = bundle.metadata.grid_count
-    anchor = grid.build_grid_table(bundle.samples, "ground_truth", z)
+    anchor = grid.build_grid_table(bundle, "ground_truth", z)
     train_bundle, test_bundle = dataset.split_train_test(
         bundle, train_fraction, derived_seed(seed, "split")
     )
@@ -409,7 +423,7 @@ def _evaluate_artifacts(levels: Iterable[_Level], out_dir: Path, bin_width_m: fl
         evaluate.save_report_json(report, out_dir / f"report_{tag}.json")
         evaluate.save_pergrid_csv(report, out_dir / f"pergrid_{tag}.csv")
         txid.save_predictions_csv(
-            [s.id for s in test_bundle.samples], tx_preds, out_dir / f"txid_predictions_{tag}.csv"
+            test_bundle.ids.tolist(), tx_preds, out_dir / f"txid_predictions_{tag}.csv"
         )
         if tag == PLOT_LEVEL_TAG:
             evaluate.export_plot_data(

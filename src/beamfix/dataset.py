@@ -1,14 +1,16 @@
-"""Capture-sample data model, CSV serialization, splitting, and noise injection.
+"""Columnar capture datasets, CSV serialization, splitting, and noise injection.
 
-A sample is one capture instant: the detected objects in the camera frame
-(normalized centers), the serving beam index, the ground-truth position,
-and optionally a noise-corrupted position. Bundles are immutable; every
-operation returns a new bundle.
+A dataset is one ``DatasetBundle`` of equal-length columns, one row per
+capture instant: the sample id, the serving beam index, the ground-truth
+position, an optional noise-corrupted position, and the detected objects
+in the camera frame, padded to the widest row. A bundle checks all its
+columns once, vectorized; bundles are immutable.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -19,7 +21,7 @@ from typing import Callable, Iterable, Literal, Sequence
 import numpy as np
 
 from . import geo
-from .geo import GeoPosition, NoiseSpec
+from .geo import NoiseSpec
 
 
 class Direction(Enum):
@@ -38,50 +40,24 @@ class DatasetFormatError(ValueError):
     """An input file violates its format or a field is out of range."""
 
 
+class RowError(ValueError):
+    """Row ``index`` of a bundle or a dataset file fails a check, for reason ``why``."""
+
+    def __init__(self, message: str, index: int, why: str):
+        super().__init__(message)
+        self.index = index
+        self.why = why
+
+
+def _refuse(bad: np.ndarray, why: Callable[[int], str], ids: np.ndarray | None = None) -> None:
+    """Raise RowError for the first row i flagged in ``bad``; given the sample
+    ``ids``, its message names the sample: 'sample <id>: <why(i)>'."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RowError(why(i) if ids is None else f"sample {ids[i]}: {why(i)}", i, why(i))
+
+
 PositionSelector = Literal["ground_truth", "noisy"]
-
-
-@dataclass(frozen=True, slots=True)
-class Detection:
-    """One detected object: class tag plus normalized image-plane center."""
-
-    class_label: DetectionClass
-    x_center: float
-    y_center: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.x_center <= 1.0:
-            raise ValueError(f"x_center {self.x_center} outside [0, 1]")
-        if not 0.0 <= self.y_center <= 1.0:
-            raise ValueError(f"y_center {self.y_center} outside [0, 1]")
-
-
-@dataclass(frozen=True, slots=True)
-class Sample:
-    """One capture instant."""
-
-    id: int
-    direction: Direction
-    detections: tuple[Detection, ...]
-    beam_index: int
-    gt_position: GeoPosition
-    noisy_position: GeoPosition | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.detections) < 1:
-            raise ValueError(f"sample {self.id}: needs at least one detection")
-        n_tx = sum(1 for d in self.detections if d.class_label is DetectionClass.TRANSMITTER)
-        if n_tx > 1:
-            raise ValueError(f"sample {self.id}: {n_tx} transmitter detections, at most 1 allowed")
-        if self.beam_index < 0:
-            raise ValueError(f"sample {self.id}: negative beam index {self.beam_index}")
-
-    def transmitter(self) -> Detection | None:
-        """The transmitter-labeled detection, if any."""
-        for d in self.detections:
-            if d.class_label is DetectionClass.TRANSMITTER:
-                return d
-        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,53 +70,101 @@ class DatasetMeta:
     source: str = ""
 
 
-@dataclass(frozen=True)
-class DatasetBundle:
-    """An immutable set of samples sharing one direction and metadata."""
+# Each bundle column's dtype; the det_tx, det_x and det_y columns are (rows, slots).
+_COLUMNS = {
+    "ids": np.int64, "beams": np.int64, "gt_lat": np.float64, "gt_lon": np.float64,
+    "noisy_lat": np.float64, "noisy_lon": np.float64,
+    "det_tx": bool, "det_x": np.float64, "det_y": np.float64, "det_count": np.int64,
+}
 
-    samples: tuple[Sample, ...]
+
+@dataclass(frozen=True, eq=False)
+class DatasetBundle:
+    """One direction's capture samples as columns, plus their metadata.
+
+    Row i is one capture. Its first ``det_count[i]`` detection slots are real;
+    padding reads False and NaN. NaN noisy lat/lon mean that the row has no
+    noisy fix. Columns are read-only copies; errors name the sample id.
+    """
+
+    ids: np.ndarray
+    beams: np.ndarray
+    gt_lat: np.ndarray
+    gt_lon: np.ndarray
+    noisy_lat: np.ndarray
+    noisy_lon: np.ndarray
+    det_tx: np.ndarray
+    det_x: np.ndarray
+    det_y: np.ndarray
+    det_count: np.ndarray
     metadata: DatasetMeta
 
     def __post_init__(self) -> None:
-        ids = [s.id for s in self.samples]
-        if len(set(ids)) != len(ids):
-            raise ValueError("sample ids must be unique within a bundle")
-        for s in self.samples:
-            if s.direction is not self.metadata.direction:
-                raise ValueError(
-                    f"sample {s.id}: direction {s.direction.value} does not match "
-                    f"bundle direction {self.metadata.direction.value}"
+        columns = {name: np.array(getattr(self, name), dtype) for name, dtype in _COLUMNS.items()}
+        n = len(columns["ids"])
+        k = columns["det_x"].shape[1] if columns["det_x"].ndim == 2 else 0
+        for name, values in columns.items():
+            shape, expected = values.shape, (n, k) if name in ("det_tx", "det_x", "det_y") else (n,)
+            if shape != expected:
+                raise ValueError(f"column '{name}' has shape {shape}, expected {expected}")
+        real = np.arange(k) < columns["det_count"][:, None]
+        columns["det_tx"] &= real
+        columns["det_x"][~real] = columns["det_y"][~real] = np.nan
+        for name, values in columns.items():
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+        def refuse(bad, why):
+            _refuse(bad, why, self.ids)
+
+        repeated = np.ones(n, dtype=bool)
+        repeated[np.unique(self.ids, return_index=True)[1]] = False
+        refuse(repeated, lambda i: "id repeated; sample ids must be unique within a bundle")
+        count, n_tx = self.det_count, self.det_tx.sum(axis=1)
+        refuse(count < 1, lambda i: "needs at least one detection")
+        refuse(count > k, lambda i: f"{count[i]} detections in {k} slots")
+        refuse(n_tx > 1, lambda i: f"{n_tx[i]} transmitter detections, at most 1 allowed")
+        q = self.metadata.codebook_size
+        refuse(self.beams < 0, lambda i: f"negative beam index {self.beams[i]}")
+        refuse(self.beams >= q, lambda i: f"beam index {self.beams[i]} outside [0, {q - 1}]")
+        noisy = ~(np.isnan(self.noisy_lat) & np.isnan(self.noisy_lon))
+        for kind, rows, lat, lon in (
+            ("gt", True, self.gt_lat, self.gt_lon), ("noisy", noisy, self.noisy_lat, self.noisy_lon)
+        ):
+            for name, values, limit in (("latitude", lat, 90), ("longitude", lon, 180)):
+                refuse(  # NaN is never in range
+                    rows & ~((values >= -limit) & (values <= limit)),
+                    lambda i: f"{kind} position: {name} {values[i]} outside [-{limit}, {limit}]",
                 )
-            if s.beam_index >= self.metadata.codebook_size:
-                raise ValueError(
-                    f"sample {s.id}: beam index {s.beam_index} outside "
-                    f"[0, {self.metadata.codebook_size - 1}]"
-                )
+        for axis, centers in (("x", self.det_x), ("y", self.det_y)):
+            cells = real & ~((centers >= 0.0) & (centers <= 1.0))
+            refuse(
+                cells.any(axis=1),
+                lambda i: f"det{cells[i].argmax()}: {axis}_center {centers[i][cells[i]][0]} "
+                "outside [0, 1]",
+            )
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
+
+    def take(self, rows) -> DatasetBundle:
+        """The bundle of the given row indices (or row mask), in that order."""
+        return replace(self, **{name: getattr(self, name)[rows] for name in _COLUMNS})
 
 
-def tx_centers(samples: Iterable[Sample]) -> np.ndarray:
-    """(n, 2) transmitter x/y centers in sample order; raises naming a sample without one."""
-    flat: list[float] = []
-    for s in samples:
-        tx = s.transmitter()
-        if tx is None:
-            raise ValueError(f"sample {s.id}: no transmitter detection")
-        flat += (tx.x_center, tx.y_center)
-    return np.array(flat, dtype=float).reshape(-1, 2)
+def tx_centers(bundle: DatasetBundle) -> np.ndarray:
+    """(n, 2) transmitter x/y centers in row order; raises naming a sample without one."""
+    _refuse(~bundle.det_tx.any(axis=1), lambda i: "no transmitter detection", bundle.ids)
+    rows, slots = np.nonzero(bundle.det_tx)  # one transmitter per row, in row order
+    return np.column_stack([bundle.det_x[rows, slots], bundle.det_y[rows, slots]])
 
 
-def positions(
-    samples: Sequence[Sample], selector: PositionSelector
-) -> tuple[np.ndarray, np.ndarray]:
-    """Latitudes and longitudes of each sample's ground-truth or noisy position."""
-    chosen = [s.noisy_position if selector == "noisy" else s.gt_position for s in samples]
-    for s, pos in zip(samples, chosen):
-        if pos is None:
-            raise ValueError(f"sample {s.id}: no noisy position")
-    return np.array([p.lat_deg for p in chosen]), np.array([p.lon_deg for p in chosen])
+def positions(bundle: DatasetBundle, selector: PositionSelector) -> tuple[np.ndarray, np.ndarray]:
+    """Latitudes and longitudes of each row's ground-truth or noisy position."""
+    if selector != "noisy":
+        return bundle.gt_lat, bundle.gt_lon
+    _refuse(np.isnan(bundle.noisy_lat), lambda i: "no noisy position", bundle.ids)
+    return bundle.noisy_lat, bundle.noisy_lon
 
 
 def write_table_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -291,52 +315,25 @@ def save_csv(bundle: DatasetBundle, path: str | Path) -> None:
     """Write a bundle to CSV plus a metadata sidecar.
 
     Floats are serialized with repr (shortest exact round-trip), so
-    load_csv(save_csv(b)) reproduces every field bit for bit. Rows are
-    padded with empty cells up to the widest detection list in the file.
+    load_csv(save_csv(b)) reproduces every column bit for bit. Rows are
+    padded with empty cells up to the widest detection list in the file,
+    and a row without a noisy fix leaves both noisy cells empty.
     """
     path = Path(path)
-    max_det = max((len(s.detections) for s in bundle.samples), default=0)
-    header = list(_BASE_COLUMNS)
-    for k in range(max_det):
-        header += [f"det{k}_class", f"det{k}_x", f"det{k}_y"]
-
-    def rows():
-        for s in bundle.samples:
-            gt, noisy = s.gt_position, s.noisy_position
-            row = [s.id, s.direction.value, s.beam_index, gt.lat_deg, gt.lon_deg]
-            row += [noisy.lat_deg, noisy.lon_deg] if noisy else ["", ""]
-            row.append(len(s.detections))
-            for d in s.detections:
-                row += [d.class_label.value, d.x_center, d.y_center]
-            yield row + [""] * (3 * (max_det - len(s.detections)))
-
-    write_table_csv(path, header, rows())
+    k = int(bundle.det_count.max(initial=0))
+    header = _BASE_COLUMNS + [f"det{j}_{field}" for j in range(k) for field in ("class", "x", "y")]
+    cells = np.empty((len(bundle), len(header)), dtype=object)
+    b = bundle  # the base columns, then the detection class, x and y every third column
+    for c, column in enumerate((
+        b.ids, b.metadata.direction.value, b.beams, b.gt_lat, b.gt_lon, b.noisy_lat, b.noisy_lon,
+        b.det_count, np.where(b.det_tx, "TX", "DISTRACTOR")[:, :k], b.det_x[:, :k], b.det_y[:, :k],
+    )):
+        cells[:, c if c < 8 else slice(c, None, 3)] = column
+    cells[np.isnan(b.noisy_lat), 5:7] = ""
+    cells[:, 8:][np.repeat(np.arange(k) >= b.det_count[:, None], 3, axis=1)] = ""
+    write_table_csv(path, header, cells.tolist())
     meta = bundle.metadata
     write_json(_meta_path(path), {**asdict(meta), "direction": meta.direction.value})
-
-
-def _parse_int(row_num: int, field: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise DatasetFormatError(f"row {row_num}: field '{field}': not an integer: {raw!r}") from None
-
-
-def _parse_float(row_num: int, field: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise DatasetFormatError(f"row {row_num}: field '{field}': not a number: {raw!r}") from None
-
-
-def _parse_enum(row_num: int, field: str, raw: str, enum_cls):
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        allowed = "/".join(e.value for e in enum_cls)
-        raise DatasetFormatError(
-            f"row {row_num}: field '{field}': {raw!r} not one of {allowed}"
-        ) from None
 
 
 # Every key the sidecar must hold, with the parser for its value.
@@ -350,13 +347,6 @@ _META_FIELDS = (
 )
 
 
-def _load_meta(meta_file: Path) -> DatasetMeta:
-    """Parse a metadata sidecar; errors name the file and the key."""
-    doc = read_json(meta_file)
-    fields = {key: json_field(doc, meta_file, key, parse) for key, parse in _META_FIELDS}
-    return DatasetMeta(**fields)
-
-
 def load_csv(path: str | Path) -> DatasetBundle:
     """Read a bundle from CSV, enforcing the schema and all field invariants.
 
@@ -366,100 +356,124 @@ def load_csv(path: str | Path) -> DatasetBundle:
     codebook size from the largest beam index rounded up to 64).
     """
     path = Path(path)
-    try:
-        samples = _read_samples(path)
-    except DatasetFormatError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None
-    meta_file = _meta_path(path)
-    if meta_file.exists():
-        metadata = _load_meta(meta_file)
-    else:
-        directions = {s.direction for s in samples}
-        if len(directions) > 1:
-            raise DatasetFormatError(
-                f"{path}: mixed directions in one file; split by direction first"
-            )
-        direction = directions.pop() if directions else Direction.LEFT_TO_RIGHT
-        codebook_size = max(64, max((s.beam_index for s in samples), default=0) + 1)
-        if codebook_size > MAX_CODEBOOK_SIZE:
-            raise DatasetFormatError(
-                f"{path}: beam index {codebook_size - 1} needs a codebook larger than "
-                f"{MAX_CODEBOOK_SIZE}"
-            )
-        metadata = DatasetMeta(codebook_size=codebook_size, direction=direction, source=str(path))
-    try:
-        return DatasetBundle(tuple(samples), metadata)
-    except ValueError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None
-
-
-def _read_samples(path: Path) -> list[Sample]:
-    """The samples of a dataset CSV; errors name the row and field, not the file."""
-    samples: list[Sample] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError("empty file: missing header row") from None
+        header = next(reader, None)
+        if header is None:
+            raise DatasetFormatError(f"{path}: empty file: missing header row")
         if header[: len(_BASE_COLUMNS)] != _BASE_COLUMNS:
             raise DatasetFormatError(
-                f"header mismatch: expected leading columns {_BASE_COLUMNS}, got {header[:8]}"
+                f"{path}: header mismatch: expected leading columns {_BASE_COLUMNS}, "
+                f"got {header[:8]}"
             )
-        for row_num, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) < len(_BASE_COLUMNS):
-                raise DatasetFormatError(f"row {row_num}: only {len(row)} cells, expected at least 8")
-            sid = _parse_int(row_num, "id", row[0])
-            direction = _parse_enum(row_num, "direction", row[1], Direction)
-            beam = _parse_int(row_num, "beam_index", row[2])
-            try:
-                gt = GeoPosition(
-                    _parse_float(row_num, "gt_lat", row[3]),
-                    _parse_float(row_num, "gt_lon", row[4]),
-                )
-            except ValueError as exc:
-                raise DatasetFormatError(f"row {row_num}: gt position: {exc}") from None
-            noisy = None
-            if row[5] != "" or row[6] != "":
-                try:
-                    noisy = GeoPosition(
-                        _parse_float(row_num, "noisy_lat", row[5]),
-                        _parse_float(row_num, "noisy_lon", row[6]),
-                    )
-                except ValueError as exc:
-                    raise DatasetFormatError(f"row {row_num}: noisy position: {exc}") from None
-            n_det = _parse_int(row_num, "num_detections", row[7])
-            if n_det < 1:
-                raise DatasetFormatError(f"row {row_num}: field 'num_detections': must be >= 1")
-            cells_needed = 8 + 3 * n_det
-            if len(row) < cells_needed:
-                raise DatasetFormatError(
-                    f"row {row_num}: {n_det} detections declared but row has {len(row)} cells"
-                )
-            detections = []
-            for k in range(n_det):
-                base = 8 + 3 * k
-                cls = _parse_enum(row_num, f"det{k}_class", row[base], DetectionClass)
-                x = _parse_float(row_num, f"det{k}_x", row[base + 1])
-                y = _parse_float(row_num, f"det{k}_y", row[base + 2])
-                try:
-                    detections.append(Detection(cls, x, y))
-                except ValueError as exc:
-                    raise DatasetFormatError(f"row {row_num}: det{k}: {exc}") from None
-            for extra in row[cells_needed:]:
-                if extra != "":
-                    raise DatasetFormatError(
-                        f"row {row_num}: unexpected non-empty cell beyond {n_det} detections"
-                    )
-            try:
-                samples.append(
-                    Sample(sid, direction, tuple(detections), beam, gt, noisy)
-                )
-            except ValueError as exc:
-                raise DatasetFormatError(f"row {row_num}: {exc}") from None
-    return samples
+        rows = list(reader)
+    nonblank = np.fromiter(map(len, rows), bool, len(rows))
+    row_nums = np.flatnonzero(nonblank) + 1
+    try:
+        directions, columns = _parse_rows(list(itertools.compress(rows, nonblank)))
+        return DatasetBundle(**columns, metadata=_dataset_meta(path, directions, columns["beams"]))
+    except RowError as exc:
+        raise DatasetFormatError(f"{path}: row {row_nums[exc.index]}: {exc.why}") from None
+
+
+def _unparseable(kind: type, raw: str) -> bool:
+    try:
+        value = np.array(kind(raw), np.int64 if kind is int else np.float64)
+    except (ValueError, OverflowError):
+        return True
+    return bool(np.isnan(value))
+
+
+def _numbers(cells: Sequence[str], field: str, kind: type, rows: np.ndarray) -> np.ndarray:
+    """The cells in the ``rows`` mask through int() or float(), as int64 or float64
+    (others read 0 or NaN); NaN and ints beyond int64 raise RowError naming the row."""
+    dtype = np.int64 if kind is int else np.float64
+    values = np.full(len(rows), 0 if kind is int else np.nan, dtype)
+    try:
+        values[rows] = np.fromiter(map(kind, itertools.compress(cells, rows)), dtype, rows.sum())
+        if not np.isnan(values[rows]).any():
+            return values
+    except (ValueError, OverflowError):
+        pass
+    bad = np.zeros(len(rows), dtype=bool)
+    bad[rows] = [_unparseable(kind, cells[i]) for i in np.flatnonzero(rows)]
+    what = "an integer" if kind is int else "a number"
+    _refuse(bad, lambda i: f"field '{field}': not {what}: {cells[i]!r}")
+    return values  # unreachable: a cell was refused
+
+
+def _one_of(cells: Sequence[str], field: str, enum_cls, rows: np.ndarray) -> np.ndarray:
+    """The cells as a str array; each in the ``rows`` mask must be a value of ``enum_cls``."""
+    values = np.array(cells, dtype=str)
+    allowed = [e.value for e in enum_cls]
+    bad = rows & ~np.isin(values, allowed)
+    _refuse(bad, lambda i: f"field '{field}': {cells[i]!r} not one of {'/'.join(allowed)}")
+    return values
+
+
+def _parse_rows(rows: list[list[str]]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Each row's direction cell, and the bundle columns of the rows; checks each
+    field's type (the bundle checks values) and raises RowError naming the field."""
+    n = len(rows)
+    width = np.fromiter(map(len, rows), np.int64, n)
+    _refuse(width < 8, lambda i: f"only {width[i]} cells, expected at least 8")
+    cells = list(itertools.zip_longest(*rows, fillvalue="")) or [()] * 8
+    filled = np.array([np.fromiter(map(bool, c), bool, n) for c in cells], bool)
+    filled = filled.reshape(len(cells), n).T
+    every, noisy = np.ones(n, dtype=bool), filled[:, 5] | filled[:, 6]
+    directions = _one_of(cells[1], "direction", Direction, every)
+    columns = {
+        key: _numbers(cells[c], _BASE_COLUMNS[c], kind, noisy if c in (5, 6) else every)
+        for c, key, kind in (
+            (0, "ids", int), (2, "beams", int), (3, "gt_lat", float), (4, "gt_lon", float),
+            (5, "noisy_lat", float), (6, "noisy_lon", float), (7, "det_count", int),
+        )
+    }
+    count = columns["det_count"]
+    _refuse(
+        count > (width - 8) // 3,
+        lambda i: f"{count[i]} detections declared but row has {width[i]} cells",
+    )
+    _refuse(
+        (filled[:, 8:] & (np.arange(len(cells) - 8) // 3 >= count[:, None])).any(axis=1),
+        lambda i: f"unexpected non-empty cell beyond {count[i]} detections",
+    )
+    slots = range(max(int(count.max(initial=0)), 0))
+    columns["det_tx"] = np.array([
+        _one_of(cells[8 + 3 * j], f"det{j}_class", DetectionClass, count > j) == "TX"
+        for j in slots
+    ], bool).reshape(len(slots), n).T
+    for f, axis in ((1, "x"), (2, "y")):
+        columns[f"det_{axis}"] = np.array([
+            _numbers(cells[8 + 3 * j + f], f"det{j}_{axis}", float, count > j) for j in slots
+        ]).reshape(len(slots), n).T
+    return directions, columns
+
+
+def _dataset_meta(path: Path, directions: np.ndarray, beams: np.ndarray) -> DatasetMeta:
+    """The sidecar's metadata, which each row's direction must match (errors name
+    the sidecar and the key); without a sidecar, metadata inferred from the rows."""
+    meta_file = _meta_path(path)
+    if meta_file.exists():
+        doc = read_json(meta_file)
+        metadata = DatasetMeta(**{k: json_field(doc, meta_file, k, p) for k, p in _META_FIELDS})
+        expected = metadata.direction.value
+        _refuse(
+            directions != expected,
+            lambda i: f"direction {directions[i]} does not match bundle direction {expected}",
+        )
+        return metadata
+    found = np.unique(directions)
+    if len(found) > 1:
+        raise DatasetFormatError(f"{path}: mixed directions in one file; split by direction first")
+    direction = Direction(found[0]) if len(found) else Direction.LEFT_TO_RIGHT
+    codebook_size = max(64, int(beams.max(initial=0)) + 1)
+    if codebook_size > MAX_CODEBOOK_SIZE:
+        raise DatasetFormatError(
+            f"{path}: beam index {codebook_size - 1} needs a codebook larger than "
+            f"{MAX_CODEBOOK_SIZE}"
+        )
+    return DatasetMeta(codebook_size=codebook_size, direction=direction, source=str(path))
 
 
 def split_train_test(
@@ -472,7 +486,7 @@ def split_train_test(
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    n = len(bundle.samples)
+    n = len(bundle)
     if n == 0:
         raise ValueError("cannot split an empty bundle")
     # The 1e-9 slack keeps ceil() immune to products like 10 * 0.7 = 7.000...001.
@@ -483,32 +497,23 @@ def split_train_test(
             f"{n} samples at train_fraction {train_fraction} leave the {side} split empty"
         )
     order = np.random.default_rng(seed).permutation(n)
-    train_idx = sorted(int(i) for i in order[:train_size])
-    test_idx = sorted(int(i) for i in order[train_size:])
-    train = DatasetBundle(tuple(bundle.samples[i] for i in train_idx), bundle.metadata)
-    test = DatasetBundle(tuple(bundle.samples[i] for i in test_idx), bundle.metadata)
-    return train, test
+    return bundle.take(np.sort(order[:train_size])), bundle.take(np.sort(order[train_size:]))
 
 
 def inject_noise(bundle: DatasetBundle, spec: NoiseSpec) -> DatasetBundle:
-    """Set noisy_position on every sample from seeded isotropic Gaussian noise.
+    """Set the noisy position of every row from seeded isotropic Gaussian noise.
 
     Ground-truth positions are left untouched. Offsets are drawn as one
     (n, 2) block, which matches n successive add_gps_noise draws on the
     same generator.
     """
     rng = np.random.default_rng(spec.seed)
-    n = len(bundle.samples)
-    offsets = geo.gaussian_offsets(spec, n, rng)
-    lats = np.array([s.gt_position.lat_deg for s in bundle.samples])
-    lons = np.array([s.gt_position.lon_deg for s in bundle.samples])
-    new_lat, new_lon = geo.apply_offsets_arrays(lats, lons, offsets[:, 0], offsets[:, 1])
-    samples = tuple(
-        Sample(s.id, s.direction, s.detections, s.beam_index, s.gt_position, GeoPosition(lat, lon))
-        for s, lat, lon in zip(bundle.samples, new_lat.tolist(), new_lon.tolist())
+    offsets = geo.gaussian_offsets(spec, len(bundle), rng)
+    noisy_lat, noisy_lon = geo.apply_offsets_arrays(
+        bundle.gt_lat, bundle.gt_lon, offsets[:, 0], offsets[:, 1]
     )
     metadata = replace(bundle.metadata, noise_rms_m=spec.target_rms_m, seed=spec.seed)
-    return DatasetBundle(samples, metadata)
+    return replace(bundle, noisy_lat=noisy_lat, noisy_lon=noisy_lon, metadata=metadata)
 
 
 def remove_outliers(bundle: DatasetBundle, grid_count: int | None = None) -> DatasetBundle:
@@ -522,13 +527,11 @@ def remove_outliers(bundle: DatasetBundle, grid_count: int | None = None) -> Dat
     from .grid import grid_means
 
     z = grid_count if grid_count is not None else bundle.metadata.grid_count
-    x = tx_centers(bundle.samples)[:, 0]
-    lats, lons = positions(bundle.samples, "ground_truth")
-    keep = np.ones(len(bundle.samples), dtype=bool)
-    for idx, mean in grid_means(x, lats, lons, z).values():
+    lats, lons = bundle.gt_lat, bundle.gt_lon
+    keep = np.ones(len(bundle), dtype=bool)
+    for idx, mean in grid_means(tx_centers(bundle)[:, 0], lats, lons, z).values():
         if len(idx) < 3:
             continue
         disp = geo.haversine_m(mean.lat_deg, mean.lon_deg, lats[idx], lons[idx])
         keep[idx] = disp <= 3.0 * 1.4826 * float(np.median(disp))
-    samples = tuple(s for s, kept in zip(bundle.samples, keep) if kept)
-    return DatasetBundle(samples, bundle.metadata)
+    return bundle.take(keep)

@@ -50,15 +50,15 @@ def build_lut(
     identified ones (same order as the samples); by default the labels
     are used. Samples are aggregated in id order.
     """
-    if not bundle.samples:
+    if not len(bundle):
         raise ValueError("cannot build a lookup table from an empty training set")
     if tx_centers is None:
-        tx_centers = dataset.tx_centers(bundle.samples)
-    if len(tx_centers) != len(bundle.samples):
-        raise ValueError(f"{len(tx_centers)} centers for {len(bundle.samples)} samples")
-    order = sorted(range(len(bundle.samples)), key=lambda i: bundle.samples[i].id)
+        tx_centers = dataset.tx_centers(bundle)
+    if len(tx_centers) != len(bundle):
+        raise ValueError(f"{len(tx_centers)} centers for {len(bundle)} samples")
+    order = np.argsort(bundle.ids, kind="stable")
     x = np.asarray(tx_centers, dtype=float)[order, 0]
-    lats, lons = dataset.positions([bundle.samples[i] for i in order], "noisy")
+    lats, lons = (column[order] for column in dataset.positions(bundle, "noisy"))
     cells = grid.grid_means(x, lats, lons, grid_count)
     means = {g: mean for g, (_, mean) in cells.items()}
     counts = {g: len(idx) for g, (idx, _) in cells.items()}
@@ -86,9 +86,9 @@ def train_denoiser(
     ``tx_centers`` are the identified transmitter centers aligned with the
     bundle's samples; labels are the noisy lat/lon pairs.
     """
-    if len(tx_centers) != len(bundle.samples):
-        raise ValueError(f"{len(tx_centers)} centers for {len(bundle.samples)} samples")
-    targets = np.column_stack(dataset.positions(bundle.samples, "noisy"))
+    if len(tx_centers) != len(bundle):
+        raise ValueError(f"{len(tx_centers)} centers for {len(bundle)} samples")
+    targets = np.column_stack(dataset.positions(bundle, "noisy"))
     return nn.fit(np.array(tx_centers, dtype=float), targets, hidden_dims, config)
 
 

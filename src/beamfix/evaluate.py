@@ -55,18 +55,17 @@ def per_grid_error(
     """
     if not predictions:
         raise ValueError("no prediction methods to evaluate")
-    if not test_bundle.samples:
+    if not len(test_bundle):
         raise ValueError("no test samples to evaluate")
     for method, preds in predictions.items():
-        if len(preds) != len(test_bundle.samples):
+        if len(preds) != len(test_bundle):
             raise ValueError(
-                f"method {method!r}: {len(preds)} predictions for "
-                f"{len(test_bundle.samples)} samples"
+                f"method {method!r}: {len(preds)} predictions for {len(test_bundle)} samples"
             )
     methods = [m for m in METHOD_ORDER if m in predictions]
     methods += [m for m in predictions if m not in METHOD_ORDER]
 
-    x = dataset.tx_centers(test_bundle.samples)[:, 0]
+    x = dataset.tx_centers(test_bundle)[:, 0]
     rows = []
     fallback_samples = 0
     for g, idx in grid.group_by_grid(x, gt_anchor.grid_count).items():
@@ -101,15 +100,13 @@ def predict_methods(
     Returns predictions for the noisy baseline, the lookup table, and the
     MLP, plus the stage-1 predictions used to drive them.
     """
+    lats, lons = dataset.positions(bundle, "noisy")
     tx_preds = txid.identify_all(txid_model, bundle)
-    noisy, lut_out, mlp_out = [], [], []
-    for s, p in zip(bundle.samples, tx_preds):
-        if s.noisy_position is None:
-            raise ValueError(f"sample {s.id}: no noisy position to use as baseline")
-        noisy.append(s.noisy_position)
-        lut_out.append(denoise.lut_predict(lut, p.selected_center[0]))
-        mlp_out.append(denoise.mlp_predict(mlp_model, p.selected_center))
-    return {"noisy": noisy, "lut": lut_out, "mlp": mlp_out}, tx_preds
+    return {
+        "noisy": list(map(GeoPosition, lats.tolist(), lons.tolist())),
+        "lut": [denoise.lut_predict(lut, p.selected_center[0]) for p in tx_preds],
+        "mlp": [denoise.mlp_predict(mlp_model, p.selected_center) for p in tx_preds],
+    }, tx_preds
 
 
 def comparison_rows(reports: Mapping[float, EvalReport]) -> list[dict]:
@@ -190,20 +187,19 @@ def export_plot_data(
     kind_map = {"noisy": "noisy", "lut": "denoised_lut", "mlp": "denoised_mlp"}
 
     positions_path = prefix / "positions.csv"
-    rows = []
-    for i, s in enumerate(bundle.samples):
-        rows.append([s.id, "gt", s.gt_position.lat_deg, s.gt_position.lon_deg])
-        for method, kind in kind_map.items():
-            if method in predictions:
-                p = predictions[method][i]
-                rows.append([s.id, kind, p.lat_deg, p.lon_deg])
+    methods = [m for m in kind_map if m in predictions]
+    kinds = ["gt"] + [kind_map[m] for m in methods]
+    lat = np.column_stack([bundle.gt_lat] + [[p.lat_deg for p in predictions[m]] for m in methods])
+    lon = np.column_stack([bundle.gt_lon] + [[p.lon_deg for p in predictions[m]] for m in methods])
+    ids = np.repeat(bundle.ids, len(kinds)).tolist()
+    rows = zip(ids, kinds * len(bundle), lat.ravel().tolist(), lon.ravel().tolist())
     dataset.write_table_csv(positions_path, ["sample_id", "kind", "lat", "lon"], rows)
 
     pergrid_path = prefix / "pergrid.csv"
     save_pergrid_csv(report, pergrid_path)
 
     histogram_path = prefix / "histogram.csv"
-    table = grid.build_grid_table(bundle.samples, "ground_truth", report.grid_count)
+    table = grid.build_grid_table(bundle, "ground_truth", report.grid_count)
     grid.save_histogram_csv(
         grid.displacement_histogram(table, histogram_bin_width_m), histogram_path
     )

@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .dataset import DatasetFormatError, PositionSelector, float_cell
 from .geo import GeoPosition
 
 if TYPE_CHECKING:
-    from .dataset import Sample
+    from .dataset import DatasetBundle
 
 
 class FitConvergenceError(RuntimeError):
@@ -119,16 +119,16 @@ class GridTable:
 
 
 def build_grid_table(
-    samples: Iterable["Sample"], selector: PositionSelector, grid_count: int
+    bundle: "DatasetBundle", selector: PositionSelector, grid_count: int
 ) -> GridTable:
     """Group samples by transmitter x-center and compute per-grid statistics.
 
     Per grid: the arithmetic mean of latitudes and longitudes, then the
     average haversine displacement between that mean and the members.
     Samples are processed in id order, so the result is independent of the
-    input ordering.
+    row order.
     """
-    ordered = sorted(samples, key=lambda s: s.id)
+    ordered = bundle.take(np.argsort(bundle.ids, kind="stable"))
     x = dataset.tx_centers(ordered)[:, 0]
     lats, lons = dataset.positions(ordered, selector)
     cells: dict[int, GridCell] = {}
@@ -139,16 +139,17 @@ def build_grid_table(
 
 
 def per_sample_displacements(
-    samples: Iterable["Sample"], table: GridTable, selector: PositionSelector
+    bundle: "DatasetBundle", table: GridTable, selector: PositionSelector
 ) -> np.ndarray:
     """Each sample's haversine distance to its own grid's mean, in id order."""
-    ordered = sorted(samples, key=lambda s: s.id)
+    ordered = bundle.take(np.argsort(bundle.ids, kind="stable"))
     x = dataset.tx_centers(ordered)[:, 0]
     lats, lons = dataset.positions(ordered, selector)
     out = np.empty(len(ordered))
     for g, idx in group_by_grid(x, table.grid_count).items():
         if g not in table.cells:
-            raise ValueError(f"sample {ordered[idx[0]].id}: grid {g} is not populated in the table")
+            sid = ordered.ids[idx[0]]
+            raise ValueError(f"sample {sid}: grid {g} is not populated in the table")
         mean = table.cells[g].mean_position
         out[idx] = [
             geo.haversine_distance(mean, GeoPosition(lat, lon))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, geo
-from .dataset import DatasetBundle, DatasetMeta, Detection, DetectionClass, Direction, Sample
+from .dataset import DatasetBundle, DatasetMeta, Direction
 from .geo import GeoPosition, LocalOffset, NoiseSpec
 
 
@@ -183,13 +183,6 @@ def save_scene(scene: SceneGeometry, path: str | Path) -> None:
     dataset.write_json(path, scene_to_json(scene))
 
 
-def _interpolate(a: GeoPosition, b: GeoPosition, t: float) -> GeoPosition:
-    return GeoPosition(
-        a.lat_deg + (b.lat_deg - a.lat_deg) * t,
-        a.lon_deg + (b.lon_deg - a.lon_deg) * t,
-    )
-
-
 def generate_scenario(
     scene: SceneGeometry,
     codebook: BeamCodebook,
@@ -218,34 +211,22 @@ def generate_scenario(
     n = traj.num_samples
     jitter = rng.uniform(-0.45, 0.45, size=n)
     ts = (np.arange(n) + 0.5 + jitter) / n
+    gt_lat = start.lat_deg + (end.lat_deg - start.lat_deg) * ts
+    gt_lon = start.lon_deg + (end.lon_deg - start.lon_deg) * ts
 
-    samples = []
-    for i in range(n):
-        position = _interpolate(start, end, float(ts[i]))
-        x_tx = project_to_image(scene, position)
-        y_tx = 0.5 + float(rng.uniform(-0.02, 0.02))
-        detections = [Detection(DetectionClass.TRANSMITTER, x_tx, y_tx)]
-        for _ in range(traj.num_distractors):
-            detections.append(
-                Detection(
-                    DetectionClass.DISTRACTOR,
-                    float(rng.uniform(0.0, 1.0)),
-                    float(rng.uniform(0.0, 1.0)),
-                )
-            )
-        order = rng.permutation(len(detections))
-        detections = [detections[k] for k in order]
+    # One capture per pass: the geometry stays scalar math, and the draws
+    # keep their per-capture order (TX y, distractor x/y pairs, shuffle).
+    width = 1 + traj.num_distractors
+    beams = np.empty(n, dtype=np.int64)
+    det_x, det_y, det_tx = np.empty((n, width)), np.empty((n, width)), np.empty((n, width), bool)
+    for i, position in enumerate(map(GeoPosition, gt_lat.tolist(), gt_lon.tolist())):
+        tx = [project_to_image(scene, position), 0.5 + float(rng.uniform(-0.02, 0.02))]
+        distractors = rng.uniform(0.0, 1.0, size=(traj.num_distractors, 2))
+        order = rng.permutation(width)
+        det_x[i], det_y[i] = np.vstack([tx, distractors])[order].T
+        det_tx[i] = order == 0
         azimuth = _wrap_angle_deg(bearing_deg(scene.bs_position, position) - scene.array_normal_deg)
-        beam = select_best_beam(codebook, azimuth)
-        samples.append(
-            Sample(
-                id=i,
-                direction=traj.direction,
-                detections=tuple(detections),
-                beam_index=beam,
-                gt_position=position,
-            )
-        )
+        beams[i] = select_best_beam(codebook, azimuth)
 
     metadata = DatasetMeta(
         grid_count=grid_count,
@@ -255,5 +236,9 @@ def generate_scenario(
         direction=traj.direction,
         source=source,
     )
-    bundle = DatasetBundle(tuple(samples), metadata)
+    no_fix = np.full(n, np.nan)
+    bundle = DatasetBundle(
+        np.arange(n), beams, gt_lat, gt_lon, no_fix, no_fix, det_tx, det_x, det_y,
+        np.full(n, width), metadata,
+    )
     return dataset.inject_noise(bundle, noise)

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dataset, nn
-from .dataset import DatasetBundle, Detection, Sample
+from .dataset import DatasetBundle
 from .nn import MlpModel, TrainConfig
 
 DEFAULT_HIDDEN_DIMS = (64, 64)
@@ -48,50 +48,53 @@ def train_txid(
     Every training sample must carry a transmitter-labeled detection; the
     first sample without one is named in the error.
     """
-    q = bundle.metadata.codebook_size
-    targets = dataset.tx_centers(bundle.samples)
-    inputs = np.array([encode_beam(s.beam_index, q) for s in bundle.samples])
+    targets = dataset.tx_centers(bundle)
+    inputs = np.eye(bundle.metadata.codebook_size)[bundle.beams]
     return nn.fit(inputs, targets, hidden_dims, config)
 
 
 def select_bounding_box(
-    detections: Sequence[Detection], estimated_center: tuple[float, float]
+    centers: Sequence[tuple[float, float]], estimated_center: tuple[float, float]
 ) -> TxPrediction:
-    """Pick the detection with the smallest Euclidean distance to the estimate.
+    """Pick the detection center with the smallest Euclidean distance to the estimate.
 
     Ties resolve to the lowest detection index.
     """
-    if not detections:
+    if not centers:
         raise ValueError("cannot select from an empty detection list")
     ex, ey = estimated_center
     best_index = 0
     best_dist = math.inf
-    for i, d in enumerate(detections):
-        dist = math.hypot(d.x_center - ex, d.y_center - ey)
+    for i, (x, y) in enumerate(centers):
+        dist = math.hypot(x - ex, y - ey)
         if dist < best_dist:
             best_index, best_dist = i, dist
-    chosen = detections[best_index]
     return TxPrediction(
         estimated_center=(ex, ey),
         selected_index=best_index,
-        selected_center=(chosen.x_center, chosen.y_center),
+        selected_center=tuple(centers[best_index]),
     )
 
 
-def identify(model: MlpModel, sample: Sample) -> TxPrediction:
+def identify(
+    model: MlpModel, beam_index: int, centers: Sequence[tuple[float, float]]
+) -> TxPrediction:
     """Beam -> estimated center -> nearest detection, for one sample.
 
     The regressed estimate is clipped into the unit square before the
     distance comparison.
     """
     q = model.layer_dims[0]
-    raw = nn.predict(model, encode_beam(sample.beam_index, q))
+    raw = nn.predict(model, encode_beam(beam_index, q))
     estimate = (float(np.clip(raw[0], 0.0, 1.0)), float(np.clip(raw[1], 0.0, 1.0)))
-    return select_bounding_box(sample.detections, estimate)
+    return select_bounding_box(centers, estimate)
 
 
 def identify_all(model: MlpModel, bundle: DatasetBundle) -> list[TxPrediction]:
-    return [identify(model, s) for s in bundle.samples]
+    """identify() on each row, one single-row forward pass at a time."""
+    centers = np.stack([bundle.det_x, bundle.det_y], axis=-1).tolist()
+    rows = zip(bundle.beams.tolist(), centers, bundle.det_count.tolist())
+    return [identify(model, beam, row[:k]) for beam, row, k in rows]
 
 
 def save_predictions_csv(

@@ -16,11 +16,11 @@ import pytest
 
 from beamfix import denoise, evaluate, geo, grid, nn, simulate, txid
 from beamfix.cli import main
-from beamfix.dataset import DetectionClass, Direction, inject_noise, split_train_test
+from beamfix.dataset import Direction, inject_noise, split_train_test
 from beamfix.geo import EARTH_RADIUS_M, GeoPosition, LocalOffset, NoiseSpec
 from beamfix.nn import TrainConfig
 
-from conftest import make_bundle, make_sample
+from conftest import concat, make_bundle, make_sample
 
 NOISE_LEVELS = (0.1, 0.5, 1.0, 2.0, 3.0)
 BASE = GeoPosition(33.42, -111.93)
@@ -106,8 +106,8 @@ def test_03_noise_calibration():
     worst = 0.0
     for i, level in enumerate(NOISE_LEVELS):
         noisy = inject_noise(bundle, NoiseSpec(level, 900 + i))
-        lats = np.array([s.noisy_position.lat_deg for s in noisy.samples])
-        lons = np.array([s.noisy_position.lon_deg for s in noisy.samples])
+        lats = noisy.noisy_lat
+        lons = noisy.noisy_lon
         d = geo.haversine_m(BASE.lat_deg, BASE.lon_deg, lats, lons)
         rms = math.sqrt(float(np.mean(d**2)))
         worst = max(worst, abs(rms - level) / level)
@@ -146,9 +146,8 @@ def test_05_transmitter_identification(scene, codebook):
     model, _ = txid.train_txid(train_bundle, TrainConfig(epochs=200, seed=55))
     correct = sum(
         1
-        for s in test_bundle.samples
-        if s.detections[txid.identify(model, s).selected_index].class_label
-        is DetectionClass.TRANSMITTER
+        for i, p in enumerate(txid.identify_all(model, test_bundle))
+        if test_bundle.det_tx[i, p.selected_index]
     )
     accuracy = correct / len(test_bundle)
     elapsed = time.perf_counter() - start
@@ -189,11 +188,9 @@ def denoise_suite(codebook) -> DenoiseSuite:
     base_train = simulate.generate_scenario(scene, codebook, train_traj, NoiseSpec(0.0, 201))
     base_test = simulate.generate_scenario(scene, codebook, test_traj, NoiseSpec(0.0, 202))
 
-    counts = grid.build_grid_table(base_train.samples, "ground_truth", 100)
+    counts = grid.build_grid_table(base_train, "ground_truth", 100)
     min_per_grid = min(c.count for c in counts.cells.values())
-    anchor = grid.build_grid_table(
-        base_train.samples + base_test.samples, "ground_truth", 100
-    )
+    anchor = grid.build_grid_table(concat(base_train, base_test), "ground_truth", 100)
     txid_model, _ = txid.train_txid(base_train, TrainConfig(epochs=200, seed=301))
 
     overall: dict[float, dict[str, float]] = {}
@@ -246,8 +243,8 @@ def test_07_method_comparability(denoise_suite):
 def test_08_gaussian_fit_quality(scene, codebook):
     traj = simulate.TrajectoryConfig(4000, Direction.LEFT_TO_RIGHT, 0, seed=801)
     bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.3, 802))
-    table = grid.build_grid_table(bundle.samples, "noisy", 100)
-    disp = grid.per_sample_displacements(bundle.samples, table, "noisy")
+    table = grid.build_grid_table(bundle, "noisy", 100)
+    disp = grid.per_sample_displacements(bundle, table, "noisy")
     fit = grid.fit_gaussian(grid.histogram_from_values(disp, 0.05))
     synthetic_ok = fit.adjusted_r_squared >= 0.95
 

@@ -72,6 +72,22 @@ class TestSeeds:
         monkeypatch.setenv("BEAMFIX_SEED", "not-a-number")
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        assert main([command, "--config", str(write_config(tmp_path)), "--out", str(out),
+                     "--seed", "-5"]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_negative_env_seed_exit_2(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setenv("BEAMFIX_SEED", "-3")
+        out = tmp_path / "run"
+        assert main([command, "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+        assert "BEAMFIX_SEED must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_writes_expected_files(self, tmp_path, capsys):
@@ -168,6 +184,22 @@ class TestRunConfig:
         assert err.startswith(f"error: {path}: ")
         assert key is None or f"key '{key}': " in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize("key", ["seed", "num_distractors"])
+    def test_negative_value_names_file_and_key_exit_2(self, tmp_path, capsys, command, key):
+        config = write_config(tmp_path, **{key: -1})
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert f"error: {config}: {key} must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_directory_config_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        assert main([command, "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert f"config file is not a file: {tmp_path}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_integral_float_count_accepted(self, tmp_path):
@@ -270,6 +302,15 @@ class TestCharacterizeCommand:
                      "--out", str(tmp_path / "x")]) == 2
         assert "--grid-count" in capsys.readouterr().err
 
+    def test_bin_width_flag_not_positive_exit_2(self, tmp_path, capsys):
+        data_path = tmp_path / "data.csv"
+        dataset.save_csv(make_bundle([make_sample(0, 0.5, BASE)]), data_path)
+        out = tmp_path / "x"
+        assert main(["characterize", "--dataset", str(data_path), "--bin-width", "0",
+                     "--out", str(out)]) == 2
+        assert "--bin-width must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_far_gps_fix_exit_2(self, tmp_path, capsys):
         # One fix ~380 km off would need millions of 0.05 m bins.
         samples = [make_sample(i, 0.5, BASE, noisy=BASE) for i in range(9)]
@@ -363,11 +404,11 @@ class TestTrainCommand:
         assert manifest["test_samples"] == 48
 
     def test_missing_tx_labels_exit_2(self, tmp_path):
-        from beamfix.dataset import Detection, DetectionClass, Direction, Sample
+        from beamfix.dataset import DetectionClass
 
         samples = [
-            Sample(i, Direction.LEFT_TO_RIGHT,
-                   (Detection(DetectionClass.DISTRACTOR, 0.5, 0.5),), 0, BASE, BASE)
+            make_sample(i, 0.5, BASE, noisy=BASE,
+                        detections=((DetectionClass.DISTRACTOR, 0.5, 0.5),))
             for i in range(20)
         ]
         bundle = make_bundle(samples)
@@ -637,7 +678,7 @@ class TestDefaultConfig:
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         bundle = dataset.load_csv(out / "datasets" / "l2r_clean.csv")
         # wider FOV squeezes the lane toward the image center
-        xs = [s.transmitter().x_center for s in bundle.samples]
+        xs = dataset.tx_centers(bundle)[:, 0].tolist()
         assert max(xs) < 0.85 and min(xs) > 0.15
 
     def test_missing_scene_path_exit_2(self, tmp_path):
@@ -714,7 +755,7 @@ class TestSharedStageOne:
         levels = [out / "artifacts" / dtag / tag for tag in ("rms0.5", "rms1")]
         for name in ("txid.json", "txid_loss.csv"):
             assert len({(art / name).read_bytes() for art in levels}) == 1
-        ids = [[s.id for s in dataset.load_csv(art / "test.csv").samples] for art in levels]
+        ids = [dataset.load_csv(art / "test.csv").ids.tolist() for art in levels]
         assert ids[0] == ids[1]
 
     def test_train_reproduces_pipeline_artifacts(self, two_level_pipeline, tmp_path):

@@ -1,4 +1,9 @@
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamfix import geo, grid
+from beamfix.cli import main
 from beamfix.dataset import (
+    DatasetBundle,
     DatasetFormatError,
-    Detection,
+    DatasetMeta,
     DetectionClass,
     Direction,
-    Sample,
     inject_noise,
     json_field,
     json_int,
@@ -25,7 +31,7 @@ from beamfix.dataset import (
 )
 from beamfix.geo import GeoPosition, LocalOffset, NoiseSpec
 
-from conftest import make_bundle, make_sample
+from conftest import make_bundle, make_sample, same_bundle
 
 BASE = GeoPosition(33.42, -111.93)
 
@@ -41,14 +47,15 @@ def _grid_cluster(sid0, x_center, offsets_m, base=BASE):
 class TestModelValidation:
     def test_detection_range_checks(self):
         with pytest.raises(ValueError):
-            Detection(DetectionClass.TRANSMITTER, 1.3, 0.5)
+            make_bundle([make_sample(0, 1.3, BASE)])
+        below = ((DetectionClass.DISTRACTOR, 0.5, -0.1),)
         with pytest.raises(ValueError):
-            Detection(DetectionClass.DISTRACTOR, 0.5, -0.1)
+            make_bundle([make_sample(0, 0.5, BASE, extra_detections=below)])
 
     def test_two_transmitters_rejected(self):
-        tx = Detection(DetectionClass.TRANSMITTER, 0.4, 0.5)
+        tx = (DetectionClass.TRANSMITTER, 0.4, 0.5)
         with pytest.raises(ValueError, match="transmitter"):
-            Sample(0, Direction.LEFT_TO_RIGHT, (tx, tx), 0, BASE)
+            make_bundle([make_sample(0, 0.4, BASE, detections=(tx, tx))])
 
     def test_duplicate_ids_rejected(self):
         s = make_sample(1, 0.5, BASE)
@@ -60,19 +67,21 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="beam index"):
             make_bundle([s], codebook_size=64)
 
-    def test_mixed_directions_rejected(self):
-        a = make_sample(0, 0.5, BASE, direction=Direction.LEFT_TO_RIGHT)
-        b = make_sample(1, 0.5, BASE, direction=Direction.RIGHT_TO_LEFT)
+    def test_mixed_directions_rejected(self, tmp_path):
+        # A bundle holds one direction, in its metadata; rows can only
+        # disagree with it in a file, against the sidecar.
+        path = tmp_path / "l2r.csv"
+        save_csv(make_bundle([make_sample(0, 0.5, BASE), make_sample(1, 0.5, BASE)]), path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace(",L2R,", ",R2L,")
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="direction"):
-            make_bundle([a, b], direction=Direction.LEFT_TO_RIGHT)
+            load_csv(path)
 
 
 class TestCsvRoundTrip:
     def test_three_row_file(self, tmp_path, small_synthetic_bundle):
-        sub = make_bundle(
-            small_synthetic_bundle.samples[:3],
-            codebook_size=small_synthetic_bundle.metadata.codebook_size,
-        )
+        sub = small_synthetic_bundle.take(np.arange(3))
         path = tmp_path / "three.csv"
         save_csv(sub, path)
         loaded = load_csv(path)
@@ -82,8 +91,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "bundle.csv"
         save_csv(small_synthetic_bundle, path)
         loaded = load_csv(path)
-        assert loaded.samples == small_synthetic_bundle.samples
-        assert loaded.metadata == small_synthetic_bundle.metadata
+        assert same_bundle(loaded, small_synthetic_bundle)
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -155,7 +163,103 @@ class TestCsvRoundTrip:
         path = tmp_path / "nonoisy.csv"
         save_csv(bundle, path)
         loaded = load_csv(path)
-        assert loaded.samples[0].noisy_position is None
+        assert np.isnan(loaded.noisy_lat[0]) and np.isnan(loaded.noisy_lon[0])
+
+
+@st.composite
+def bundles(draw):
+    """Bundles of 1-12 rows with 1-6 detections each and a mix of present and absent noisy fixes."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    counts = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=n, max_size=n))
+    k = max(counts)
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    det_x, det_y, det_tx = np.full((n, k), np.nan), np.full((n, k), np.nan), np.zeros((n, k), bool)
+    for i, c in enumerate(counts):
+        det_x[i, :c] = draw(st.lists(unit, min_size=c, max_size=c))
+        det_y[i, :c] = draw(st.lists(unit, min_size=c, max_size=c))
+        tx = draw(st.integers(min_value=-1, max_value=c - 1))  # -1: no transmitter label
+        det_tx[i, tx] = tx >= 0
+    lat, lon = st.floats(min_value=-90, max_value=90), st.floats(min_value=-180, max_value=180)
+    noisy = np.full((n, 2), np.nan)
+    for i, present in enumerate(draw(st.lists(st.booleans(), min_size=n, max_size=n))):
+        if present:
+            noisy[i] = draw(lat), draw(lon)
+    meta = DatasetMeta(
+        grid_count=draw(st.integers(min_value=1, max_value=1000)),
+        codebook_size=64,
+        noise_rms_m=draw(st.floats(min_value=0, max_value=10)),
+        seed=draw(st.integers(min_value=0, max_value=2**63)),
+        direction=draw(st.sampled_from(Direction)),
+        source=draw(st.text(max_size=8)),
+    )
+    ids = draw(st.lists(
+        st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=n, max_size=n, unique=True
+    ))
+    return DatasetBundle(
+        ids,
+        draw(st.lists(st.integers(min_value=0, max_value=63), min_size=n, max_size=n)),
+        draw(st.lists(lat, min_size=n, max_size=n)),
+        draw(st.lists(lon, min_size=n, max_size=n)),
+        noisy[:, 0], noisy[:, 1], det_tx, det_x, det_y, counts, meta,
+    )
+
+
+class TestLoaderProperties:
+    @given(bundle=bundles())
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip_every_column_bit_for_bit(self, bundle):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bundle.csv"
+            save_csv(bundle, path)
+            assert same_bundle(load_csv(path), bundle)
+
+    CELLS = ["", "nan", "NaN", "inf", "-1", "0", "1", "1.5", "200", "-200", "1e400", "x",
+             "TX", "DISTRACTOR", "BOGUS", "L2R", "R2L", "99999999999999999999999"]
+    SIDECAR_VALUES = [None, "", "x", -1, 0, 1.5, 7, math.nan, 10**30, "L2R", "R2L", True, []]
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_mutated_dataset_exits_0_or_2(self, data):
+        """One cell, row or sidecar value changed: characterize exits 0, or exits 2
+        naming the file and leaving no output directory; it never raises."""
+        rows = [
+            make_sample(i, (i % 6 + 0.5) / 10, geo.apply_offset(BASE, LocalOffset(0.0, i % 4)),
+                        beam_index=i % 5, noisy=BASE,
+                        extra_detections=((DetectionClass.DISTRACTOR, 0.9, 0.1 * (i % 9)),))
+            for i in range(12)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "data.csv", Path(tmp) / "out"
+            save_csv(make_bundle(rows), path)
+            lines = [line.split(",") for line in path.read_text().splitlines()]
+            kind = data.draw(st.sampled_from(["cell", "duplicate id", "extra cell", "truncate",
+                                              "sidecar value", "sidecar key"]))
+            r = data.draw(st.integers(min_value=1, max_value=len(lines) - 1))
+            if kind == "cell":
+                c = data.draw(st.integers(min_value=0, max_value=len(lines[r]) - 1))
+                lines[r][c] = data.draw(st.sampled_from(self.CELLS))
+            elif kind == "duplicate id":
+                lines[r][0] = lines[1 + r % (len(lines) - 1)][0]
+            elif kind == "extra cell":
+                lines[r].append(data.draw(st.sampled_from(self.CELLS[1:])))
+            elif kind == "truncate":
+                del lines[r][data.draw(st.integers(min_value=0, max_value=len(lines[r]) - 1)):]
+            path.write_text("\n".join(",".join(line) for line in lines) + "\n")
+            meta_path = Path(f"{path}.meta.json")
+            meta = json.loads(meta_path.read_text())
+            key = data.draw(st.sampled_from(sorted(meta)))
+            if kind == "sidecar value":
+                meta[key] = data.draw(st.sampled_from(self.SIDECAR_VALUES))
+            elif kind == "sidecar key":
+                del meta[key]
+            meta_path.write_text(json.dumps(meta))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["characterize", "--dataset", str(path), "--out", str(out)])
+            assert code in (0, 2)
+            if code == 2:
+                assert str(path) in err.getvalue()
+                assert not out.exists()
 
 
 class TestJsonLayer:
@@ -213,8 +317,8 @@ class TestSplit:
         bundle = make_bundle(samples)
         a = split_train_test(bundle, 0.7, seed=5)
         b = split_train_test(bundle, 0.7, seed=5)
-        assert [s.id for s in a[0].samples] == [s.id for s in b[0].samples]
-        assert [s.id for s in a[1].samples] == [s.id for s in b[1].samples]
+        assert a[0].ids.tolist() == b[0].ids.tolist()
+        assert a[1].ids.tolist() == b[1].ids.tolist()
 
     def test_empty_bundle_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -246,8 +350,8 @@ class TestSplit:
                 split_train_test(bundle, fraction, seed)
             return
         train, test = split_train_test(bundle, fraction, seed)
-        train_ids = {s.id for s in train.samples}
-        test_ids = {s.id for s in test.samples}
+        train_ids = set(train.ids.tolist())
+        test_ids = set(test.ids.tolist())
         assert train_ids | test_ids == set(range(n))
         assert not train_ids & test_ids
         assert len(train) == math.ceil(n * fraction - 1e-9)
@@ -257,28 +361,25 @@ class TestInjectNoise:
     def test_zero_target_copies_ground_truth(self):
         samples = [make_sample(i, 0.5, BASE) for i in range(5)]
         noisy = inject_noise(make_bundle(samples), NoiseSpec(0.0, 1))
-        for s in noisy.samples:
-            assert s.noisy_position == s.gt_position
+        assert np.array_equal(noisy.noisy_lat, noisy.gt_lat)
+        assert np.array_equal(noisy.noisy_lon, noisy.gt_lon)
 
     def test_ground_truth_untouched(self, small_synthetic_bundle):
         noisy = inject_noise(small_synthetic_bundle, NoiseSpec(1.0, 2))
-        for before, after in zip(small_synthetic_bundle.samples, noisy.samples):
-            assert after.gt_position == before.gt_position
+        assert np.array_equal(noisy.gt_lat, small_synthetic_bundle.gt_lat)
+        assert np.array_equal(noisy.gt_lon, small_synthetic_bundle.gt_lon)
 
     def test_empirical_rms(self):
         samples = [make_sample(i, 0.5, BASE) for i in range(20_000)]
         noisy = inject_noise(make_bundle(samples), NoiseSpec(0.5, 3))
-        d = [
-            geo.haversine_distance(s.gt_position, s.noisy_position)
-            for s in noisy.samples
-        ]
+        d = geo.haversine_m(noisy.gt_lat, noisy.gt_lon, noisy.noisy_lat, noisy.noisy_lon)
         rms = math.sqrt(float(np.mean(np.array(d) ** 2)))
         assert abs(rms - 0.5) / 0.5 < 0.02
 
     def test_seed_determinism(self, small_synthetic_bundle):
         a = inject_noise(small_synthetic_bundle, NoiseSpec(1.0, 9))
         b = inject_noise(small_synthetic_bundle, NoiseSpec(1.0, 9))
-        assert a.samples == b.samples
+        assert same_bundle(a, b)
 
     def test_metadata_records_spec(self, small_synthetic_bundle):
         noisy = inject_noise(small_synthetic_bundle, NoiseSpec(2.0, 13))
@@ -293,7 +394,7 @@ class TestRemoveOutliers:
         # so only the distant point (45.5 m from the mean) goes.
         cluster = _grid_cluster(0, 0.505, [0.0] * 10 + [50.0])
         cleaned = remove_outliers(make_bundle(cluster), grid_count=100)
-        assert {s.id for s in cleaned.samples} == set(range(10))
+        assert set(cleaned.ids.tolist()) == set(range(10))
 
     def test_coincident_points_kept(self):
         cluster = _grid_cluster(0, 0.505, [0.0] * 8)
@@ -316,20 +417,14 @@ class TestRemoveOutliers:
             samples.extend(_grid_cluster(sid, x, spread))
             sid += len(spread)
         bundle = make_bundle(samples)
-        before = grid.build_grid_table(bundle.samples, "ground_truth", 100)
+        before = grid.build_grid_table(bundle, "ground_truth", 100)
         cleaned = remove_outliers(bundle, grid_count=100)
-        after = grid.build_grid_table(cleaned.samples, "ground_truth", 100)
+        after = grid.build_grid_table(cleaned, "ground_truth", 100)
         assert len(cleaned) < len(bundle)
         for g, cell in after.cells.items():
             assert cell.avg_displacement_m <= before.cells[g].avg_displacement_m + 1e-9
 
     def test_missing_transmitter_label_rejected(self):
-        s = Sample(
-            0,
-            Direction.LEFT_TO_RIGHT,
-            (Detection(DetectionClass.DISTRACTOR, 0.5, 0.5),),
-            0,
-            BASE,
-        )
+        s = make_sample(0, 0.5, BASE, detections=((DetectionClass.DISTRACTOR, 0.5, 0.5),))
         with pytest.raises(ValueError, match="sample 0"):
             remove_outliers(make_bundle([s]), grid_count=100)

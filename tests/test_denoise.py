@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from beamfix import geo, grid, simulate
+from beamfix import dataset, geo, grid, simulate
 from beamfix.dataset import Direction
 from beamfix.denoise import (
     LookupTable,
@@ -17,14 +17,17 @@ from beamfix.denoise import (
 from beamfix.geo import GeoPosition, LocalOffset, NoiseSpec
 from beamfix.nn import TrainConfig
 
-from conftest import make_bundle, make_sample
+from conftest import gt_positions, make_bundle, make_sample
 
 BASE = GeoPosition(33.42, -111.93)
 
 
 def _noisy_sample(sid, x_center, noisy, gt=BASE):
-    s = make_sample(sid, x_center, gt)
-    return s.__class__(s.id, s.direction, s.detections, s.beam_index, gt, noisy)
+    return make_sample(sid, x_center, gt, noisy=noisy)
+
+
+def _centers(bundle):
+    return [tuple(c) for c in dataset.tx_centers(bundle).tolist()]
 
 
 class TestBuildLut:
@@ -47,7 +50,7 @@ class TestBuildLut:
         traj = simulate.TrajectoryConfig(120, Direction.LEFT_TO_RIGHT, 0, seed=1)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 2))
         lut = build_lut(bundle, 100)
-        table = grid.build_grid_table(bundle.samples, "noisy", 100)
+        table = grid.build_grid_table(bundle, "noisy", 100)
         assert set(lut.means) == set(table.cells)
         for g, cell in table.cells.items():
             assert lut.means[g] == cell.mean_position
@@ -123,7 +126,7 @@ class TestTrainDenoiser:
         target = geo.apply_offset(BASE, LocalOffset(3.0, -2.0))
         samples = [_noisy_sample(i, 0.4 + 0.01 * i, target) for i in range(8)]
         bundle = make_bundle(samples)
-        centers = [(s.transmitter().x_center, s.transmitter().y_center) for s in samples]
+        centers = _centers(bundle)
         model, _ = train_denoiser(
             bundle, centers, TrainConfig(learning_rate=1e-2, epochs=300, batch_size=4, seed=4)
         )
@@ -144,7 +147,7 @@ class TestTrainDenoiser:
     def test_deterministic(self, scene, codebook):
         traj = simulate.TrajectoryConfig(40, Direction.LEFT_TO_RIGHT, 0, seed=6)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 7))
-        centers = [(s.transmitter().x_center, s.transmitter().y_center) for s in bundle.samples]
+        centers = _centers(bundle)
         cfg = TrainConfig(epochs=10, seed=8)
         a, _ = train_denoiser(bundle, centers, cfg)
         b, _ = train_denoiser(bundle, centers, cfg)
@@ -153,7 +156,7 @@ class TestTrainDenoiser:
     def test_identical_queries_identical_outputs(self, scene, codebook):
         traj = simulate.TrajectoryConfig(40, Direction.LEFT_TO_RIGHT, 0, seed=9)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 10))
-        centers = [(s.transmitter().x_center, s.transmitter().y_center) for s in bundle.samples]
+        centers = _centers(bundle)
         model, _ = train_denoiser(bundle, centers, TrainConfig(epochs=20, seed=11))
         assert mlp_predict(model, (0.4, 0.5)) == mlp_predict(model, (0.4, 0.5))
 
@@ -162,10 +165,10 @@ class TestTrainDenoiser:
         # training scene's bounding box grown by 10 m.
         traj = simulate.TrajectoryConfig(300, Direction.LEFT_TO_RIGHT, 0, seed=12)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 13))
-        centers = [(s.transmitter().x_center, s.transmitter().y_center) for s in bundle.samples]
+        centers = _centers(bundle)
         model, _ = train_denoiser(bundle, centers, TrainConfig(epochs=100, seed=14))
-        lats = [s.noisy_position.lat_deg for s in bundle.samples]
-        lons = [s.noisy_position.lon_deg for s in bundle.samples]
+        lats = bundle.noisy_lat.tolist()
+        lons = bundle.noisy_lon.tolist()
         margin_lat = 10.0 / geo.METERS_PER_DEGREE
         margin_lon = 10.0 / (geo.METERS_PER_DEGREE * math.cos(math.radians(BASE.lat_deg)))
         for x in np.linspace(0, 1, 21):
@@ -189,7 +192,7 @@ class TestTrainDenoiser:
                 samples.append(make_sample(sid, x, pos))
                 sid += 1
         bundle = inject_noise(make_bundle(samples), NoiseSpec(0.1, 30))
-        centers = [(s.transmitter().x_center, s.transmitter().y_center) for s in bundle.samples]
+        centers = _centers(bundle)
         lut = build_lut(bundle, 100, centers)
         model, _ = train_denoiser(
             bundle, centers, TrainConfig(epochs=600, batch_size=64, seed=31)
@@ -197,8 +200,8 @@ class TestTrainDenoiser:
         lut_residual = float(
             np.mean(
                 [
-                    geo.haversine_distance(lut.means[grid.assign_grid(x, 100)], s.gt_position)
-                    for s, (x, _) in zip(bundle.samples, centers)
+                    geo.haversine_distance(lut.means[grid.assign_grid(x, 100)], gt)
+                    for gt, (x, _) in zip(gt_positions(bundle), centers)
                 ]
             )
         )

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from beamfix import denoise, geo, grid, simulate, txid
+from beamfix import dataset, denoise, geo, grid, simulate, txid
 from beamfix.dataset import Direction
 from beamfix.evaluate import (
     comparison_text_table,
@@ -15,25 +15,24 @@ from beamfix.evaluate import (
 from beamfix.geo import GeoPosition, LocalOffset, NoiseSpec
 from beamfix.nn import TrainConfig
 
-from conftest import make_bundle, make_sample
+from conftest import concat, make_bundle, make_sample, noisy_positions
 
 BASE = GeoPosition(33.42, -111.93)
 
 
 def _noisy(sid, x, noisy_pos, gt=BASE):
-    s = make_sample(sid, x, gt)
-    return s.__class__(s.id, s.direction, s.detections, s.beam_index, gt, noisy_pos)
+    return make_sample(sid, x, gt, noisy=noisy_pos)
 
 
 class TestPerGridError:
     def test_anchor_means_score_zero(self):
         samples = [_noisy(i, (i % 10) / 10 + 0.05, BASE) for i in range(30)]
         bundle = make_bundle(samples)
-        anchor = grid.build_grid_table(samples, "ground_truth", 100)
+        anchor = grid.build_grid_table(bundle, "ground_truth", 100)
         predictions = {
             "noisy": [
-                anchor.cells[grid.assign_grid(s.transmitter().x_center, 100)].mean_position
-                for s in samples
+                anchor.cells[grid.assign_grid(x, 100)].mean_position
+                for x in dataset.tx_centers(bundle)[:, 0].tolist()
             ]
         }
         report = per_grid_error(bundle, predictions, anchor)
@@ -47,9 +46,9 @@ class TestPerGridError:
         bundle = simulate.generate_scenario(
             scene, codebook, traj, NoiseSpec(level, 2 + int(level * 10))
         )
-        anchor = grid.build_grid_table(bundle.samples, "ground_truth", 100)
+        anchor = grid.build_grid_table(bundle, "ground_truth", 100)
         report = per_grid_error(
-            bundle, {"noisy": [s.noisy_position for s in bundle.samples]}, anchor
+            bundle, {"noisy": noisy_positions(bundle)}, anchor
         )
         expected = math.sqrt(math.pi) / 2 * level
         assert abs(report.overall["noisy"] - expected) <= 0.1 * level
@@ -61,16 +60,13 @@ class TestPerGridError:
         test_traj = simulate.TrajectoryConfig(700, Direction.LEFT_TO_RIGHT, 0, seed=4)
         train_bundle = simulate.generate_scenario(scene, codebook, train_traj, NoiseSpec(0.5, 5))
         test_bundle = simulate.generate_scenario(scene, codebook, test_traj, NoiseSpec(0.5, 6))
-        counts = grid.build_grid_table(train_bundle.samples, "ground_truth", 100)
+        counts = grid.build_grid_table(train_bundle, "ground_truth", 100)
         assert min(c.count for c in counts.cells.values()) >= 10
-        anchor = grid.build_grid_table(
-            train_bundle.samples + test_bundle.samples, "ground_truth", 100
-        )
+        anchor = grid.build_grid_table(concat(train_bundle, test_bundle), "ground_truth", 100)
         lut = denoise.build_lut(train_bundle, 100)
         predictions = {
             "lut": [
-                denoise.lut_predict(lut, s.transmitter().x_center)
-                for s in test_bundle.samples
+                denoise.lut_predict(lut, x) for x in dataset.tx_centers(test_bundle)[:, 0].tolist()
             ]
         }
         report = per_grid_error(test_bundle, predictions, anchor)
@@ -79,19 +75,19 @@ class TestPerGridError:
     def test_overall_is_mean_of_per_grid(self, scene, codebook):
         traj = simulate.TrajectoryConfig(300, Direction.LEFT_TO_RIGHT, 0, seed=7)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 8))
-        anchor = grid.build_grid_table(bundle.samples, "ground_truth", 100)
+        anchor = grid.build_grid_table(bundle, "ground_truth", 100)
         report = per_grid_error(
-            bundle, {"noisy": [s.noisy_position for s in bundle.samples]}, anchor
+            bundle, {"noisy": noisy_positions(bundle)}, anchor
         )
         recomputed = float(np.mean([r.mean_error_m["noisy"] for r in report.per_grid]))
         assert report.overall["noisy"] == pytest.approx(recomputed, abs=1e-15)
 
     def test_missing_anchor_grid_falls_back_and_flags(self):
         anchored = [_noisy(0, 0.105, BASE), _noisy(1, 0.305, BASE)]
-        anchor = grid.build_grid_table(anchored, "ground_truth", 100)
+        anchor = grid.build_grid_table(make_bundle(anchored), "ground_truth", 100)
         stray = make_bundle([_noisy(5, 0.505, BASE)])  # grid 50 has no anchor
         report = per_grid_error(
-            stray, {"noisy": [s.noisy_position for s in stray.samples]}, anchor
+            stray, {"noisy": noisy_positions(stray)}, anchor
         )
         assert report.fallback_samples == 1
         assert report.per_grid[0].anchor_fallback
@@ -102,7 +98,7 @@ class TestPerGridError:
 
     def test_prediction_length_mismatch_rejected(self):
         bundle = make_bundle([_noisy(0, 0.5, BASE)])
-        anchor = grid.build_grid_table(bundle.samples, "ground_truth", 100)
+        anchor = grid.build_grid_table(bundle, "ground_truth", 100)
         with pytest.raises(ValueError, match="predictions"):
             per_grid_error(bundle, {"noisy": []}, anchor)
         with pytest.raises(ValueError, match="no prediction"):
@@ -113,9 +109,9 @@ class TestPerGridError:
 
         traj = simulate.TrajectoryConfig(200, Direction.LEFT_TO_RIGHT, 0, seed=19)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 20))
-        anchor = grid.build_grid_table(bundle.samples, "ground_truth", 100)
+        anchor = grid.build_grid_table(bundle, "ground_truth", 100)
         report = per_grid_error(
-            bundle, {"noisy": [s.noisy_position for s in bundle.samples]}, anchor
+            bundle, {"noisy": noisy_positions(bundle)}, anchor
         )
         path = tmp_path / "pergrid.csv"
         save_pergrid_csv(report, path)
@@ -145,14 +141,14 @@ class TestCompareMethods:
         # lookup-table errors are exactly zero; the trained net should sit
         # within a centimeter of the same residual.
         bundle = _coincident_fixture()
-        anchor = grid.build_grid_table(bundle.samples, "ground_truth", 100)
-        centers = [(s.transmitter().x_center, s.transmitter().y_center) for s in bundle.samples]
+        anchor = grid.build_grid_table(bundle, "ground_truth", 100)
+        centers = [tuple(c) for c in dataset.tx_centers(bundle).tolist()]
         lut = denoise.build_lut(bundle, 100)
         model, _ = denoise.train_denoiser(
             bundle, centers, TrainConfig(learning_rate=3e-3, epochs=600, seed=9, batch_size=15)
         )
         predictions = {
-            "noisy": [s.noisy_position for s in bundle.samples],
+            "noisy": noisy_positions(bundle),
             "lut": [denoise.lut_predict(lut, c[0]) for c in centers],
             "mlp": [denoise.mlp_predict(model, c) for c in centers],
         }
@@ -164,14 +160,14 @@ class TestCompareMethods:
     def test_noisy_error_non_decreasing_in_level(self, scene, codebook):
         traj = simulate.TrajectoryConfig(800, Direction.LEFT_TO_RIGHT, 0, seed=10)
         clean = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.0, 11))
-        anchor = grid.build_grid_table(clean.samples, "ground_truth", 100)
+        anchor = grid.build_grid_table(clean, "ground_truth", 100)
         overall = []
         for i, level in enumerate((0.0, 0.1, 0.5, 1.0, 2.0, 3.0)):
             from beamfix.dataset import inject_noise
 
             noisy = inject_noise(clean, NoiseSpec(level, 20 + i))
             report = per_grid_error(
-                noisy, {"noisy": [s.noisy_position for s in noisy.samples]}, anchor
+                noisy, {"noisy": noisy_positions(noisy)}, anchor
             )
             overall.append(report.overall["noisy"])
         assert all(b >= a for a, b in zip(overall, overall[1:]))
@@ -184,9 +180,9 @@ class TestExports:
             _noisy(2, 0.505, BASE),
         ]
         bundle = make_bundle(samples)
-        anchor = grid.build_grid_table(samples, "ground_truth", 100)
+        anchor = grid.build_grid_table(bundle, "ground_truth", 100)
         predictions = {
-            "noisy": [s.noisy_position for s in samples],
+            "noisy": noisy_positions(bundle),
             "lut": [BASE] * 3,
             "mlp": [BASE] * 3,
         }
@@ -205,7 +201,7 @@ class TestExports:
         with open(paths[0], newline="") as fh:
             rows = list(csv.reader(fh))
         kinds = 4  # gt + noisy + denoised_lut + denoised_mlp
-        assert len(rows) - 1 == len(bundle.samples) * kinds
+        assert len(rows) - 1 == len(bundle) * kinds
 
     def test_emitted_files_parse(self, tmp_path):
         report, bundle, predictions = self._report_fixture()
@@ -219,9 +215,9 @@ class TestExports:
     def test_comparison_table_shape(self, scene, codebook):
         traj = simulate.TrajectoryConfig(60, Direction.LEFT_TO_RIGHT, 1, seed=15)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 16))
-        anchor = grid.build_grid_table(bundle.samples, "ground_truth", 100)
+        anchor = grid.build_grid_table(bundle, "ground_truth", 100)
         txid_model, _ = txid.train_txid(bundle, TrainConfig(epochs=5, seed=17))
-        centers = [(s.transmitter().x_center, s.transmitter().y_center) for s in bundle.samples]
+        centers = [tuple(c) for c in dataset.tx_centers(bundle).tolist()]
         lut = denoise.build_lut(bundle, 100)
         den, _ = denoise.train_denoiser(bundle, centers, TrainConfig(epochs=5, seed=18))
         predictions, _ = predict_methods(bundle, txid_model, lut, den)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamfix import geo, grid
+from beamfix import dataset, geo, grid
 from beamfix.geo import GeoPosition, LocalOffset
 from beamfix.grid import (
     Histogram,
@@ -21,7 +21,7 @@ from beamfix.grid import (
     save_grid_table_csv,
 )
 
-from conftest import make_sample
+from conftest import gt_positions, make_bundle, make_sample
 
 BASE = GeoPosition(33.42, -111.93)
 
@@ -97,7 +97,7 @@ class TestGroupByGrid:
 class TestGridTable:
     def test_identical_points_zero_displacement(self):
         samples = [make_sample(i, 0.105, BASE) for i in range(6)]
-        table = build_grid_table(samples, "ground_truth", 100)
+        table = build_grid_table(make_bundle(samples), "ground_truth", 100)
         assert table.cells[10].avg_displacement_m == 0.0
 
     def test_two_points_two_meters_apart(self):
@@ -105,7 +105,7 @@ class TestGridTable:
         a = geo.apply_offset(BASE, LocalOffset(0.0, 1.0))
         b = geo.apply_offset(BASE, LocalOffset(0.0, -1.0))
         samples = [make_sample(0, 0.105, a), make_sample(1, 0.105, b)]
-        table = build_grid_table(samples, "ground_truth", 100)
+        table = build_grid_table(make_bundle(samples), "ground_truth", 100)
         cell = table.cells[10]
         assert cell.count == 2
         assert abs(cell.avg_displacement_m - 1.0) < 1e-6
@@ -122,18 +122,18 @@ class TestGridTable:
             make_sample(i, 0.5, geo.apply_offset(BASE, LocalOffset(float(e), float(no))))
             for i, (e, no) in enumerate(offsets)
         ]
-        table = build_grid_table(samples, "ground_truth", 100)
+        table = build_grid_table(make_bundle(samples), "ground_truth", 100)
         expected = sigma * math.sqrt(math.pi / 2) * math.sqrt((n - 1) / n)
         assert abs(table.cells[50].avg_displacement_m - expected) / expected < 0.03
 
     def test_permutation_invariant(self, small_synthetic_bundle):
-        samples = list(small_synthetic_bundle.samples)
-        table_a = build_grid_table(samples, "ground_truth", 100)
-        table_b = build_grid_table(list(reversed(samples)), "ground_truth", 100)
+        bundle = small_synthetic_bundle
+        table_a = build_grid_table(bundle, "ground_truth", 100)
+        table_b = build_grid_table(bundle.take(np.arange(len(bundle))[::-1]), "ground_truth", 100)
         assert table_a == table_b
 
     def test_counts_sum_to_samples(self, small_synthetic_bundle):
-        table = build_grid_table(small_synthetic_bundle.samples, "ground_truth", 100)
+        table = build_grid_table(small_synthetic_bundle, "ground_truth", 100)
         assert table.total_count() == len(small_synthetic_bundle)
 
     @pytest.mark.parametrize(
@@ -160,12 +160,12 @@ class TestGridTable:
             make_sample(
                 i,
                 0.33,
-                GeoPosition(s.gt_position.lat_deg + dlat, s.gt_position.lon_deg + dlon),
+                GeoPosition(s.position.lat_deg + dlat, s.position.lon_deg + dlon),
             )
             for i, s in enumerate(samples)
         ]
-        before = build_grid_table(samples, "ground_truth", 100).cells[33]
-        after = build_grid_table(shifted, "ground_truth", 100).cells[33]
+        before = build_grid_table(make_bundle(samples), "ground_truth", 100).cells[33]
+        after = build_grid_table(make_bundle(shifted), "ground_truth", 100).cells[33]
         assert abs(after.avg_displacement_m - before.avg_displacement_m) < 1e-9
         moved = geo.offset_between(before.mean_position, after.mean_position)
         assert abs(moved.east_m - shift.east_m) < 1e-6
@@ -174,10 +174,10 @@ class TestGridTable:
     def test_noisy_selector_requires_positions(self):
         samples = [make_sample(0, 0.5, BASE)]
         with pytest.raises(ValueError, match="noisy"):
-            build_grid_table(samples, "noisy", 100)
+            build_grid_table(make_bundle(samples), "noisy", 100)
 
     def test_csv_round_trip(self, tmp_path, small_synthetic_bundle):
-        table = build_grid_table(small_synthetic_bundle.samples, "ground_truth", 100)
+        table = build_grid_table(small_synthetic_bundle, "ground_truth", 100)
         path = tmp_path / "table.csv"
         save_grid_table_csv(table, path)
         assert load_grid_table_csv(path, 100) == table
@@ -186,7 +186,7 @@ class TestGridTable:
 class TestHistogram:
     def test_single_grid_single_bin(self):
         samples = [make_sample(0, 0.5, BASE)]
-        table = build_grid_table(samples, "ground_truth", 100)
+        table = build_grid_table(make_bundle(samples), "ground_truth", 100)
         hist = displacement_histogram(table, 0.05)
         assert hist.counts.sum() == 1
 
@@ -204,7 +204,7 @@ class TestHistogram:
                 histogram_from_values(values, width)
 
     def test_counts_cover_populated_grids(self, small_synthetic_bundle):
-        table = build_grid_table(small_synthetic_bundle.samples, "ground_truth", 100)
+        table = build_grid_table(small_synthetic_bundle, "ground_truth", 100)
         hist = displacement_histogram(table, 0.05)
         assert hist.counts.sum() == len(table.cells)
 
@@ -217,7 +217,7 @@ class TestHistogram:
 
         traj = simulate.TrajectoryConfig(2000, Direction.LEFT_TO_RIGHT, 0, seed=5)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.3, 6))
-        table = build_grid_table(bundle.samples, "noisy", 100)
+        table = build_grid_table(bundle, "noisy", 100)
         hist = displacement_histogram(table, 0.05)
         mode_center = float(hist.bin_centers()[int(np.argmax(hist.counts))])
         assert 0.2 <= mode_center <= 0.4
@@ -271,10 +271,11 @@ class TestFitGaussian:
 
 class TestPerSampleDisplacements:
     def test_matches_direct_computation(self, small_synthetic_bundle):
-        table = build_grid_table(small_synthetic_bundle.samples, "ground_truth", 100)
-        disp = per_sample_displacements(small_synthetic_bundle.samples, table, "ground_truth")
-        ordered = sorted(small_synthetic_bundle.samples, key=lambda s: s.id)
-        for s, d in zip(ordered, disp):
-            g = assign_grid(s.transmitter().x_center, 100)
-            direct = geo.haversine_distance(table.cells[g].mean_position, s.gt_position)
+        table = build_grid_table(small_synthetic_bundle, "ground_truth", 100)
+        disp = per_sample_displacements(small_synthetic_bundle, table, "ground_truth")
+        ordered = small_synthetic_bundle.take(np.argsort(small_synthetic_bundle.ids))
+        centers = dataset.tx_centers(ordered)
+        for (x, _), position, d in zip(centers.tolist(), gt_positions(ordered), disp):
+            g = assign_grid(x, 100)
+            direct = geo.haversine_distance(table.cells[g].mean_position, position)
             assert abs(d - direct) < 1e-12

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from beamfix import geo, grid
-from beamfix.dataset import DetectionClass, Direction
+from beamfix import dataset, geo, grid
+from beamfix.dataset import Direction
 from beamfix.geo import GeoPosition, LocalOffset, NoiseSpec
 from beamfix.simulate import (
     SceneGeometry,
@@ -15,6 +15,8 @@ from beamfix.simulate import (
     select_best_beam,
     steering_vector,
 )
+
+from conftest import same_bundle
 
 
 class TestCodebook:
@@ -114,26 +116,25 @@ class TestGenerateScenario:
         traj = TrajectoryConfig(1, Direction.LEFT_TO_RIGHT, 0, seed=1)
         bundle = generate_scenario(scene, codebook, traj, NoiseSpec(0.0, 2))
         assert len(bundle) == 1
-        sample = bundle.samples[0]
-        assert len(sample.detections) == 1
-        assert sample.detections[0].class_label is DetectionClass.TRANSMITTER
+        assert bundle.det_count[0] == 1
+        assert bundle.det_tx[0, 0]
 
     def test_zero_noise_copies_ground_truth(self, scene, codebook):
         traj = TrajectoryConfig(20, Direction.LEFT_TO_RIGHT, 2, seed=3)
         bundle = generate_scenario(scene, codebook, traj, NoiseSpec(0.0, 4))
-        for s in bundle.samples:
-            assert s.noisy_position == s.gt_position
+        assert np.array_equal(bundle.noisy_lat, bundle.gt_lat)
+        assert np.array_equal(bundle.noisy_lon, bundle.gt_lon)
 
     def test_left_to_right_strictly_increasing_x(self, scene, codebook):
         traj = TrajectoryConfig(200, Direction.LEFT_TO_RIGHT, 1, seed=5)
         bundle = generate_scenario(scene, codebook, traj, NoiseSpec(0.0, 6))
-        xs = [s.transmitter().x_center for s in bundle.samples]
+        xs = dataset.tx_centers(bundle)[:, 0].tolist()
         assert all(b > a for a, b in zip(xs, xs[1:]))
 
     def test_right_to_left_strictly_decreasing_x(self, scene, codebook):
         traj = TrajectoryConfig(100, Direction.RIGHT_TO_LEFT, 0, seed=7)
         bundle = generate_scenario(scene, codebook, traj, NoiseSpec(0.0, 8))
-        xs = [s.transmitter().x_center for s in bundle.samples]
+        xs = dataset.tx_centers(bundle)[:, 0].tolist()
         assert all(b < a for a, b in zip(xs, xs[1:]))
 
     def test_beam_monotone_in_x(self, scene, codebook):
@@ -141,31 +142,28 @@ class TestGenerateScenario:
         # monotone function of the transmitter's image x.
         traj = TrajectoryConfig(400, Direction.LEFT_TO_RIGHT, 0, seed=9)
         bundle = generate_scenario(scene, codebook, traj, NoiseSpec(0.0, 10))
-        beams = [s.beam_index for s in bundle.samples]
+        beams = bundle.beams.tolist()
         assert all(b >= a for a, b in zip(beams, beams[1:]))
 
     def test_every_sample_assigns_to_a_grid(self, scene, codebook):
         traj = TrajectoryConfig(150, Direction.LEFT_TO_RIGHT, 2, seed=11)
         bundle = generate_scenario(scene, codebook, traj, NoiseSpec(0.3, 12))
         for z in (1, 7, 100):
-            for s in bundle.samples:
-                g = grid.assign_grid(s.transmitter().x_center, z)
+            for x in dataset.tx_centers(bundle)[:, 0].tolist():
+                g = grid.assign_grid(x, z)
                 assert 0 <= g < z
 
     def test_bit_identical_reruns(self, scene, codebook):
         traj = TrajectoryConfig(50, Direction.LEFT_TO_RIGHT, 3, seed=13)
         a = generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 14))
         b = generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 14))
-        assert a.samples == b.samples
-        assert a.metadata == b.metadata
+        assert same_bundle(a, b)
 
     def test_distractor_count(self, scene, codebook):
         traj = TrajectoryConfig(10, Direction.LEFT_TO_RIGHT, 4, seed=15)
         bundle = generate_scenario(scene, codebook, traj, NoiseSpec(0.0, 16))
-        for s in bundle.samples:
-            labels = [d.class_label for d in s.detections]
-            assert len(labels) == 5
-            assert labels.count(DetectionClass.TRANSMITTER) == 1
+        assert bundle.det_count.tolist() == [5] * len(bundle)
+        assert bundle.det_tx.sum(axis=1).tolist() == [1] * len(bundle)
 
     def test_default_scene_grid_width(self, scene):
         # Lane span divided by 100 grids should sit near 0.26 m.

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamfix import nn, simulate
-from beamfix.dataset import Detection, DetectionClass, Direction
+from beamfix import dataset, nn, simulate
+from beamfix.dataset import DetectionClass, Direction
 from beamfix.geo import GeoPosition, NoiseSpec
 from beamfix.nn import MlpModel, TrainConfig
-from beamfix.txid import encode_beam, identify, select_bounding_box, train_txid
+from beamfix.txid import encode_beam, identify, identify_all, select_bounding_box, train_txid
 
-from conftest import make_bundle, make_sample
+from conftest import make_bundle, make_sample, rows_of
 
 BASE = GeoPosition(33.42, -111.93)
 
@@ -35,23 +35,16 @@ class TestEncodeBeam:
 
 class TestSelectBoundingBox:
     def test_single_detection_always_selected(self):
-        det = Detection(DetectionClass.DISTRACTOR, 0.9, 0.9)
-        pred = select_bounding_box([det], (0.1, 0.1))
+        pred = select_bounding_box([(0.9, 0.9)], (0.1, 0.1))
         assert pred.selected_index == 0
         assert pred.selected_center == (0.9, 0.9)
 
     def test_strictly_nearest_wins(self):
-        dets = [
-            Detection(DetectionClass.TRANSMITTER, 0.51, 0.50),
-            Detection(DetectionClass.DISTRACTOR, 0.90, 0.50),
-        ]
+        dets = [(0.51, 0.50), (0.90, 0.50)]
         assert select_bounding_box(dets, (0.50, 0.50)).selected_index == 0
 
     def test_tie_breaks_to_lower_index(self):
-        dets = [
-            Detection(DetectionClass.DISTRACTOR, 0.4, 0.5),
-            Detection(DetectionClass.TRANSMITTER, 0.6, 0.5),
-        ]
+        dets = [(0.4, 0.5), (0.6, 0.5)]
         assert select_bounding_box(dets, (0.5, 0.5)).selected_index == 0
 
     def test_empty_list_rejected(self):
@@ -70,7 +63,7 @@ class TestSelectBoundingBox:
     )
     @settings(max_examples=60, deadline=None)
     def test_permutation_changes_index_not_center(self, xs, seed):
-        dets = [Detection(DetectionClass.DISTRACTOR, x, y) for x, y in xs]
+        dets = list(xs)
         estimate = (0.5, 0.5)
         baseline = select_bounding_box(dets, estimate)
         perm = np.random.default_rng(seed).permutation(len(dets))
@@ -104,14 +97,7 @@ class TestTrainAndIdentify:
         assert mse < 1e-4
 
     def test_missing_label_names_sample(self):
-        bad = make_sample(7, 0.5, BASE)
-        bad = bad.__class__(
-            7,
-            Direction.LEFT_TO_RIGHT,
-            (Detection(DetectionClass.DISTRACTOR, 0.5, 0.5),),
-            0,
-            BASE,
-        )
+        bad = make_sample(7, 0.5, BASE, detections=((DetectionClass.DISTRACTOR, 0.5, 0.5),))
         with pytest.raises(ValueError, match="sample 7"):
             train_txid(make_bundle([bad]), TrainConfig(epochs=1, batch_size=1))
 
@@ -133,9 +119,9 @@ class TestTrainAndIdentify:
         test_bundle = simulate.generate_scenario(scene, codebook, test_traj, NoiseSpec(0.0, 8))
         model, _ = train_txid(train_bundle, TrainConfig(epochs=150, seed=9))
         hits = 0
-        for s in test_bundle.samples:
-            pred = nn.predict(model, encode_beam(s.beam_index, 64))
-            if abs(float(pred[0]) - s.transmitter().x_center) <= 0.02:
+        for beam, x in zip(test_bundle.beams.tolist(), dataset.tx_centers(test_bundle)[:, 0]):
+            pred = nn.predict(model, encode_beam(beam, 64))
+            if abs(float(pred[0]) - x) <= 0.02:
                 hits += 1
         assert hits / len(test_bundle) >= 0.95
 
@@ -145,25 +131,22 @@ class TestTrainAndIdentify:
         clean = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.0, 11))
         rng = np.random.default_rng(12)
         samples = []
-        for s in clean.samples:
-            tx = s.transmitter()
+        for s in rows_of(clean):
+            tx = s.detections[0]
             away = []
             for _ in range(2):
                 x = float(rng.uniform(0, 1))
-                while abs(x - tx.x_center) < 0.1:
+                while abs(x - tx[1]) < 0.1:
                     x = float(rng.uniform(0, 1))
-                away.append(Detection(DetectionClass.DISTRACTOR, x, float(rng.uniform(0, 1))))
-            samples.append(
-                s.__class__(s.id, s.direction, (tx, *away), s.beam_index, s.gt_position, None)
-            )
+                away.append((DetectionClass.DISTRACTOR, x, float(rng.uniform(0, 1))))
+            samples.append(s._replace(noisy=None, detections=(tx, *away)))
         bundle = make_bundle(samples)
         train_bundle = make_bundle(samples[::2])
         test_bundle = make_bundle(samples[1::2])
         model, _ = train_txid(train_bundle, TrainConfig(epochs=150, seed=13))
         correct = 0
-        for s in test_bundle.samples:
-            pred = identify(model, s)
-            if s.detections[pred.selected_index].class_label is DetectionClass.TRANSMITTER:
+        for i, pred in enumerate(identify_all(model, test_bundle)):
+            if test_bundle.det_tx[i, pred.selected_index]:
                 correct += 1
         assert correct / len(test_bundle) >= 0.95
 
@@ -171,19 +154,13 @@ class TestTrainAndIdentify:
         traj = simulate.TrajectoryConfig(50, Direction.LEFT_TO_RIGHT, 0, seed=14)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.0, 15))
         model, _ = train_txid(bundle, TrainConfig(epochs=5, seed=16))
-        for s in bundle.samples:
-            pred = identify(model, s)
-            assert s.detections[pred.selected_index].class_label is DetectionClass.TRANSMITTER
+        for i, pred in enumerate(identify_all(model, bundle)):
+            assert bundle.det_tx[i, pred.selected_index]
 
     def test_constant_model_selects_nearest_to_center(self):
         model = constant_center_model(64)
-        dets = (
-            Detection(DetectionClass.DISTRACTOR, 0.52, 0.5),
-            Detection(DetectionClass.TRANSMITTER, 0.1, 0.5),
-        )
-        sample = make_sample(0, 0.1, BASE, beam_index=5)
-        sample = sample.__class__(0, Direction.LEFT_TO_RIGHT, dets, 5, BASE)
-        pred = identify(model, sample)
+        dets = [(0.52, 0.5), (0.1, 0.5)]
+        pred = identify(model, 5, dets)
         assert pred.selected_index == 0
         assert pred.estimated_center == (0.5, 0.5)
 
@@ -191,7 +168,6 @@ class TestTrainAndIdentify:
         traj = simulate.TrajectoryConfig(60, Direction.LEFT_TO_RIGHT, 3, seed=17)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.0, 18))
         model, _ = train_txid(bundle, TrainConfig(epochs=5, seed=19))
-        for s in bundle.samples:
-            pred = identify(model, s)
-            centers = {(d.x_center, d.y_center) for d in s.detections}
+        for s, pred in zip(rows_of(bundle), identify_all(model, bundle)):
+            centers = {(x, y) for _, x, y in s.detections}
             assert pred.selected_center in centers
