@@ -81,9 +81,14 @@ class RunConfig:
             )
         if min(self.samples_left_to_right, self.samples_right_to_left) < 1:
             raise ConfigError("sample counts must be >= 1")
-        for key in ("seed", "num_distractors"):
+        for key in ("seed", "num_distractors", "epochs"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for key in ("learning_rate", "bin_width_m"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
         if self.scene_path is not None and not Path(self.scene_path).exists():
             raise ConfigError(f"scene file does not exist: {self.scene_path}")
 
@@ -302,66 +307,86 @@ def _train_stage1(
 
 
 def _train_artifacts(
-    bundle: DatasetBundle,
+    levels: list[tuple[DatasetBundle, Path]],
     stage1: tuple[nn.MlpModel, list[float]],
     train_fraction: float,
     seed: int,
     train_config: TrainConfig,
-    out_dir: Path,
-) -> _Level:
-    """Stage 2 on the seed's train split, given stage 1 trained on the same samples."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    z = bundle.metadata.grid_count
-    anchor = grid.build_grid_table(bundle, "ground_truth", z)
-    train_bundle, test_bundle = dataset.split_train_test(
-        bundle, train_fraction, derived_seed(seed, "split")
-    )
-    if train_config.batch_size > len(train_bundle):
-        train_config = dataclasses.replace(train_config, batch_size=len(train_bundle))
+) -> list[_Level]:
+    """Stage 2 on the seed's train split, given stage 1 trained on the same samples.
+
+    ``levels`` pairs each noise level's bundle with its artifact directory.
+    The bundles are one direction's capture at several noise levels, so
+    they share ids, ground truth, beams and detections: the anchor and the
+    identified centers are computed once, and the denoisers train as one
+    stacked fit.
+    """
+    splits = [
+        dataset.split_train_test(bundle, train_fraction, derived_seed(seed, "split"))
+        for bundle, _ in levels
+    ]
+    first = levels[0][0]
+    z = first.metadata.grid_count
+    anchor = grid.build_grid_table(first, "ground_truth", z)
+    train_bundles = [train for train, _ in splits]
+    if train_config.batch_size > len(train_bundles[0]):
+        train_config = dataclasses.replace(train_config, batch_size=len(train_bundles[0]))
     txid_model, txid_history = stage1
-    centers = [p.selected_center for p in txid.identify_all(txid_model, train_bundle)]
-    lut = denoise.build_lut(train_bundle, z, centers)
+    centers = [p.selected_center for p in txid.identify_all(txid_model, train_bundles[0])]
     denoiser_config = dataclasses.replace(train_config, seed=derived_seed(seed, "denoiser"))
-    denoiser_model, denoiser_history = denoise.train_denoiser(
-        train_bundle, centers, denoiser_config
-    )
+    try:
+        denoisers = denoise.train_denoiser(train_bundles, centers, denoiser_config)
+    except TrainingDivergedError as exc:
+        meta = levels[exc.model_index][0].metadata
+        where = f"{_direction_tag(meta.direction)} {_level_tag(meta.noise_rms_m)}"
+        raise TrainingDivergedError(f"{where}: {exc}", exc.model_index) from None
 
-    dataset.save_csv(train_bundle, out_dir / "train.csv")
-    dataset.save_csv(test_bundle, out_dir / "test.csv")
-    grid.save_grid_table_csv(anchor, out_dir / "anchor.csv")
-    nn.save_weights(txid_model, out_dir / "txid.json")
-    nn.save_weights(denoiser_model, out_dir / "denoiser.json")
-    denoise.save_lut_csv(lut, out_dir / "lut.csv")
-    for name, history in (("txid_loss.csv", txid_history), ("denoiser_loss.csv", denoiser_history)):
-        dataset.write_table_csv(out_dir / name, ["epoch", "loss"], enumerate(history))
+    trained = []
+    for (bundle, out_dir), (train_bundle, test_bundle), denoiser in zip(levels, splits, denoisers):
+        denoiser_model, denoiser_history = denoiser
+        lut = denoise.build_lut(train_bundle, z, centers)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        dataset.save_csv(train_bundle, out_dir / "train.csv")
+        dataset.save_csv(test_bundle, out_dir / "test.csv")
+        grid.save_grid_table_csv(anchor, out_dir / "anchor.csv")
+        nn.save_weights(txid_model, out_dir / "txid.json")
+        nn.save_weights(denoiser_model, out_dir / "denoiser.json")
+        denoise.save_lut_csv(lut, out_dir / "lut.csv")
+        for name, history in (
+            ("txid_loss.csv", txid_history), ("denoiser_loss.csv", denoiser_history)
+        ):
+            dataset.write_table_csv(out_dir / name, ["epoch", "loss"], enumerate(history))
 
-    manifest = {
-        "grid_count": z,
-        "codebook_size": bundle.metadata.codebook_size,
-        "noise_rms_m": bundle.metadata.noise_rms_m,
-        "direction": bundle.metadata.direction.value,
-        "source": bundle.metadata.source,
-        "seed": seed,
-        "train_fraction": train_fraction,
-        "train_samples": len(train_bundle),
-        "test_samples": len(test_bundle),
-        "hyperparameters": {
-            "learning_rate": train_config.learning_rate,
-            "epochs": train_config.epochs,
-            "batch_size": train_config.batch_size,
-            "weight_init_scale": train_config.weight_init_scale,
-        },
-        "files": {
-            "train": "train.csv",
-            "test": "test.csv",
-            "anchor": "anchor.csv",
-            "txid_model": "txid.json",
-            "denoiser_model": "denoiser.json",
-            "lut": "lut.csv",
-        },
-    }
-    dataset.write_json(out_dir / "manifest.json", manifest)
-    return _Level(bundle.metadata.noise_rms_m, test_bundle, anchor, txid_model, denoiser_model, lut)
+        manifest = {
+            "grid_count": z,
+            "codebook_size": bundle.metadata.codebook_size,
+            "noise_rms_m": bundle.metadata.noise_rms_m,
+            "direction": bundle.metadata.direction.value,
+            "source": bundle.metadata.source,
+            "seed": seed,
+            "train_fraction": train_fraction,
+            "train_samples": len(train_bundle),
+            "test_samples": len(test_bundle),
+            "hyperparameters": {
+                "learning_rate": train_config.learning_rate,
+                "epochs": train_config.epochs,
+                "batch_size": train_config.batch_size,
+                "weight_init_scale": train_config.weight_init_scale,
+            },
+            "files": {
+                "train": "train.csv",
+                "test": "test.csv",
+                "anchor": "anchor.csv",
+                "txid_model": "txid.json",
+                "denoiser_model": "denoiser.json",
+                "lut": "lut.csv",
+            },
+        }
+        dataset.write_json(out_dir / "manifest.json", manifest)
+        trained.append(
+            _Level(bundle.metadata.noise_rms_m, test_bundle, anchor, txid_model, denoiser_model, lut)
+        )
+    return trained
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -369,8 +394,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = resolve_seed(args.seed, RunConfig().seed)
     train_config = TrainConfig(args.learning_rate, args.epochs, args.batch_size)
     stage1 = _train_stage1(bundle, args.train_fraction, seed, train_config)
-    out_dir = Path(args.out)
-    test = _train_artifacts(bundle, stage1, args.train_fraction, seed, train_config, out_dir).test
+    levels = [(bundle, Path(args.out))]
+    test = _train_artifacts(levels, stage1, args.train_fraction, seed, train_config)[0].test
     print(f"trained artifacts in {args.out} (train {len(bundle) - len(test)}, test {len(test)})")
     return 0
 
@@ -442,6 +467,8 @@ def _evaluate_artifacts(levels: Iterable[_Level], out_dir: Path, bin_width_m: fl
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if not args.bin_width > 0:
+        raise ConfigError(f"--bin-width must be > 0, got {args.bin_width}")
     dirs = [Path(d) for d in args.artifacts]
     for d in dirs:
         if not d.exists():
@@ -470,18 +497,20 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     simulated = _simulate_datasets(config, seed, root / "datasets")
     for direction, bundles in itertools.groupby(simulated, key=lambda item: item[0]):
         dtag = _direction_tag(direction)
-        dseed = derived_seed(seed, "train", dtag)
         levels = []
         for _, tag, _, bundle in bundles:
             char_dir = root / "characterize" / f"{dtag}_{tag}"
             _characterize(bundle, config.grid_count, config.bin_width_m, "auto", char_dir)
             if tag == "clean":
-                stage1 = _train_stage1(bundle, fraction, dseed, train_config)
-                continue
-            art_dir = root / "artifacts" / dtag / tag
-            levels.append(_train_artifacts(bundle, stage1, fraction, dseed, train_config, art_dir))
-            print(f"trained {dtag} {tag}")
-        _evaluate_artifacts(levels, root / "eval" / dtag, config.bin_width_m)
+                clean = bundle
+            else:
+                levels.append((bundle, root / "artifacts" / dtag / tag))
+        dseed = derived_seed(seed, "train", dtag)
+        stage1 = _train_stage1(clean, fraction, dseed, train_config)
+        trained = _train_artifacts(levels, stage1, fraction, dseed, train_config)
+        for _, art_dir in levels:
+            print(f"trained {dtag} {art_dir.name}")
+        _evaluate_artifacts(trained, root / "eval" / dtag, config.bin_width_m)
     print(f"pipeline outputs in {root}")
     return 0
 

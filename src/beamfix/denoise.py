@@ -76,19 +76,27 @@ def lut_predict(lut: LookupTable, x_center: float) -> GeoPosition:
 
 
 def train_denoiser(
-    bundle: DatasetBundle,
+    bundles: Sequence[DatasetBundle],
     tx_centers: Sequence[tuple[float, float]],
     config: TrainConfig,
     hidden_dims: Sequence[int] = DEFAULT_HIDDEN_DIMS,
-) -> tuple[MlpModel, list[float]]:
-    """Regress (x, y) bounding-box center to the noisy position.
+) -> list[tuple[MlpModel, list[float]]]:
+    """Regress (x, y) bounding-box center to the noisy position, one model per bundle.
 
-    ``tx_centers`` are the identified transmitter centers aligned with the
-    bundle's samples; labels are the noisy lat/lon pairs.
+    The bundles are one split at several noise levels, so they must hold
+    the same sample ids in the same order: the models train as one
+    stacked fit on shared inputs, and only their targets (each bundle's
+    noisy lat/lon pairs) differ. ``tx_centers`` are the identified
+    transmitter centers aligned with those samples.
     """
-    if len(tx_centers) != len(bundle):
-        raise ValueError(f"{len(tx_centers)} centers for {len(bundle)} samples")
-    targets = np.column_stack(dataset.positions(bundle, "noisy"))
+    bundles = list(bundles)
+    if not bundles:
+        raise ValueError("no bundles to train a denoiser on")
+    if any(not np.array_equal(b.ids, bundles[0].ids) for b in bundles[1:]):
+        raise ValueError("denoiser bundles must hold the same sample ids in the same order")
+    if len(tx_centers) != len(bundles[0]):
+        raise ValueError(f"{len(tx_centers)} centers for {len(bundles[0])} samples")
+    targets = [np.column_stack(dataset.positions(b, "noisy")) for b in bundles]
     return nn.fit(np.array(tx_centers, dtype=float), targets, hidden_dims, config)
 
 

@@ -5,11 +5,17 @@ checked against finite differences. Training is mini-batch gradient
 descent with Adam-style adaptive moments (beta1 0.9, beta2 0.999,
 epsilon 1e-8) and a seeded shuffle, so runs are bit-reproducible.
 
-The trainer moves a model's weights and biases into one contiguous
-float64 buffer (the model's arrays become views of it) and writes each
-step's gradients into a matching buffer, so the Adam update is a dozen
-whole-buffer in-place operations. Each step runs one forward pass: its
-output error gives both the reported loss and the backprop delta.
+The trainer fits a stack of K models of one shape at once. The K models
+share the training inputs, the learning rate, the epochs and the batch
+order (one seeded shuffle per epoch); each has its own weights, target
+array, normalizers, loss and loss history. Their weights and biases live
+in one (K, P) float64 buffer, P being one model's parameter count, and
+each step writes the gradients into a matching buffer, so the forward
+and backward passes are ``np.matmul`` on (K, ...) stacks and the Adam
+update is a dozen whole-buffer in-place operations. Each step runs one
+forward pass: its output error gives both each model's loss and the
+backprop delta. A stack of one is a single fit; every model in a stack
+rounds exactly as it would if trained alone.
 """
 
 from __future__ import annotations
@@ -29,7 +35,11 @@ ADAM_EPSILON = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss; model_index is the model's place in its stack."""
+
+    def __init__(self, message: str, model_index: int = 0) -> None:
+        super().__init__(message)
+        self.model_index = model_index
 
 
 @dataclass(frozen=True)
@@ -164,11 +174,12 @@ def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean((p - t) ** 2))
 
 
-def _forward_cached(model: MlpModel, x: np.ndarray):
+def _forward_cached(weights, biases, x):
+    """Pre-activations and activations of one model, or of a (K, ...) stack."""
     pre, acts = [], [x]
     a = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
         z = a @ w + b
         pre.append(z)
         a = np.maximum(z, 0.0) if i < last else z
@@ -176,76 +187,93 @@ def _forward_cached(model: MlpModel, x: np.ndarray):
     return pre, acts
 
 
-def _backward(model: MlpModel, pre, acts, diff: np.ndarray, grad_w, grad_b) -> None:
+def _backward(weights_t, pre, acts, diff: np.ndarray, grad_w, grad_b) -> None:
     """Write the backprop gradients of the MSE into grad_w/grad_b.
 
-    pre/acts come from _forward_cached and diff is its output minus the
-    targets.
+    pre/acts come from _forward_cached, diff is its output minus the
+    targets and weights_t holds each layer's transposed weights. On a
+    stack, each model's MSE is the mean over its own (batch, d) slice.
     """
-    delta = 2.0 * diff / diff.size
-    for i in range(len(model.weights) - 1, -1, -1):
-        np.matmul(acts[i].T, delta, out=grad_w[i])
-        np.sum(delta, axis=0, out=grad_b[i])
+    delta = 2.0 * diff / (diff.shape[-2] * diff.shape[-1])
+    for i in range(len(grad_w) - 1, -1, -1):
+        np.matmul(acts[i].swapaxes(-1, -2), delta, out=grad_w[i])
+        np.sum(delta, axis=-2, out=grad_b[i])
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0)
+            delta = (delta @ weights_t[i]) * (pre[i - 1] > 0)
 
 
 def _gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
     """Backprop gradients of mse_loss(forward(model, x), y)."""
-    pre, acts = _forward_cached(model, x)
+    pre, acts = _forward_cached(model.weights, model.biases, x)
     grad_w = [np.empty_like(w) for w in model.weights]
     grad_b = [np.empty_like(b) for b in model.biases]
-    _backward(model, pre, acts, acts[-1] - y, grad_w, grad_b)
+    _backward([w.T for w in model.weights], pre, acts, acts[-1] - y, grad_w, grad_b)
     return grad_w, grad_b
 
 
-def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of a flat buffer, one per shape."""
+def _views(buf: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views along the last axis of a (..., P) buffer, one per shape."""
     views, offset = [], 0
     for shape in shapes:
         size = math.prod(shape)
-        views.append(flat[offset : offset + size].reshape(shape))
+        views.append(buf[..., offset : offset + size].reshape(buf.shape[:-1] + tuple(shape)))
         offset += size
     return views
 
 
 def train(
-    model: MlpModel,
+    models: Sequence[MlpModel],
     inputs: np.ndarray,
-    targets: np.ndarray,
+    targets: Sequence[np.ndarray],
     config: TrainConfig,
     rng: np.random.Generator | None = None,
-) -> tuple[MlpModel, list[float]]:
-    """Train in place with Adam; returns the model and per-epoch mean loss.
+) -> list[tuple[MlpModel, list[float]]]:
+    """Train K models of one shape as one stack with Adam, one target array each.
 
-    Inputs/targets are passed through the model's normalizers (when set),
-    so the recorded loss is in normalized units. Zero epochs is a no-op.
-    The model's weights and biases are rebound to views of one flat
-    parameter buffer, which every step updates in place.
+    Returns each model with its per-epoch mean loss. Inputs and targets
+    are passed through each model's normalizers (when set), so a loss is
+    in normalized units. Zero epochs is a no-op. Each model's weights and
+    biases are rebound to fresh arrays holding its trained values, so no
+    two models share memory. A non-finite loss raises
+    TrainingDivergedError naming the first model it hits.
     """
+    models = list(models)
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
-    y = np.atleast_2d(np.asarray(targets, dtype=float))
-    if len(x) != len(y):
-        raise ValueError(f"{len(x)} inputs but {len(y)} targets")
+    targets = [np.atleast_2d(np.asarray(t, dtype=float)) for t in targets]
+    if not models or len(targets) != len(models):
+        raise ValueError(f"{len(targets)} target arrays for {len(models)} models")
+    dims = models[0].layer_dims
+    if any(m.layer_dims != dims for m in models):
+        raise ValueError(f"stacked models differ in layer_dims: {[m.layer_dims for m in models]}")
+    for y in targets:
+        if len(x) != len(y):
+            raise ValueError(f"{len(x)} inputs but {len(y)} targets")
+        if (x.shape[1], y.shape[1]) != (dims[0], dims[-1]):
+            raise ValueError(
+                f"{x.shape[1]} input and {y.shape[1]} target features for layer_dims {dims}"
+            )
     if len(x) == 0:
         raise ValueError("training set is empty")
     if config.batch_size > len(x):
         raise ValueError(f"batch_size {config.batch_size} exceeds dataset size {len(x)}")
-    if model.input_norm is not None:
-        x = model.input_norm.normalize(x)
-    if model.target_norm is not None:
-        y = model.target_norm.normalize(y)
+    xk = np.stack([x if m.input_norm is None else m.input_norm.normalize(x) for m in models])
+    yk = np.stack([y if m.target_norm is None else m.target_norm.normalize(y)
+                   for m, y in zip(models, targets)])
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
-    layers = len(model.weights)
-    arrays = model.weights + model.biases
-    shapes = [a.shape for a in arrays]
-    params = np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays])
-    views = _views(params, shapes)
-    model.weights, model.biases = views[:layers], views[layers:]
+    layers = len(dims) - 1
+    outs = dims[1:]
+    model_shapes = list(zip(dims[:-1], outs)) + [(d,) for d in outs]
+    params = np.stack(
+        [np.concatenate([np.asarray(a, dtype=float).ravel() for a in m.weights + m.biases])
+         for m in models]
+    )
+    views = _views(params, model_shapes[:layers] + [(1, d) for d in outs])
+    weights, biases = views[:layers], views[layers:]
+    weights_t = [w.swapaxes(-1, -2) for w in weights]
     grad = np.empty_like(params)
-    views = _views(grad, shapes)
+    views = _views(grad, model_shapes)
     grad_w, grad_b = views[:layers], views[layers:]
     # Adam moments and two scratch buffers. The in-place update below must
     # keep this operation order, element by element:
@@ -256,26 +284,32 @@ def train(
     # result bit for bit to a per-array reference trainer.
     m, v, step_buf, denom = (np.zeros_like(params) for _ in range(4))
     lr = config.learning_rate
+    n = len(x)
+    starts = range(0, n, config.batch_size)
+    batch_sizes = np.array([min(config.batch_size, n - start) for start in starts])
+    # Per step, each model's sum of squared errors; a loss is that sum over
+    # the batch's element count, taken once per epoch.
+    sq_sums = np.empty((len(starts), len(models)))
     step = 0
-    history: list[float] = []
+    histories: list[list[float]] = [[] for _ in models]
     for epoch in range(config.epochs):
-        order = rng.permutation(len(x))
-        xs, ys = x[order], y[order]
-        losses, weights_seen = [], []
-        for start in range(0, len(x), config.batch_size):
-            xb = xs[start : start + config.batch_size]
-            yb = ys[start : start + config.batch_size]
-            pre, acts = _forward_cached(model, xb)
+        order = rng.permutation(n)
+        xs, ys = xk[:, order], yk[:, order]
+        for j, start in enumerate(starts):
+            xb = xs[:, start : start + config.batch_size]
+            yb = ys[:, start : start + config.batch_size]
+            pre, acts = _forward_cached(weights, biases, xb)
             diff = acts[-1] - yb
-            loss = float(np.mean(diff**2))
-            if not math.isfinite(loss):
+            np.add.reduce(np.square(diff), axis=(1, 2), out=sq_sums[j])
+            if not all(map(math.isfinite, sq_sums[j].tolist())):
+                k = int(np.argmin(np.isfinite(sq_sums[j])))
+                loss = sq_sums[j, k] / diff[k].size
                 raise TrainingDivergedError(
-                    f"non-finite loss {loss} at epoch {epoch}, step {step}; "
-                    f"lower the learning rate ({lr})"
+                    f"model {k}: non-finite loss {loss} at epoch {epoch}, step {step}; "
+                    f"lower the learning rate ({lr})",
+                    k,
                 )
-            losses.append(loss)
-            weights_seen.append(len(xb))
-            _backward(model, pre, acts, diff, grad_w, grad_b)
+            _backward(weights_t, pre, acts, diff, grad_w, grad_b)
             step += 1
             corr1 = 1.0 - ADAM_BETA1**step
             corr2 = 1.0 - ADAM_BETA2**step
@@ -292,29 +326,41 @@ def train(
             denom += ADAM_EPSILON
             step_buf /= denom
             params -= step_buf
-        history.append(float(np.average(losses, weights=weights_seen)))
-    return model, history
+        losses = sq_sums / (batch_sizes * dims[-1])[:, None]
+        for k, history in enumerate(histories):
+            history.append(float(np.average(losses[:, k], weights=batch_sizes)))
+    for model, own in zip(models, params):
+        views = _views(own.copy(), model_shapes)
+        model.weights, model.biases = views[:layers], views[layers:]
+    return list(zip(models, histories))
 
 
 def fit(
     inputs: np.ndarray,
-    targets: np.ndarray,
+    targets: Sequence[np.ndarray],
     hidden_dims: Sequence[int],
     config: TrainConfig,
     normalize_inputs: bool = True,
     normalize_targets: bool = True,
-) -> tuple[MlpModel, list[float]]:
-    """Initialize (seeded), attach data-driven normalizers, and train."""
+) -> list[tuple[MlpModel, list[float]]]:
+    """One model per target array, trained as one stack on shared inputs.
+
+    The seeded initial weights are drawn once and every model starts from
+    them; each model gets its own data-driven target normalizer.
+    """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
-    y = np.atleast_2d(np.asarray(targets, dtype=float))
+    ys = [np.atleast_2d(np.asarray(t, dtype=float)) for t in targets]
+    if not ys:
+        raise ValueError("fit needs at least one target array")
     rng = np.random.default_rng(config.seed)
-    dims = (x.shape[1], *hidden_dims, y.shape[1])
-    model = init_mlp(dims, rng, config.weight_init_scale)
+    init = init_mlp((x.shape[1], *hidden_dims, ys[0].shape[1]), rng, config.weight_init_scale)
     if normalize_inputs:
-        model.input_norm = Normalizer.from_data(x)
+        init.input_norm = Normalizer.from_data(x)
+    models = [init.copy() for _ in ys]
     if normalize_targets:
-        model.target_norm = Normalizer.from_data(y, constant_feature_scale="negligible")
-    return train(model, x, y, config, rng=rng)
+        for model, y in zip(models, ys):
+            model.target_norm = Normalizer.from_data(y, constant_feature_scale="negligible")
+    return train(models, x, ys, config, rng=rng)
 
 
 def gradient_check(

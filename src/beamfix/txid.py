@@ -50,7 +50,7 @@ def train_txid(
     """
     targets = dataset.tx_centers(bundle)
     inputs = np.eye(bundle.metadata.codebook_size)[bundle.beams]
-    return nn.fit(inputs, targets, hidden_dims, config)
+    return nn.fit(inputs, [targets], hidden_dims, config)[0]
 
 
 def select_bounding_box(

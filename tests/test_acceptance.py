@@ -199,8 +199,8 @@ def denoise_suite(codebook) -> DenoiseSuite:
         te = inject_noise(base_test, NoiseSpec(level, 500 + int(level * 10)))
         centers = [p.selected_center for p in txid.identify_all(txid_model, tr)]
         lut = denoise.build_lut(tr, 100, centers)
-        den, _ = denoise.train_denoiser(
-            tr, centers, TrainConfig(epochs=600, batch_size=64, seed=600 + int(level * 10))
+        [(den, _)] = denoise.train_denoiser(
+            [tr], centers, TrainConfig(epochs=600, batch_size=64, seed=600 + int(level * 10))
         )
         predictions, _ = evaluate.predict_methods(te, txid_model, lut, den)
         overall[level] = evaluate.per_grid_error(te, predictions, anchor).overall

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from beamfix import dataset, geo, nn
+from beamfix import dataset, geo, nn, txid
 from beamfix.cli import derived_seed, main
 from beamfix.geo import GeoPosition, LocalOffset
 
@@ -193,6 +193,23 @@ class TestRunConfig:
         out = tmp_path / "run"
         assert main([command, "--config", str(config), "--out", str(out)]) == 2
         assert f"error: {config}: {key} must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, bound",
+        [
+            ("epochs", -1, ">= 0"),
+            ("batch_size", 0, ">= 1"),
+            ("learning_rate", 0.0, "> 0"),
+            ("learning_rate", -1e-3, "> 0"),
+            ("bin_width_m", 0.0, "> 0"),
+        ],
+    )
+    def test_out_of_range_training_value_exit_2(self, tmp_path, capsys, key, value, bound):
+        config = write_config(tmp_path, **{key: value})
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert f"error: {config}: {key} must be {bound}, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
@@ -454,6 +471,14 @@ class TestEvaluateCommand:
         assert (out / "plots_rms0.5" / "positions.csv").exists()
         assert (out / "report_rms0.5.json").exists()
         assert (out / "txid_predictions_rms1.csv").exists()
+
+    def test_bin_width_flag_not_positive_writes_nothing(self, small_artifacts, tmp_path, capsys):
+        out = tmp_path / "eval"
+        out.mkdir()
+        assert main(["evaluate", "--artifacts", str(small_artifacts["l2r"]), "--out", str(out),
+                     "--bin-width", "0"]) == 2
+        assert "--bin-width must be > 0, got 0.0" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_q_mismatch_exit_2(self, tmp_path):
         config = write_config(tmp_path, noise_levels_m=[0.5],
@@ -769,6 +794,47 @@ class TestSharedStageOne:
         assert sorted(p.name for p in art.iterdir()) == sorted(p.name for p in expected.iterdir())
         for path in art.iterdir():
             assert path.read_bytes() == (expected / path.name).read_bytes(), path.name
+
+    def test_identify_all_once_per_direction_split(self, tmp_path, monkeypatch):
+        # Training identifies the shared train split once per direction,
+        # and evaluate once per level's test split.
+        calls = []
+        identify_all = txid.identify_all
+
+        def counted(model, bundle):
+            calls.append(len(bundle))
+            return identify_all(model, bundle)
+
+        monkeypatch.setattr(txid, "identify_all", counted)
+        config = write_config(tmp_path, samples_left_to_right=60, samples_right_to_left=50,
+                              epochs=2)
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "pipe")]) == 0
+        train_sizes = [
+            json.loads((tmp_path / "pipe" / "artifacts" / d / "rms1" / "manifest.json")
+                       .read_text())["train_samples"]
+            for d in ("l2r", "r2l")
+        ]
+        assert [calls[0], calls[3]] == train_sizes
+        assert len(calls) == 2 * (1 + 2)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_divergence_names_direction_and_level_exit_1(self, tmp_path, monkeypatch, capsys):
+        # Blow up the second level's denoiser targets; the stack's error
+        # must name the level it came from.
+        fit = nn.fit
+
+        def fit_second_diverges(inputs, targets, hidden_dims, config, **kwargs):
+            if len(targets) == 1:
+                return fit(inputs, targets, hidden_dims, config, **kwargs)
+            targets = [t * (1e200 if k == 1 else 1.0) for k, t in enumerate(targets)]
+            return fit(inputs, targets, hidden_dims, config, normalize_targets=False)
+
+        monkeypatch.setattr(nn, "fit", fit_second_diverges)
+        config = write_config(tmp_path, samples_left_to_right=60, samples_right_to_left=50,
+                              epochs=2)
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "pipe")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: l2r rms1: model 1: non-finite loss inf at epoch 0, step 0")
 
     def test_evaluate_reproduces_pipeline_eval(self, two_level_pipeline, tmp_path):
         # The pipeline scores its models in memory; evaluate reads them back from disk.

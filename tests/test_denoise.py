@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from beamfix import dataset, geo, grid, simulate
-from beamfix.dataset import Direction
+from beamfix.dataset import Direction, inject_noise
 from beamfix.denoise import (
     LookupTable,
     build_lut,
@@ -127,8 +127,8 @@ class TestTrainDenoiser:
         samples = [_noisy_sample(i, 0.4 + 0.01 * i, target) for i in range(8)]
         bundle = make_bundle(samples)
         centers = _centers(bundle)
-        model, _ = train_denoiser(
-            bundle, centers, TrainConfig(learning_rate=1e-2, epochs=300, batch_size=4, seed=4)
+        [(model, _)] = train_denoiser(
+            [bundle], centers, TrainConfig(learning_rate=1e-2, epochs=300, batch_size=4, seed=4)
         )
         for c in centers:
             assert geo.haversine_distance(mlp_predict(model, c), target) < 0.05
@@ -137,8 +137,8 @@ class TestTrainDenoiser:
         target = geo.apply_offset(BASE, LocalOffset(1.0, 1.0))
         samples = [_noisy_sample(0, 0.61, target)]
         bundle = make_bundle(samples)
-        model, _ = train_denoiser(
-            bundle,
+        [(model, _)] = train_denoiser(
+            [bundle],
             [(0.61, 0.5)],
             TrainConfig(learning_rate=1e-2, epochs=800, batch_size=1, seed=5),
         )
@@ -149,15 +149,15 @@ class TestTrainDenoiser:
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 7))
         centers = _centers(bundle)
         cfg = TrainConfig(epochs=10, seed=8)
-        a, _ = train_denoiser(bundle, centers, cfg)
-        b, _ = train_denoiser(bundle, centers, cfg)
+        [(a, _)] = train_denoiser([bundle], centers, cfg)
+        [(b, _)] = train_denoiser([bundle], centers, cfg)
         assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
 
     def test_identical_queries_identical_outputs(self, scene, codebook):
         traj = simulate.TrajectoryConfig(40, Direction.LEFT_TO_RIGHT, 0, seed=9)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 10))
         centers = _centers(bundle)
-        model, _ = train_denoiser(bundle, centers, TrainConfig(epochs=20, seed=11))
+        [(model, _)] = train_denoiser([bundle], centers, TrainConfig(epochs=20, seed=11))
         assert mlp_predict(model, (0.4, 0.5)) == mlp_predict(model, (0.4, 0.5))
 
     def test_predictions_stay_near_scene(self, scene, codebook):
@@ -166,7 +166,7 @@ class TestTrainDenoiser:
         traj = simulate.TrajectoryConfig(300, Direction.LEFT_TO_RIGHT, 0, seed=12)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 13))
         centers = _centers(bundle)
-        model, _ = train_denoiser(bundle, centers, TrainConfig(epochs=100, seed=14))
+        [(model, _)] = train_denoiser([bundle], centers, TrainConfig(epochs=100, seed=14))
         lats = bundle.noisy_lat.tolist()
         lons = bundle.noisy_lon.tolist()
         margin_lat = 10.0 / geo.METERS_PER_DEGREE
@@ -194,8 +194,8 @@ class TestTrainDenoiser:
         bundle = inject_noise(make_bundle(samples), NoiseSpec(0.1, 30))
         centers = _centers(bundle)
         lut = build_lut(bundle, 100, centers)
-        model, _ = train_denoiser(
-            bundle, centers, TrainConfig(epochs=600, batch_size=64, seed=31)
+        [(model, _)] = train_denoiser(
+            [bundle], centers, TrainConfig(epochs=600, batch_size=64, seed=31)
         )
         lut_residual = float(
             np.mean(
@@ -215,8 +215,28 @@ class TestTrainDenoiser:
         )
         assert disagreement <= 2.0 * lut_residual
 
+    def test_stack_returns_one_model_per_level(self, scene, codebook):
+        traj = simulate.TrajectoryConfig(40, Direction.LEFT_TO_RIGHT, 0, seed=17)
+        clean = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.0, 18))
+        levels = [inject_noise(clean, NoiseSpec(rms, 19)) for rms in (0.5, 2.0)]
+        centers = _centers(clean)
+        cfg = TrainConfig(epochs=5, seed=20)
+        stacked = train_denoiser(levels, centers, cfg)
+        assert len(stacked) == 2
+        for (model, history), bundle in zip(stacked, levels):
+            [(alone, alone_history)] = train_denoiser([bundle], centers, cfg)
+            assert history == alone_history
+            assert all(np.array_equal(a, b) for a, b in zip(model.weights, alone.weights))
+
+    def test_stack_with_different_ids_rejected(self, scene, codebook):
+        traj = simulate.TrajectoryConfig(20, Direction.LEFT_TO_RIGHT, 0, seed=21)
+        bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 22))
+        reordered = bundle.take(np.arange(len(bundle))[::-1])
+        with pytest.raises(ValueError, match="same sample ids in the same order"):
+            train_denoiser([bundle, reordered], _centers(bundle), TrainConfig(epochs=1))
+
     def test_center_count_mismatch_rejected(self, scene, codebook):
         traj = simulate.TrajectoryConfig(10, Direction.LEFT_TO_RIGHT, 0, seed=15)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 16))
         with pytest.raises(ValueError, match="centers"):
-            train_denoiser(bundle, [(0.5, 0.5)], TrainConfig(epochs=1))
+            train_denoiser([bundle], [(0.5, 0.5)], TrainConfig(epochs=1))

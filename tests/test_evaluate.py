@@ -144,8 +144,8 @@ class TestCompareMethods:
         anchor = grid.build_grid_table(bundle, "ground_truth", 100)
         centers = [tuple(c) for c in dataset.tx_centers(bundle).tolist()]
         lut = denoise.build_lut(bundle, 100)
-        model, _ = denoise.train_denoiser(
-            bundle, centers, TrainConfig(learning_rate=3e-3, epochs=600, seed=9, batch_size=15)
+        [(model, _)] = denoise.train_denoiser(
+            [bundle], centers, TrainConfig(learning_rate=3e-3, epochs=600, seed=9, batch_size=15)
         )
         predictions = {
             "noisy": noisy_positions(bundle),
@@ -219,7 +219,7 @@ class TestExports:
         txid_model, _ = txid.train_txid(bundle, TrainConfig(epochs=5, seed=17))
         centers = [tuple(c) for c in dataset.tx_centers(bundle).tolist()]
         lut = denoise.build_lut(bundle, 100)
-        den, _ = denoise.train_denoiser(bundle, centers, TrainConfig(epochs=5, seed=18))
+        [(den, _)] = denoise.train_denoiser([bundle], centers, TrainConfig(epochs=5, seed=18))
         predictions, _ = predict_methods(bundle, txid_model, lut, den)
         reports = {0.5: per_grid_error(bundle, predictions, anchor)}
         table = comparison_text_table(reports)

@@ -169,7 +169,7 @@ class TestTrain:
         coef = np.linalg.lstsq(np.hstack([x, np.ones_like(x)]), y, rcond=None)[0]
         assert abs(coef[0, 0] - 2.0) < 1e-9
 
-        model, history = fit(x, y, (32, 32), TrainConfig(epochs=500, seed=7))
+        [(model, history)] = fit(x, [y], (32, 32), TrainConfig(epochs=500, seed=7))
         x_test = np.linspace(-0.9, 0.9, 50).reshape(-1, 1)
         mse = mse_loss(predict(model, x_test), 2.0 * x_test)
         assert mse < 1e-4
@@ -178,23 +178,23 @@ class TestTrain:
         rng = np.random.default_rng(8)
         model = init_mlp((2, 4, 1), rng)
         snapshot = [w.copy() for w in model.weights]
-        trained, history = train(model, rng.normal(size=(5, 2)), rng.normal(size=(5, 1)),
-                                 TrainConfig(epochs=0, batch_size=5))
+        [(trained, history)] = train([model], rng.normal(size=(5, 2)), [rng.normal(size=(5, 1))],
+                                     TrainConfig(epochs=0, batch_size=5))
         assert history == []
         assert all(np.array_equal(a, b) for a, b in zip(trained.weights, snapshot))
 
     def test_bit_identical_reruns(self):
         x, y = self._linear_fixture(60)
         cfg = TrainConfig(epochs=20, seed=11)
-        model_a, hist_a = fit(x, y, (16,), cfg)
-        model_b, hist_b = fit(x, y, (16,), cfg)
+        [(model_a, hist_a)] = fit(x, [y], (16,), cfg)
+        [(model_b, hist_b)] = fit(x, [y], (16,), cfg)
         assert hist_a == hist_b
         assert all(np.array_equal(a, b) for a, b in zip(model_a.weights, model_b.weights))
         assert all(np.array_equal(a, b) for a, b in zip(model_a.biases, model_b.biases))
 
     def test_loss_nearly_monotone_at_small_lr(self):
         x, y = self._linear_fixture(120)
-        _, history = fit(x, y, (16, 16), TrainConfig(learning_rate=1e-3, epochs=80, seed=12))
+        [(_, history)] = fit(x, [y], (16, 16), TrainConfig(learning_rate=1e-3, epochs=80, seed=12))
         for prev, cur in zip(history, history[1:]):
             assert cur <= prev * 1.05
 
@@ -204,13 +204,13 @@ class TestTrain:
         # first batch.
         x, y = self._linear_fixture(50)
         with pytest.raises(TrainingDivergedError, match="learning rate"):
-            fit(x, 1e200 * y, (8,), TrainConfig(learning_rate=1e3, epochs=50, seed=13),
+            fit(x, [1e200 * y], (8,), TrainConfig(learning_rate=1e3, epochs=50, seed=13),
                 normalize_inputs=False, normalize_targets=False)
 
     def test_batch_size_bounds(self):
         x, y = self._linear_fixture(10)
         with pytest.raises(ValueError, match="batch_size"):
-            fit(x, y, (4,), TrainConfig(epochs=1, batch_size=11))
+            fit(x, [y], (4,), TrainConfig(epochs=1, batch_size=11))
 
 
 def reference_gradients(model, x, y):
@@ -278,8 +278,18 @@ def reference_train(model, inputs, targets, config):
     return model, history
 
 
+def _stacked_targets(rng, n, width, case):
+    """Three target arrays for one stack, each with its own normalizer."""
+    base = rng.normal(size=(n, width))
+    targets = [base, 1e3 * rng.normal(size=(n, width)) + 50.0, rng.uniform(-1e-4, 1e-4, (n, width))]
+    if case == "constant-column":
+        targets[1][:, 0] = 33.42  # zero spread: the "negligible" normalizer scale
+    return targets
+
+
 class TestFusedTrainerOracle:
-    """train() must round every element exactly as the per-array trainer does."""
+    """train() must round every element exactly as the per-array trainer does; in a
+    stack of K models, each one exactly as K separate trainings do."""
 
     @pytest.mark.parametrize(
         "dims, n, batch_size, normalize, one_hot",
@@ -305,7 +315,7 @@ class TestFusedTrainerOracle:
         config = TrainConfig(epochs=12, batch_size=batch_size, seed=23, learning_rate=3e-3)
 
         want, want_hist = reference_train(model.copy(), x, y, config)
-        got, got_hist = train(model.copy(), x, y, config)
+        [(got, got_hist)] = train([model.copy()], x, [y], config)
 
         assert got_hist == want_hist
         assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights))
@@ -315,7 +325,7 @@ class TestFusedTrainerOracle:
         rng = np.random.default_rng(24)
         x = rng.normal(size=(20, 3))
         y = rng.normal(size=(20, 2))
-        model, _ = fit(x, y, (4,), TrainConfig(epochs=3, batch_size=5, seed=25))
+        [(model, _)] = fit(x, [y], (4,), TrainConfig(epochs=3, batch_size=5, seed=25))
         snapshot = model.copy()
         arrays = model.weights + model.biases
         assert all(
@@ -324,10 +334,97 @@ class TestFusedTrainerOracle:
             for a in arrays
         )
         frozen = [a.copy() for a in snapshot.weights + snapshot.biases]
-        train(model, x, y, TrainConfig(epochs=2, batch_size=5, seed=26))
+        train([model], x, [y], TrainConfig(epochs=2, batch_size=5, seed=26))
         assert all(
             np.array_equal(a, b) for a, b in zip(snapshot.weights + snapshot.biases, frozen)
         )
+
+
+    @pytest.mark.parametrize(
+        "dims, n, batch_size, normalize, case",
+        [
+            ((2, 16, 16, 2), 45, 8, True, "own-normalizers"),  # partial last batch
+            ((2, 16, 16, 2), 45, 8, True, "constant-column"),
+            ((2, 16, 16, 2), 150, 70, True, "own-normalizers"),  # 140 elements per batch
+            ((3, 2), 40, 7, False, "own-normalizers"),  # single affine layer, no normalizers
+            ((64, 64, 64, 2), 90, 32, True, "one-hot"),  # stage-1 shape
+        ],
+    )
+    def test_matches_sequential_reference(self, dims, n, batch_size, normalize, case):
+        rng = np.random.default_rng(31)
+        if case == "one-hot":
+            x = np.eye(dims[0])[rng.integers(0, dims[0], size=n)]
+        else:
+            x = rng.normal(size=(n, dims[0]))
+        targets = _stacked_targets(rng, n, dims[-1], case)
+        init = init_mlp(dims, np.random.default_rng(32))
+        models = []
+        for y in targets:
+            model = init.copy()
+            if normalize:
+                model.input_norm = Normalizer.from_data(x)
+                model.target_norm = Normalizer.from_data(y, constant_feature_scale="negligible")
+            models.append(model)
+        config = TrainConfig(epochs=12, batch_size=batch_size, seed=33, learning_rate=3e-3)
+
+        want = [reference_train(m.copy(), x, y, config) for m, y in zip(models, targets)]
+        got = train([m.copy() for m in models], x, targets, config)
+
+        assert len(got) == len(want) == 3
+        for (g, g_hist), (w, w_hist) in zip(got, want):
+            assert g_hist == w_hist
+            assert all(np.array_equal(a, b) for a, b in zip(g.weights, w.weights))
+            assert all(np.array_equal(a, b) for a, b in zip(g.biases, w.biases))
+
+    @pytest.mark.parametrize("case", ["own-normalizers", "constant-column"])
+    def test_fit_matches_separate_fits(self, case):
+        rng = np.random.default_rng(34)
+        x = rng.normal(size=(45, 2))
+        targets = _stacked_targets(rng, 45, 2, case)
+        config = TrainConfig(epochs=10, batch_size=8, seed=35)
+        stacked = fit(x, targets, (8, 8), config)
+        for (got, got_hist), y in zip(stacked, targets):
+            [(want, want_hist)] = fit(x, [y], (8, 8), config)
+            assert got_hist == want_hist
+            assert np.array_equal(got.target_norm.scale, want.target_norm.scale)
+            assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights))
+            assert all(np.array_equal(a, b) for a, b in zip(got.biases, want.biases))
+
+    def test_models_share_no_memory(self):
+        rng = np.random.default_rng(36)
+        x = rng.normal(size=(20, 3))
+        stacked = fit(x, _stacked_targets(rng, 20, 2, "own-normalizers"), (4,),
+                      TrainConfig(epochs=3, batch_size=5, seed=37))
+        arrays = [m.weights + m.biases for m, _ in stacked]
+        for i, own in enumerate(arrays):
+            for other in arrays[i + 1 :]:
+                assert not any(np.shares_memory(a, b) for a in own for b in other)
+        others = [a for own in arrays[1:] for a in own]
+        frozen = [a.copy() for a in others]
+        for a in arrays[0]:
+            a[...] = 0.0
+        assert all(np.array_equal(a, b) for a, b in zip(others, frozen))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_divergence_names_the_model(self):
+        rng = np.random.default_rng(38)
+        x = rng.normal(size=(30, 2))
+        y = rng.normal(size=(30, 2))
+        with pytest.raises(TrainingDivergedError, match=r"^model 1: non-finite loss") as exc:
+            fit(x, [y, 1e200 * y, y], (8,), TrainConfig(epochs=5, batch_size=10, seed=39),
+                normalize_targets=False)
+        assert exc.value.model_index == 1
+
+    def test_mismatched_stacks_rejected(self):
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(10, 2))
+        models = [init_mlp((2, 4, 2), rng), init_mlp((2, 5, 2), rng)]
+        with pytest.raises(ValueError, match="layer_dims"):
+            train(models, x, [x, x], TrainConfig(epochs=1, batch_size=5))
+        with pytest.raises(ValueError, match="2 target arrays for 1 models"):
+            train(models[:1], x, [x, x], TrainConfig(epochs=1, batch_size=5))
+        with pytest.raises(ValueError, match="target features"):
+            train(models[:1], x, [x[:, :1]], TrainConfig(epochs=1, batch_size=5))
 
 
 class TestPersistence:
@@ -335,7 +432,7 @@ class TestPersistence:
         rng = np.random.default_rng(14)
         x = rng.normal(size=(40, 3))
         y = rng.normal(size=(40, 2))
-        model, _ = fit(x, y, (8, 8), TrainConfig(epochs=5, seed=15))
+        [(model, _)] = fit(x, [y], (8, 8), TrainConfig(epochs=5, seed=15))
         path = tmp_path / "model.json"
         save_weights(model, path)
         loaded = load_weights(path)
@@ -365,7 +462,7 @@ class TestPersistence:
         rng = np.random.default_rng(18)
         x = rng.normal(size=(10, 3))
         y = rng.normal(size=(10, 2))
-        model, _ = fit(x, y, (4,), TrainConfig(epochs=1, batch_size=5, seed=19))
+        [(model, _)] = fit(x, [y], (4,), TrainConfig(epochs=1, batch_size=5, seed=19))
         path = tmp_path / "model.json"
         save_weights(model, path)
         doc = json.loads(path.read_text())
