@@ -6,7 +6,7 @@ from .dataset import DatasetBundle, DatasetMeta, DetectionClass, Direction
 from .grid import GridTable
 from .nn import MlpModel, Normalizer, TrainConfig
 from .simulate import BeamCodebook, SceneGeometry, TrajectoryConfig
-from .txid import TxPrediction
+from .txid import Identification
 from .denoise import LookupTable
 
 __version__ = "0.1.0"
@@ -19,6 +19,7 @@ __all__ = [
     "Direction",
     "GeoPosition",
     "GridTable",
+    "Identification",
     "LocalOffset",
     "LookupTable",
     "MlpModel",
@@ -27,5 +28,4 @@ __all__ = [
     "SceneGeometry",
     "TrainConfig",
     "TrajectoryConfig",
-    "TxPrediction",
 ]

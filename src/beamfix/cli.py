@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import dataset, denoise, evaluate, grid, nn, simulate, txid
+from . import dataset, denoise, evaluate, geo, grid, nn, simulate, txid
 from .dataset import DatasetBundle, DatasetFormatError, Direction
 from .geo import NoiseSpec
 from .grid import FitConvergenceError
@@ -31,6 +31,14 @@ DEFAULT_NOISE_LEVELS = (0.1, 0.5, 1.0, 2.0, 3.0)
 
 # Evaluate exports plot data for the level whose report tag is this one.
 PLOT_LEVEL_TAG = "rms0.5"
+
+# Largest simulated capture: samples per direction and distractors per sample.
+MAX_SAMPLES = 1_000_000
+MAX_DISTRACTORS = 100
+
+# Largest noise level. It keeps noisy fixes inside the local-plane model:
+# an offset of geo.MAX_OFFSET_M (10 km) is then a 14-sigma draw per axis.
+MAX_NOISE_RMS_M = geo.MAX_OFFSET_M / 10
 
 
 class ConfigError(ValueError):
@@ -60,8 +68,10 @@ class RunConfig:
             raise ConfigError(
                 f"grid_count must be in [1, {dataset.MAX_GRID_COUNT}], got {self.grid_count}"
             )
-        if any(level < 0 for level in self.noise_levels_m):
-            raise ConfigError(f"noise levels must be >= 0, got {self.noise_levels_m}")
+        if not all(0 <= level <= MAX_NOISE_RMS_M for level in self.noise_levels_m):
+            raise ConfigError(
+                f"noise levels must be in [0, {MAX_NOISE_RMS_M:g}] m, got {self.noise_levels_m}"
+            )
         tags = [_level_tag(level) for level in self.noise_levels_m]
         if len(set(tags)) != len(tags):
             raise ConfigError(
@@ -84,13 +94,21 @@ class RunConfig:
         for key in ("seed", "num_distractors", "epochs"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for key, most in (
+            ("samples_left_to_right", MAX_SAMPLES),
+            ("samples_right_to_left", MAX_SAMPLES),
+            ("num_distractors", MAX_DISTRACTORS),
+        ):
+            if getattr(self, key) > most:
+                raise ConfigError(f"{key} must be <= {most}, got {getattr(self, key)}")
+        for key in ("batch_size", "codebook_antennas"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         for key in ("learning_rate", "bin_width_m"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
-        if self.scene_path is not None and not Path(self.scene_path).exists():
-            raise ConfigError(f"scene file does not exist: {self.scene_path}")
+        if self.scene_path is not None and not Path(self.scene_path).is_file():
+            raise ConfigError(f"scene_path {self.scene_path!r} is not a file")
 
 
 def _float_list(raw) -> tuple[float, ...]:
@@ -332,7 +350,7 @@ def _train_artifacts(
     if train_config.batch_size > len(train_bundles[0]):
         train_config = dataclasses.replace(train_config, batch_size=len(train_bundles[0]))
     txid_model, txid_history = stage1
-    centers = [p.selected_center for p in txid.identify_all(txid_model, train_bundles[0])]
+    centers = txid.identify_all(txid_model, train_bundles[0]).selected_centers
     denoiser_config = dataclasses.replace(train_config, seed=derived_seed(seed, "denoiser"))
     try:
         denoisers = denoise.train_denoiser(train_bundles, centers, denoiser_config)
@@ -435,26 +453,33 @@ def _load_level(artifact_dir: Path, z: int, level: float, files: dict[str, Path]
 
 
 def _evaluate_artifacts(levels: Iterable[_Level], out_dir: Path, bin_width_m: float) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    reports: dict[float, evaluate.EvalReport] = {}
-    exported = False
+    """Score every level, then write the reports; a refusal leaves out_dir untouched."""
+    scored = []
     for level, test_bundle, anchor, txid_model, denoiser_model, lut in levels:
-        predictions, tx_preds = evaluate.predict_methods(
+        predictions, identified = evaluate.predict_methods(
             test_bundle, txid_model, lut, denoiser_model
         )
         report = evaluate.per_grid_error(test_bundle, predictions, anchor)
+        histogram = None
+        if _level_tag(level) == PLOT_LEVEL_TAG:
+            gt_table = grid.build_grid_table(test_bundle, "ground_truth", report.grid_count)
+            histogram = grid.displacement_histogram(gt_table, bin_width_m)
+        scored.append((level, test_bundle, predictions, identified, report, histogram))
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    reports: dict[float, evaluate.EvalReport] = {}
+    for level, test_bundle, predictions, identified, report, histogram in scored:
         reports[level] = report
         tag = _level_tag(level)
         evaluate.save_report_json(report, out_dir / f"report_{tag}.json")
         evaluate.save_pergrid_csv(report, out_dir / f"pergrid_{tag}.csv")
         txid.save_predictions_csv(
-            test_bundle.ids.tolist(), tx_preds, out_dir / f"txid_predictions_{tag}.csv"
+            test_bundle.ids.tolist(), identified, out_dir / f"txid_predictions_{tag}.csv"
         )
-        if tag == PLOT_LEVEL_TAG:
+        if histogram is not None:
             evaluate.export_plot_data(
-                report, test_bundle, predictions, out_dir / f"plots_{tag}", bin_width_m
+                report, test_bundle, predictions, out_dir / f"plots_{tag}", histogram
             )
-            exported = True
 
     evaluate.save_comparison_csv(reports, out_dir / "comparison.csv")
     dataset.write_json(out_dir / "comparison.json", evaluate.comparison_rows(reports))
@@ -462,7 +487,7 @@ def _evaluate_artifacts(levels: Iterable[_Level], out_dir: Path, bin_width_m: fl
     with open(out_dir / "comparison.txt", "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
     print(table)
-    if exported:
+    if any(histogram is not None for *_, histogram in scored):
         print(f"plot data for the 0.5 m level in {out_dir / f'plots_{PLOT_LEVEL_TAG}'}")
 
 

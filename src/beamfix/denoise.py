@@ -65,14 +65,21 @@ def build_lut(
     return LookupTable(grid_count, means, counts)
 
 
-def lut_predict(lut: LookupTable, x_center: float) -> GeoPosition:
-    """De-noised position for a bounding-box x-center.
+def lut_predict_all(lut: LookupTable, x_centers) -> np.ndarray:
+    """De-noised (lat, lon) rows, one per bounding-box x-center.
 
     Empty grids fall back to the nearest populated grid; equidistant
     neighbors resolve to the lower index.
     """
-    g = int(grid.assign_grids(x_center, lut.grid_count))
-    return lut.means[grid.nearest_grid(lut.means, g)]
+    populated = sorted(lut.means)
+    means = np.array([(lut.means[g].lat_deg, lut.means[g].lon_deg) for g in populated])
+    grids = grid.nearest_grid(populated, grid.assign_grids(x_centers, lut.grid_count))
+    return means[np.searchsorted(populated, grids)]
+
+
+def lut_predict(lut: LookupTable, x_center: float) -> GeoPosition:
+    """lut_predict_all for one x-center."""
+    return GeoPosition(*lut_predict_all(lut, [x_center])[0].tolist())
 
 
 def train_denoiser(
@@ -100,10 +107,15 @@ def train_denoiser(
     return nn.fit(np.array(tx_centers, dtype=float), targets, hidden_dims, config)
 
 
-def mlp_predict(model: MlpModel, center: tuple[float, float]) -> GeoPosition:
-    """Forward the center through the trained denoiser; result in degrees."""
-    out = nn.predict(model, np.array(center, dtype=float))
-    return GeoPosition(float(out[0]), float(out[1]))
+def mlp_predict(model: MlpModel, centers) -> np.ndarray:
+    """(n, 2) lat/lon rows in degrees for (n, 2) centers, through the trained denoiser;
+    the first row out of range or NaN raises the ValueError of its GeoPosition."""
+    out = nn.predict(model, np.reshape(centers, (-1, 2)))
+    lat, lon = out.T
+    bad = ~((lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0))
+    if bad.any():
+        GeoPosition(*out[bad.argmax()].tolist())
+    return out
 
 
 def save_lut_csv(lut: LookupTable, path: str | Path) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -44,14 +44,16 @@ class EvalReport:
 
 def per_grid_error(
     test_bundle: DatasetBundle,
-    predictions: Mapping[str, Sequence[GeoPosition]],
+    predictions: Mapping[str, np.ndarray],
     gt_anchor: GridTable,
 ) -> EvalReport:
-    """Score prediction methods against ground-truth anchor means.
+    """Score methods' (n, 2) lat/lon predictions against ground-truth anchor means.
 
     Samples are grouped by the grid of their transmitter-labeled
     detection. A sample whose grid is absent from the anchor table is
-    scored against the nearest populated anchor grid and flagged.
+    scored against the nearest populated anchor grid and flagged. Rows are
+    scored one at a time by the scalar haversine, whose every bit the
+    reports print; ``geo.haversine_m`` rounds some rows differently.
     """
     if not predictions:
         raise ValueError("no prediction methods to evaluate")
@@ -66,6 +68,7 @@ def per_grid_error(
     methods += [m for m in predictions if m not in METHOD_ORDER]
 
     x = dataset.tx_centers(test_bundle)[:, 0]
+    positions = {m: [GeoPosition(*p) for p in predictions[m].tolist()] for m in methods}
     rows = []
     fallback_samples = 0
     for g, idx in grid.group_by_grid(x, gt_anchor.grid_count).items():
@@ -74,7 +77,7 @@ def per_grid_error(
             fallback_samples += len(idx)
         anchor = gt_anchor.cells[anchor_grid].mean_position
         mean_error = {
-            m: float(np.mean([geo.haversine_distance(anchor, predictions[m][i]) for i in idx]))
+            m: float(np.mean([geo.haversine_distance(anchor, positions[m][i]) for i in idx]))
             for m in methods
         }
         rows.append(GridErrorRow(g, len(idx), mean_error, anchor_grid != g))
@@ -94,19 +97,19 @@ def predict_methods(
     txid_model: MlpModel,
     lut: LookupTable,
     mlp_model: MlpModel,
-) -> tuple[dict[str, list[GeoPosition]], list[txid.TxPrediction]]:
+) -> tuple[dict[str, np.ndarray], txid.Identification]:
     """Run identification then both denoisers over a bundle.
 
-    Returns predictions for the noisy baseline, the lookup table, and the
-    MLP, plus the stage-1 predictions used to drive them.
+    Returns (n, 2) lat/lon predictions for the noisy baseline, the lookup
+    table and the MLP, plus the stage-1 identification that drove them.
     """
     lats, lons = dataset.positions(bundle, "noisy")
-    tx_preds = txid.identify_all(txid_model, bundle)
+    identified = txid.identify_all(txid_model, bundle)
     return {
-        "noisy": list(map(GeoPosition, lats.tolist(), lons.tolist())),
-        "lut": [denoise.lut_predict(lut, p.selected_center[0]) for p in tx_preds],
-        "mlp": [denoise.mlp_predict(mlp_model, p.selected_center) for p in tx_preds],
-    }, tx_preds
+        "noisy": np.column_stack([lats, lons]),
+        "lut": denoise.lut_predict_all(lut, identified.selected_centers[:, 0]),
+        "mlp": denoise.mlp_predict(mlp_model, identified.selected_centers),
+    }, identified
 
 
 def comparison_rows(reports: Mapping[float, EvalReport]) -> list[dict]:
@@ -172,15 +175,16 @@ def save_pergrid_csv(report: EvalReport, path: str | Path) -> None:
 def export_plot_data(
     report: EvalReport,
     bundle: DatasetBundle,
-    predictions: Mapping[str, Sequence[GeoPosition]],
+    predictions: Mapping[str, np.ndarray],
     path_prefix: str | Path,
-    histogram_bin_width_m: float = 0.05,
+    histogram: grid.Histogram,
 ) -> list[Path]:
     """Write positions.csv, pergrid.csv, and histogram.csv under a prefix.
 
     positions.csv holds one row per (sample, kind) with kind in
-    gt/noisy/denoised_lut/denoised_mlp; histogram.csv bins the per-grid
-    average displacement of the bundle's ground truth.
+    gt/noisy/denoised_lut/denoised_mlp, from (n, 2) lat/lon predictions;
+    histogram.csv is the given histogram, which the CLI computes from the
+    per-grid average displacement of the bundle's ground truth.
     """
     prefix = Path(path_prefix)
     prefix.mkdir(parents=True, exist_ok=True)
@@ -189,8 +193,8 @@ def export_plot_data(
     positions_path = prefix / "positions.csv"
     methods = [m for m in kind_map if m in predictions]
     kinds = ["gt"] + [kind_map[m] for m in methods]
-    lat = np.column_stack([bundle.gt_lat] + [[p.lat_deg for p in predictions[m]] for m in methods])
-    lon = np.column_stack([bundle.gt_lon] + [[p.lon_deg for p in predictions[m]] for m in methods])
+    lat = np.column_stack([bundle.gt_lat] + [predictions[m][:, 0] for m in methods])
+    lon = np.column_stack([bundle.gt_lon] + [predictions[m][:, 1] for m in methods])
     ids = np.repeat(bundle.ids, len(kinds)).tolist()
     rows = zip(ids, kinds * len(bundle), lat.ravel().tolist(), lon.ravel().tolist())
     dataset.write_table_csv(positions_path, ["sample_id", "kind", "lat", "lon"], rows)
@@ -199,8 +203,5 @@ def export_plot_data(
     save_pergrid_csv(report, pergrid_path)
 
     histogram_path = prefix / "histogram.csv"
-    table = grid.build_grid_table(bundle, "ground_truth", report.grid_count)
-    grid.save_histogram_csv(
-        grid.displacement_histogram(table, histogram_bin_width_m), histogram_path
-    )
+    grid.save_histogram_csv(histogram, histogram_path)
     return [positions_path, pergrid_path, histogram_path]

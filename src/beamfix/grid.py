@@ -84,13 +84,17 @@ def grid_means(
     }
 
 
-def nearest_grid(populated: Collection[int], grid: int) -> int:
-    """``grid`` if populated, else the closest populated grid; ties go to the lower index."""
-    if grid in populated:
-        return grid
+def nearest_grid(populated: Collection[int], grids) -> np.ndarray:
+    """Each of the grids (an int or an array) if populated, else the closest
+    populated grid; ties go to the lower index."""
     if not populated:
         raise ValueError("no populated grids to fall back to")
-    return min(populated, key=lambda g: (abs(g - grid), g))
+    pop = np.array(sorted(populated), dtype=np.int64)
+    g = np.asarray(grids, dtype=np.int64)
+    right = np.searchsorted(pop, g)  # first populated grid >= g, if any
+    above = pop[np.minimum(right, len(pop) - 1)]
+    below = pop[np.maximum(right - 1, 0)]
+    return np.where(np.abs(above - g) < np.abs(g - below), above, below)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +119,7 @@ class GridTable:
 
     def nearest_populated(self, grid: int) -> int:
         """Closest populated grid index; ties resolve to the lower index."""
-        return nearest_grid(self.cells, grid)
+        return int(nearest_grid(self.cells, grid))
 
 
 def build_grid_table(
@@ -151,10 +155,7 @@ def per_sample_displacements(
             sid = ordered.ids[idx[0]]
             raise ValueError(f"sample {sid}: grid {g} is not populated in the table")
         mean = table.cells[g].mean_position
-        out[idx] = [
-            geo.haversine_distance(mean, GeoPosition(lat, lon))
-            for lat, lon in zip(lats[idx].tolist(), lons[idx].tolist())
-        ]
+        out[idx] = geo.haversine_m(mean.lat_deg, mean.lon_deg, lats[idx], lons[idx])
     return out
 
 

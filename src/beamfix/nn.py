@@ -16,6 +16,10 @@ update is a dozen whole-buffer in-place operations. Each step runs one
 forward pass: its output error gives both each model's loss and the
 backprop delta. A stack of one is a single fit; every model in a stack
 rounds exactly as it would if trained alone.
+
+Inference is row-exact: ``forward`` runs an (n, d) batch as an (n, 1, d)
+stack, so each row's output is bit for bit its single-row call's. (BLAS
+may round a 2-D many-row product differently.)
 """
 
 from __future__ import annotations
@@ -138,30 +142,34 @@ def init_mlp(
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Raw network output (no normalizers); accepts a vector or a batch."""
+    """Raw network output (no normalizers) of a vector or, row-exact, of an (n, d) batch."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    a = x.reshape(1, -1) if single else x
-    if a.shape[1] != model.layer_dims[0]:
+    if x.shape[-1] != model.layer_dims[0]:
         raise ValueError(
-            f"input has {a.shape[1]} features, model expects {model.layer_dims[0]}"
+            f"input has {x.shape[-1]} features, model expects {model.layer_dims[0]}"
         )
+    a = x.reshape(-1, 1, x.shape[-1])
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         a = a @ w + b
         if i < last:
             a = np.maximum(a, 0.0)
-    return a[0] if single else a
+    return a[0, 0] if x.ndim == 1 else a[:, 0]
 
 
 def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Forward pass through the model's input/target normalizers."""
+    """Forward pass through the model's input/target normalizers.
+
+    Overflow passes silently: finite but extreme weights give inf or NaN
+    outputs, and the callers check the outputs they use.
+    """
     x = np.asarray(x, dtype=float)
-    if model.input_norm is not None:
-        x = model.input_norm.normalize(x)
-    y = forward(model, x)
-    if model.target_norm is not None:
-        y = model.target_norm.denormalize(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.input_norm is not None:
+            x = model.input_norm.normalize(x)
+        y = forward(model, x)
+        if model.target_norm is not None:
+            y = model.target_norm.denormalize(y)
     return y
 
 

@@ -6,10 +6,8 @@ detected object nearest that estimate is declared the transmitter.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,22 +18,12 @@ from .nn import MlpModel, TrainConfig
 DEFAULT_HIDDEN_DIMS = (64, 64)
 
 
-@dataclass(frozen=True)
-class TxPrediction:
-    """Estimated center, plus the detection actually selected."""
+class Identification(NamedTuple):
+    """Stage 1 for every row of a split, as columns."""
 
-    estimated_center: tuple[float, float]
-    selected_index: int
-    selected_center: tuple[float, float]
-
-
-def encode_beam(beam_index: int, num_beams: int) -> np.ndarray:
-    """One-hot encoding of a beam index."""
-    if not 0 <= beam_index < num_beams:
-        raise ValueError(f"beam index {beam_index} outside [0, {num_beams - 1}]")
-    v = np.zeros(num_beams)
-    v[beam_index] = 1.0
-    return v
+    estimates: np.ndarray  # (n, 2) regressed centers, clipped into the unit square
+    selected_index: np.ndarray  # (n,) detection slot nearest each estimate
+    selected_centers: np.ndarray  # (n, 2) that detection's x/y center
 
 
 def train_txid(
@@ -53,56 +41,46 @@ def train_txid(
     return nn.fit(inputs, [targets], hidden_dims, config)[0]
 
 
-def select_bounding_box(
-    centers: Sequence[tuple[float, float]], estimated_center: tuple[float, float]
-) -> TxPrediction:
-    """Pick the detection center with the smallest Euclidean distance to the estimate.
+def identify(model: MlpModel, beams, det_x, det_y, det_count) -> Identification:
+    """Beam -> estimated center -> nearest detection, for every row at once.
 
-    Ties resolve to the lowest detection index.
-    """
-    if not centers:
-        raise ValueError("cannot select from an empty detection list")
-    ex, ey = estimated_center
-    best_index = 0
-    best_dist = math.inf
-    for i, (x, y) in enumerate(centers):
-        dist = math.hypot(x - ex, y - ey)
-        if dist < best_dist:
-            best_index, best_dist = i, dist
-    return TxPrediction(
-        estimated_center=(ex, ey),
-        selected_index=best_index,
-        selected_center=tuple(centers[best_index]),
-    )
-
-
-def identify(
-    model: MlpModel, beam_index: int, centers: Sequence[tuple[float, float]]
-) -> TxPrediction:
-    """Beam -> estimated center -> nearest detection, for one sample.
-
-    The regressed estimate is clipped into the unit square before the
-    distance comparison.
+    Rows are a bundle's ``beams`` and its padded ``det_x``/``det_y``
+    columns with ``det_count`` real slots each. One forward pass over the
+    one-hot beams gives each row's estimate, clipped into the unit square;
+    a NaN estimate is refused. Each row selects the real slot at the
+    smallest ``np.hypot`` distance from its estimate; ties resolve to the
+    lowest detection index.
     """
     q = model.layer_dims[0]
-    raw = nn.predict(model, encode_beam(beam_index, q))
-    estimate = (float(np.clip(raw[0], 0.0, 1.0)), float(np.clip(raw[1], 0.0, 1.0)))
-    return select_bounding_box(centers, estimate)
+    beams = np.asarray(beams)
+    outside = (beams < 0) | (beams >= q)
+    if outside.any():
+        raise ValueError(f"beam index {beams[outside][0]} outside [0, {q - 1}]")
+    if (det_count < 1).any():
+        raise ValueError("cannot select from an empty detection list")
+    raw = nn.predict(model, np.eye(q)[beams])
+    nan = np.isnan(raw).any(axis=1)
+    if nan.any():
+        raise ValueError(f"stage-1 model estimate for beam {beams[nan][0]} is NaN")
+    estimates = np.clip(raw, 0.0, 1.0)
+    dist = np.hypot(det_x - estimates[:, :1], det_y - estimates[:, 1:])
+    dist[np.arange(dist.shape[1]) >= det_count[:, None]] = np.inf
+    index = dist.argmin(axis=1) if len(dist) else np.zeros(0, dtype=np.int64)
+    rows = np.arange(len(beams))
+    centers = np.column_stack([det_x[rows, index], det_y[rows, index]])
+    return Identification(estimates, index, centers)
 
 
-def identify_all(model: MlpModel, bundle: DatasetBundle) -> list[TxPrediction]:
-    """identify() on each row, one single-row forward pass at a time."""
-    centers = np.stack([bundle.det_x, bundle.det_y], axis=-1).tolist()
-    rows = zip(bundle.beams.tolist(), centers, bundle.det_count.tolist())
-    return [identify(model, beam, row[:k]) for beam, row, k in rows]
+def identify_all(model: MlpModel, bundle: DatasetBundle) -> Identification:
+    """identify() over a bundle's beam and detection columns."""
+    return identify(model, bundle.beams, bundle.det_x, bundle.det_y, bundle.det_count)
 
 
 def save_predictions_csv(
-    sample_ids: Sequence[int], predictions: Sequence[TxPrediction], path: str | Path
+    sample_ids: Sequence[int], identified: Identification, path: str | Path
 ) -> None:
     header = ["sample_id", "pred_x", "pred_y", "selected_index", "selected_x", "selected_y"]
-    rows = (
-        (sid, *p.estimated_center, p.selected_index, *p.selected_center)
-        for sid, p in zip(sample_ids, predictions)
-    )
+    est_x, est_y = identified.estimates.T.tolist()
+    sel_x, sel_y = identified.selected_centers.T.tolist()
+    rows = zip(sample_ids, est_x, est_y, identified.selected_index.tolist(), sel_x, sel_y)
     dataset.write_table_csv(path, header, rows)

@@ -99,8 +99,9 @@ def rows_of(bundle) -> list[Row]:
     return rows
 
 
-def noisy_positions(bundle) -> list[GeoPosition]:
-    return list(map(GeoPosition, bundle.noisy_lat.tolist(), bundle.noisy_lon.tolist()))
+def noisy_positions(bundle) -> np.ndarray:
+    """(n, 2) noisy lat/lon rows, the form predictions take."""
+    return np.column_stack([bundle.noisy_lat, bundle.noisy_lon])
 
 
 def gt_positions(bundle) -> list[GeoPosition]:

@@ -144,11 +144,8 @@ def test_05_transmitter_identification(scene, codebook):
     assert train_bundle.metadata.codebook_size == 64
 
     model, _ = txid.train_txid(train_bundle, TrainConfig(epochs=200, seed=55))
-    correct = sum(
-        1
-        for i, p in enumerate(txid.identify_all(model, test_bundle))
-        if test_bundle.det_tx[i, p.selected_index]
-    )
+    selected = txid.identify_all(model, test_bundle).selected_index
+    correct = int(test_bundle.det_tx[np.arange(len(test_bundle)), selected].sum())
     accuracy = correct / len(test_bundle)
     elapsed = time.perf_counter() - start
     ok = accuracy >= 0.95 and elapsed < 60.0
@@ -197,7 +194,7 @@ def denoise_suite(codebook) -> DenoiseSuite:
     for level in NOISE_LEVELS:
         tr = inject_noise(base_train, NoiseSpec(level, 400 + int(level * 10)))
         te = inject_noise(base_test, NoiseSpec(level, 500 + int(level * 10)))
-        centers = [p.selected_center for p in txid.identify_all(txid_model, tr)]
+        centers = txid.identify_all(txid_model, tr).selected_centers
         lut = denoise.build_lut(tr, 100, centers)
         [(den, _)] = denoise.train_denoiser(
             [tr], centers, TrainConfig(epochs=600, batch_size=64, seed=600 + int(level * 10))

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import shutil
 
 import numpy as np
@@ -636,6 +637,49 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--artifacts", str(art), "--out", str(tmp_path / "e")]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and expected in err
+
+    def test_refusal_at_a_later_level_writes_nothing(self, tmp_path, capsys):
+        config = write_config(tmp_path, noise_levels_m=[0.5, 1.0], samples_left_to_right=60,
+                              samples_right_to_left=50, epochs=2)
+        run = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(run)]) == 0
+        levels = run / "artifacts" / "l2r"
+        (levels / "rms1" / "lut.csv").write_text("grid,count,mean_lat,mean_lon\r\n5,3\r\n")
+        capsys.readouterr()
+        out = tmp_path / "e"
+        argv = ["evaluate", "--artifacts", str(levels / "rms0.5"), str(levels / "rms1"),
+                "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{levels / 'rms1' / 'lut.csv'}: row 1: 2 cells, expected 4" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda doc: doc["target_norm"].update(shift=[1e6, 0.0]),
+             r"error: latitude 99999\d\.\d+ outside \[-90, 90\]"),
+            (lambda doc: doc["target_norm"].update(shift=[0.0, -1e6]),
+             r"error: longitude -99999\d\.\d+ outside \[-180, 180\]"),
+            # Hidden units overflow to inf; mixed-sign output weights make NaN.
+            (lambda doc: doc.update(weights=[np.full_like(doc["weights"][0], 1e308).tolist(),
+                                             *doc["weights"][1:]]),
+             r"error: latitude nan outside \[-90, 90\]"),
+        ],
+        ids=["latitude", "longitude", "nan"],
+    )
+    def test_denoiser_out_of_range_exit_2(self, small_artifacts, tmp_path, capsys, edit,
+                                          expected):
+        # Finite, loadable weights whose predictions leave the globe.
+        art = tmp_path / "art"
+        shutil.copytree(small_artifacts["l2r"], art)
+        doc = json.loads((art / "denoiser.json").read_text())
+        edit(doc)
+        (art / "denoiser.json").write_text(json.dumps(doc))
+        out = tmp_path / "e"
+        assert main(["evaluate", "--artifacts", str(art), "--out", str(out)]) == 2
+        assert re.match(expected, capsys.readouterr().err)
+        assert not out.exists()
 
     def test_plot_export_keyed_on_level_tag(self, small_artifacts, tmp_path):
         # 0.5000000000000001 != 0.5, but it writes report_rms0.5.json.

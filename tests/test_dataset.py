@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamfix import geo, grid
-from beamfix.cli import main
+from beamfix.cli import RunConfig, main
 from beamfix.dataset import (
     DatasetBundle,
     DatasetFormatError,
@@ -260,6 +261,119 @@ class TestLoaderProperties:
             if code == 2:
                 assert str(path) in err.getvalue()
                 assert not out.exists()
+
+
+    @staticmethod
+    def _run(argv):
+        """main(argv) with its output captured; returns (exit code, stderr)."""
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, err.getvalue()
+
+    @staticmethod
+    def _assert_refusal_clean(code, err, out):
+        """Exit 0, 1 or 2 without a traceback; a refusal leaves no output, a
+        success writes no NaN."""
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code != 0:
+            assert not out.exists()
+        else:
+            for path in out.rglob("*"):
+                if path.is_file():
+                    assert "nan" not in path.read_text().lower(), path
+
+    # Numbers for model weights, biases and normalizers: finite but extreme
+    # ones drive predictions out of range or overflow to NaN.
+    MODEL_VALUES = [0.0, -1.0, 1e6, -1e6, 1e150, 1e300, -1e300, math.nan, math.inf, "x", None, []]
+    ARTIFACT_FILES = ["manifest.json", "txid.json", "denoiser.json", "anchor.csv", "lut.csv"]
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mutated_artifacts_exit_0_1_or_2(self, data, trained_artifacts):
+        """One value, key, cell or row of a train output changed: evaluate exits
+        0, 1 or 2, never raises, and leaves no --out when it refuses."""
+        name = data.draw(st.sampled_from(self.ARTIFACT_FILES))
+        with tempfile.TemporaryDirectory() as tmp:
+            art, out = Path(tmp) / "art", Path(tmp) / "out"
+            shutil.copytree(trained_artifacts, art)
+            path = art / name
+            if name.endswith(".json"):
+                doc = json.loads(path.read_text())
+                leaves = {where: (holder, key) for where, holder, key in _json_leaves(doc)}
+                holder, key = leaves[data.draw(st.sampled_from(sorted(leaves)))]
+                kind = data.draw(st.sampled_from(["value", "delete"]))
+                if kind == "delete" and isinstance(holder, dict):
+                    del holder[key]
+                else:
+                    values = self.MODEL_VALUES if name != "manifest.json" else self.SIDECAR_VALUES
+                    holder[key] = data.draw(st.sampled_from(values + ["test.csv", "lut.csv"]))
+                path.write_text(json.dumps(doc))
+            else:
+                lines = [line.split(",") for line in path.read_text().splitlines()]
+                kind = data.draw(st.sampled_from(["cell", "truncate", "drop rows", "repeat row"]))
+                r = data.draw(st.integers(min_value=1, max_value=len(lines) - 1))
+                if kind == "cell":
+                    c = data.draw(st.integers(min_value=0, max_value=len(lines[r]) - 1))
+                    lines[r][c] = data.draw(st.sampled_from(self.CELLS))
+                elif kind == "truncate":
+                    del lines[r][data.draw(st.integers(min_value=0, max_value=len(lines[r]) - 1)):]
+                elif kind == "drop rows":
+                    del lines[r:]
+                else:
+                    lines.append(lines[r])
+                path.write_text("\n".join(",".join(line) for line in lines) + "\n")
+            code, err = self._run(["evaluate", "--artifacts", str(art), "--out", str(out)])
+            self._assert_refusal_clean(code, err, out)
+
+    CONFIG_VALUES = [None, "", "x", -1, 0, 1, 1.5, 7, 4097, 10**7, 10**30, math.nan, math.inf,
+                     True, [], [0.5], [-1.0], [0.5, 0.5], [1e6], [1e30], {}]
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mutated_run_config_exits_0_or_2(self, data):
+        """One run config value changed or one key added: simulate exits 0 or 2,
+        never raises, and leaves no --out when it refuses."""
+        doc = {"samples_left_to_right": 20, "samples_right_to_left": 20, "grid_count": 20,
+               "noise_levels_m": [0.5], "num_distractors": 1}
+        key = data.draw(st.sampled_from(sorted(RunConfig.__dataclass_fields__) + ["unknown"]))
+        doc[key] = data.draw(st.sampled_from(self.CONFIG_VALUES))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            path.write_text(json.dumps(doc))
+            code, err = self._run(["simulate", "--config", str(path), "--out", str(out)])
+            assert code in (0, 2)
+            if code == 2:
+                assert str(path) in err
+            self._assert_refusal_clean(code, err, out)
+
+
+def _json_leaves(doc, where=""):
+    """(path, holder, key) of every scalar in a JSON document, plus each list itself."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        here = f"{where}.{key}" if where else str(key)
+        if isinstance(value, (dict, list)) and value:
+            if isinstance(value, list):
+                yield here, doc, key
+            yield from _json_leaves(value, here)
+        else:
+            yield here, doc, key
+
+
+@pytest.fixture(scope="module")
+def trained_artifacts(tmp_path_factory):
+    """A briefly trained L2R artifact directory at 0.5 m noise."""
+    tmp = tmp_path_factory.mktemp("trained_artifacts")
+    config = tmp / "config.json"
+    config.write_text(json.dumps({"noise_levels_m": [0.5], "samples_left_to_right": 60,
+                                  "samples_right_to_left": 20}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(config), "--out", str(tmp / "run")]) == 0
+        assert main(["train", "--dataset", str(tmp / "run" / "datasets" / "l2r_rms0.5.csv"),
+                     "--out", str(tmp / "art"), "--epochs", "2"]) == 0
+    return tmp / "art"
 
 
 class TestJsonLayer:

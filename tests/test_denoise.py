@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamfix import dataset, geo, grid, simulate
 from beamfix.dataset import Direction, inject_noise
@@ -10,12 +12,13 @@ from beamfix.denoise import (
     build_lut,
     load_lut_csv,
     lut_predict,
+    lut_predict_all,
     mlp_predict,
     save_lut_csv,
     train_denoiser,
 )
 from beamfix.geo import GeoPosition, LocalOffset, NoiseSpec
-from beamfix.nn import TrainConfig
+from beamfix.nn import MlpModel, Normalizer, TrainConfig
 
 from conftest import gt_positions, make_bundle, make_sample
 
@@ -28,6 +31,11 @@ def _noisy_sample(sid, x_center, noisy, gt=BASE):
 
 def _centers(bundle):
     return [tuple(c) for c in dataset.tx_centers(bundle).tolist()]
+
+
+def _meters_from(predictions, position):
+    """Haversine distance of each (lat, lon) prediction row from one position."""
+    return geo.haversine_m(position.lat_deg, position.lon_deg, predictions[:, 0], predictions[:, 1])
 
 
 class TestBuildLut:
@@ -95,6 +103,22 @@ class TestLutPredict:
         with pytest.raises(ValueError, match="no populated"):
             lut_predict(LookupTable(100, {}, {}), 0.5)
 
+    @given(
+        grids=st.sets(st.integers(min_value=0, max_value=99), min_size=1, max_size=12),
+        xs=st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=40),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batched_equals_scalar(self, grids, xs):
+        # Oracles: the one-row lut_predict, and the per-row lookup it replaced.
+        lut = self._lut(sorted(grids))
+        rows = lut_predict_all(lut, xs)
+        assert rows.shape == (len(xs), 2)
+        for x, row in zip(xs, rows.tolist()):
+            g = grid.assign_grid(x, 100)
+            want = lut.means[min(grids, key=lambda k: (abs(k - g), k))]
+            assert lut_predict(lut, x) == want
+            assert row == [want.lat_deg, want.lon_deg]
+
     def test_residual_shrinks_like_inverse_sqrt_n(self):
         # Standard-error law: mean residual of an N-sample mean scales as
         # 1/sqrt(N); check the 16x count ratio lands within a factor of 2
@@ -130,8 +154,7 @@ class TestTrainDenoiser:
         [(model, _)] = train_denoiser(
             [bundle], centers, TrainConfig(learning_rate=1e-2, epochs=300, batch_size=4, seed=4)
         )
-        for c in centers:
-            assert geo.haversine_distance(mlp_predict(model, c), target) < 0.05
+        assert np.all(_meters_from(mlp_predict(model, centers), target) < 0.05)
 
     def test_memorizes_single_pair_to_millimeter(self):
         target = geo.apply_offset(BASE, LocalOffset(1.0, 1.0))
@@ -142,7 +165,7 @@ class TestTrainDenoiser:
             [(0.61, 0.5)],
             TrainConfig(learning_rate=1e-2, epochs=800, batch_size=1, seed=5),
         )
-        assert geo.haversine_distance(mlp_predict(model, (0.61, 0.5)), target) < 1e-3
+        assert _meters_from(mlp_predict(model, [(0.61, 0.5)]), target)[0] < 1e-3
 
     def test_deterministic(self, scene, codebook):
         traj = simulate.TrajectoryConfig(40, Direction.LEFT_TO_RIGHT, 0, seed=6)
@@ -158,7 +181,8 @@ class TestTrainDenoiser:
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 10))
         centers = _centers(bundle)
         [(model, _)] = train_denoiser([bundle], centers, TrainConfig(epochs=20, seed=11))
-        assert mlp_predict(model, (0.4, 0.5)) == mlp_predict(model, (0.4, 0.5))
+        queries = [(0.4, 0.5)] * 3
+        assert np.array_equal(mlp_predict(model, queries), mlp_predict(model, queries[:1])[[0] * 3])
 
     def test_predictions_stay_near_scene(self, scene, codebook):
         # Range oracle: queries across the frame must land within the
@@ -171,10 +195,10 @@ class TestTrainDenoiser:
         lons = bundle.noisy_lon.tolist()
         margin_lat = 10.0 / geo.METERS_PER_DEGREE
         margin_lon = 10.0 / (geo.METERS_PER_DEGREE * math.cos(math.radians(BASE.lat_deg)))
-        for x in np.linspace(0, 1, 21):
-            p = mlp_predict(model, (float(x), 0.5))
-            assert min(lats) - margin_lat <= p.lat_deg <= max(lats) + margin_lat
-            assert min(lons) - margin_lon <= p.lon_deg <= max(lons) + margin_lon
+        queries = np.column_stack([np.linspace(0, 1, 21), np.full(21, 0.5)])
+        p = mlp_predict(model, queries)
+        assert np.all((min(lats) - margin_lat <= p[:, 0]) & (p[:, 0] <= max(lats) + margin_lat))
+        assert np.all((min(lons) - margin_lon <= p[:, 1]) & (p[:, 1] <= max(lons) + margin_lon))
 
     def test_methods_agree_on_low_noise_fixture(self):
         # With coincident per-grid ground truth at 0.1 m noise, both
@@ -205,13 +229,10 @@ class TestTrainDenoiser:
                 ]
             )
         )
+        lut_rows = lut_predict_all(lut, [x for x, _ in centers])
+        mlp_rows = mlp_predict(model, centers)
         disagreement = float(
-            np.mean(
-                [
-                    geo.haversine_distance(lut_predict(lut, c[0]), mlp_predict(model, c))
-                    for c in centers
-                ]
-            )
+            np.mean(geo.haversine_m(lut_rows[:, 0], lut_rows[:, 1], mlp_rows[:, 0], mlp_rows[:, 1]))
         )
         assert disagreement <= 2.0 * lut_residual
 
@@ -240,3 +261,45 @@ class TestTrainDenoiser:
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 16))
         with pytest.raises(ValueError, match="centers"):
             train_denoiser([bundle], [(0.5, 0.5)], TrainConfig(epochs=1))
+
+
+def _affine_denoiser(lat, lon):
+    """One-layer denoiser whose output is the constant (lat, lon)."""
+    return MlpModel((2, 2), [np.zeros((2, 2))], [np.array([lat, lon], dtype=float)])
+
+
+class TestMlpPredictRange:
+    """mlp_predict refuses what a GeoPosition refuses, naming the first bad row."""
+
+    def test_in_range_rows_pass(self):
+        model = _affine_denoiser(BASE.lat_deg, BASE.lon_deg)
+        out = mlp_predict(model, [(0.1, 0.5), (0.9, 0.5)])
+        assert out.tolist() == [[BASE.lat_deg, BASE.lon_deg]] * 2
+
+    @pytest.mark.parametrize(
+        "lat, lon, message",
+        [
+            (91.0, 0.0, "latitude 91.0 outside"),
+            (0.0, -180.5, "longitude -180.5 outside"),
+            (math.nan, 0.0, "latitude nan outside"),
+            (95.0, 200.0, "latitude 95.0 outside"),
+        ],
+    )
+    def test_out_of_range_rejected_like_geoposition(self, lat, lon, message):
+        with pytest.raises(ValueError, match=message):
+            mlp_predict(_affine_denoiser(lat, lon), [(0.5, 0.5)])
+
+    def test_first_bad_row_named(self):
+        # Output lat = 80 + 20 * x: rows at x = 0.6 and 0.9 overflow, 0.6 first.
+        model = MlpModel((2, 2), [np.array([[20.0, 0.0], [0.0, 0.0]])], [np.array([80.0, 0.0])])
+        with pytest.raises(ValueError, match="latitude 92.0 outside"):
+            mlp_predict(model, [(0.1, 0.5), (0.6, 0.5), (0.9, 0.5)])
+
+    def test_overflowing_weights_rejected_without_warning(self):
+        # Finite weights whose products overflow: the hidden unit reads inf,
+        # and inf * 0 makes the latitude NaN.
+        weights = [np.full((2, 1), 1e308), np.array([[0.0, 1.0]])]
+        model = MlpModel((2, 1, 2), weights, [np.zeros(1), np.zeros(2)])
+        model.input_norm = Normalizer(np.zeros(2), np.full(2, 1e-10))
+        with pytest.raises(ValueError, match="latitude nan outside"):
+            mlp_predict(model, [(0.5, 0.5)])

@@ -29,12 +29,11 @@ class TestPerGridError:
         samples = [_noisy(i, (i % 10) / 10 + 0.05, BASE) for i in range(30)]
         bundle = make_bundle(samples)
         anchor = grid.build_grid_table(bundle, "ground_truth", 100)
-        predictions = {
-            "noisy": [
-                anchor.cells[grid.assign_grid(x, 100)].mean_position
-                for x in dataset.tx_centers(bundle)[:, 0].tolist()
-            ]
-        }
+        means = [
+            anchor.cells[grid.assign_grid(x, 100)].mean_position
+            for x in dataset.tx_centers(bundle)[:, 0].tolist()
+        ]
+        predictions = {"noisy": np.array([(p.lat_deg, p.lon_deg) for p in means])}
         report = per_grid_error(bundle, predictions, anchor)
         assert report.overall["noisy"] == 0.0
 
@@ -64,11 +63,7 @@ class TestPerGridError:
         assert min(c.count for c in counts.cells.values()) >= 10
         anchor = grid.build_grid_table(concat(train_bundle, test_bundle), "ground_truth", 100)
         lut = denoise.build_lut(train_bundle, 100)
-        predictions = {
-            "lut": [
-                denoise.lut_predict(lut, x) for x in dataset.tx_centers(test_bundle)[:, 0].tolist()
-            ]
-        }
+        predictions = {"lut": denoise.lut_predict_all(lut, dataset.tx_centers(test_bundle)[:, 0])}
         report = per_grid_error(test_bundle, predictions, anchor)
         assert report.overall["lut"] <= 0.35
 
@@ -142,15 +137,15 @@ class TestCompareMethods:
         # within a centimeter of the same residual.
         bundle = _coincident_fixture()
         anchor = grid.build_grid_table(bundle, "ground_truth", 100)
-        centers = [tuple(c) for c in dataset.tx_centers(bundle).tolist()]
+        centers = dataset.tx_centers(bundle)
         lut = denoise.build_lut(bundle, 100)
         [(model, _)] = denoise.train_denoiser(
             [bundle], centers, TrainConfig(learning_rate=3e-3, epochs=600, seed=9, batch_size=15)
         )
         predictions = {
             "noisy": noisy_positions(bundle),
-            "lut": [denoise.lut_predict(lut, c[0]) for c in centers],
-            "mlp": [denoise.mlp_predict(model, c) for c in centers],
+            "lut": denoise.lut_predict_all(lut, centers[:, 0]),
+            "mlp": denoise.mlp_predict(model, centers),
         }
         report = per_grid_error(bundle, predictions, anchor)
         assert report.overall["noisy"] == 0.0
@@ -181,31 +176,29 @@ class TestExports:
         ]
         bundle = make_bundle(samples)
         anchor = grid.build_grid_table(bundle, "ground_truth", 100)
-        predictions = {
-            "noisy": noisy_positions(bundle),
-            "lut": [BASE] * 3,
-            "mlp": [BASE] * 3,
-        }
-        return per_grid_error(bundle, predictions, anchor), bundle, predictions
+        base = np.array([[BASE.lat_deg, BASE.lon_deg]] * 3)
+        predictions = {"noisy": noisy_positions(bundle), "lut": base, "mlp": base}
+        histogram = grid.displacement_histogram(anchor, 0.05)
+        return per_grid_error(bundle, predictions, anchor), bundle, predictions, histogram
 
     def test_pergrid_rows_match_grids(self, tmp_path):
-        report, bundle, predictions = self._report_fixture()
-        paths = export_plot_data(report, bundle, predictions, tmp_path / "plots")
+        report, bundle, predictions, histogram = self._report_fixture()
+        paths = export_plot_data(report, bundle, predictions, tmp_path / "plots", histogram)
         with open(paths[1], newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) - 1 == 3
 
     def test_positions_row_count(self, tmp_path):
-        report, bundle, predictions = self._report_fixture()
-        paths = export_plot_data(report, bundle, predictions, tmp_path / "plots")
+        report, bundle, predictions, histogram = self._report_fixture()
+        paths = export_plot_data(report, bundle, predictions, tmp_path / "plots", histogram)
         with open(paths[0], newline="") as fh:
             rows = list(csv.reader(fh))
         kinds = 4  # gt + noisy + denoised_lut + denoised_mlp
         assert len(rows) - 1 == len(bundle) * kinds
 
     def test_emitted_files_parse(self, tmp_path):
-        report, bundle, predictions = self._report_fixture()
-        paths = export_plot_data(report, bundle, predictions, tmp_path / "plots")
+        report, bundle, predictions, histogram = self._report_fixture()
+        paths = export_plot_data(report, bundle, predictions, tmp_path / "plots", histogram)
         for path in paths:
             with open(path, newline="") as fh:
                 rows = list(csv.reader(fh))

@@ -94,6 +94,32 @@ class TestGroupByGrid:
             assert all(assign_grid(xs[i], z) == g for i in idx)
 
 
+class TestNearestGrid:
+    """The array fallback rule equals min(populated, key=(|g - x|, g)) row by row."""
+
+    @given(
+        populated=st.sets(st.integers(min_value=0, max_value=60), min_size=1, max_size=15),
+        grids=st.lists(st.integers(min_value=0, max_value=60), max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_min_rule(self, populated, grids):
+        got = grid.nearest_grid(populated, grids)
+        assert got.shape == (len(grids),)
+        want = [min(populated, key=lambda g: (abs(g - x), g)) for x in grids]
+        assert got.tolist() == want
+
+    def test_scalar_grid_and_table_method(self):
+        assert int(grid.nearest_grid({10, 14}, 12)) == 10  # tie at distance 2
+        samples = [make_sample(0, 0.105, BASE), make_sample(1, 0.145, BASE)]
+        table = build_grid_table(make_bundle(samples), "ground_truth", 100)
+        assert table.nearest_populated(12) == 10 and table.nearest_populated(13) == 14
+        assert table.nearest_populated(14) == 14
+
+    def test_no_populated_grids_rejected(self):
+        with pytest.raises(ValueError, match="no populated grids"):
+            grid.nearest_grid({}, [3])
+
+
 class TestGridTable:
     def test_identical_points_zero_displacement(self):
         samples = [make_sample(i, 0.105, BASE) for i in range(6)]

@@ -65,14 +65,56 @@ class TestForward:
             forward(model, np.zeros(4))
 
     def test_batch_equals_per_row(self):
-        # Batched matmul may round differently from the per-row product by
-        # an ulp, so compare to tight tolerance rather than bitwise.
         rng = np.random.default_rng(2)
         model = init_mlp((4, 6, 3), rng)
         batch = rng.normal(size=(10, 4))
         out = forward(model, batch)
         for i in range(10):
-            assert np.allclose(out[i], forward(model, batch[i]), rtol=1e-12, atol=1e-14)
+            assert np.array_equal(out[i], forward(model, batch[i]))
+
+    def test_empty_batch(self):
+        model = init_mlp((4, 6, 3), np.random.default_rng(3))
+        assert forward(model, np.zeros((0, 4))).shape == (0, 3)
+
+
+def single_row_2d_predict(model, x):
+    """predict() of one row as a (1, d) 2-D product: the per-row path that
+    batched inference replaced."""
+    a = x if model.input_norm is None else model.input_norm.normalize(x)
+    a = a.reshape(1, -1)
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        a = a @ w + b
+        if i < len(model.weights) - 1:
+            a = np.maximum(a, 0.0)
+    return a[0] if model.target_norm is None else model.target_norm.denormalize(a[0])
+
+
+class TestRowExactPredict:
+    """A batched predict() is bit for bit the per-row predict() of each row.
+
+    This pins the BLAS build CI runs on as well: a stacked matmul whose
+    items round unlike single-row products fails here.
+    """
+
+    @pytest.mark.parametrize("n", [1, 1000])
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("dims", [(64, 64, 64, 2), (2, 64, 64, 2)])
+    def test_matches_per_row(self, dims, normalize, n):
+        rng = np.random.default_rng(30)
+        model = init_mlp(dims, rng)
+        if dims[0] == 64:
+            x = np.eye(64)[rng.integers(0, 64, size=n)]  # stage 1: one-hot beams
+        else:
+            x = rng.uniform(0, 1, size=(n, 2))  # stage 2: box centers
+        if normalize:
+            model.input_norm = Normalizer.from_data(rng.uniform(0, 1, size=(50, dims[0])))
+            targets = np.array([33.42, -111.93]) + 1e-4 * rng.normal(size=(50, 2))
+            model.target_norm = Normalizer.from_data(targets, constant_feature_scale="negligible")
+        out = predict(model, x)
+        assert out.shape == (n, 2)
+        per_row = np.array([predict(model, row) for row in x])
+        assert np.array_equal(out, per_row)
+        assert np.array_equal(out, np.array([single_row_2d_predict(model, row) for row in x]))
 
 
 class TestMseLoss:
@@ -214,7 +256,8 @@ class TestTrain:
 
 
 def reference_gradients(model, x, y):
-    """Backprop into freshly allocated arrays, as the per-array trainer did."""
+    """Backprop into freshly allocated arrays, as the per-array trainer did;
+    also returns the 2-D forward pass's output."""
     pre, acts = [], [x]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = acts[-1] @ w + b
@@ -227,15 +270,14 @@ def reference_gradients(model, x, y):
         grad_b[i] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0)
-    return grad_w, grad_b
+    return grad_w, grad_b, acts[-1]
 
 
 def reference_train(model, inputs, targets, config):
     """The per-array Adam trainer the fused one replaced, kept as its oracle.
 
-    Two forward passes per step (one for the loss, one for backprop), a
-    gather per batch and four moment arrays per layer, updated array by
-    array.
+    A 2-D forward pass per batch, a gather per batch and four moment
+    arrays per layer, updated array by array.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -257,9 +299,9 @@ def reference_train(model, inputs, targets, config):
         for start in range(0, len(x), config.batch_size):
             batch = order[start : start + config.batch_size]
             xb, yb = x[batch], y[batch]
-            losses.append(mse_loss(forward(model, xb), yb))
+            grad_w, grad_b, out = reference_gradients(model, xb, yb)
+            losses.append(mse_loss(out, yb))
             weights_seen.append(len(batch))
-            grad_w, grad_b = reference_gradients(model, xb, yb)
             step += 1
             corr1 = 1.0 - b1**step
             corr2 = 1.0 - b2**step
