@@ -6,13 +6,14 @@ from .dataset import DatasetBundle, DatasetMeta, DetectionClass, Direction
 from .grid import GridTable
 from .nn import MlpModel, Normalizer, TrainConfig
 from .simulate import BeamCodebook, SceneGeometry, TrajectoryConfig
-from .txid import Identification
+from .txid import BeamTable, Identification
 from .denoise import LookupTable
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BeamCodebook",
+    "BeamTable",
     "DatasetBundle",
     "DatasetMeta",
     "DetectionClass",

@@ -10,9 +10,11 @@ flag overrides both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import os
+import shutil
 import sys
 import zlib
 from dataclasses import dataclass
@@ -68,6 +70,8 @@ class RunConfig:
             raise ConfigError(
                 f"grid_count must be in [1, {dataset.MAX_GRID_COUNT}], got {self.grid_count}"
             )
+        if not self.noise_levels_m:
+            raise ConfigError("noise_levels_m must be non-empty, got []")
         if not all(0 <= level <= MAX_NOISE_RMS_M for level in self.noise_levels_m):
             raise ConfigError(
                 f"noise levels must be in [0, {MAX_NOISE_RMS_M:g}] m, got {self.noise_levels_m}"
@@ -308,36 +312,24 @@ class _Level(NamedTuple):
     level: float
     test: DatasetBundle
     anchor: grid.GridTable
-    txid_model: nn.MlpModel
+    txid_table: txid.BeamTable
     denoiser_model: nn.MlpModel
     lut: denoise.LookupTable
 
 
-def _train_stage1(
-    bundle: DatasetBundle, train_fraction: float, seed: int, train_config: TrainConfig
-) -> tuple[nn.MlpModel, list[float]]:
-    """Stage 1 on the seed's train split; it reads beams and detections, never GPS."""
-    train_bundle, _ = dataset.split_train_test(bundle, train_fraction, derived_seed(seed, "split"))
-    batch_size = min(train_config.batch_size, len(train_bundle))
-    txid_seed = derived_seed(seed, "txid")
-    txid_config = dataclasses.replace(train_config, batch_size=batch_size, seed=txid_seed)
-    return txid.train_txid(train_bundle, txid_config)
-
-
 def _train_artifacts(
     levels: list[tuple[DatasetBundle, Path]],
-    stage1: tuple[nn.MlpModel, list[float]],
     train_fraction: float,
     seed: int,
     train_config: TrainConfig,
 ) -> list[_Level]:
-    """Stage 2 on the seed's train split, given stage 1 trained on the same samples.
+    """Both stages on the seed's train split, one artifact directory per level.
 
     ``levels`` pairs each noise level's bundle with its artifact directory.
     The bundles are one direction's capture at several noise levels, so
-    they share ids, ground truth, beams and detections: the anchor and the
-    identified centers are computed once, and the denoisers train as one
-    stacked fit.
+    they share ids, ground truth, beams and detections: the anchor, the
+    stage-1 table and the identified centers are computed once (stage 1
+    never reads GPS), and the denoisers train as one stacked fit.
     """
     splits = [
         dataset.split_train_test(bundle, train_fraction, derived_seed(seed, "split"))
@@ -349,8 +341,8 @@ def _train_artifacts(
     train_bundles = [train for train, _ in splits]
     if train_config.batch_size > len(train_bundles[0]):
         train_config = dataclasses.replace(train_config, batch_size=len(train_bundles[0]))
-    txid_model, txid_history = stage1
-    centers = txid.identify_all(txid_model, train_bundles[0]).selected_centers
+    txid_table = txid.train_txid(train_bundles[0])
+    centers = txid.identify_all(txid_table, train_bundles[0]).selected_centers
     denoiser_config = dataclasses.replace(train_config, seed=derived_seed(seed, "denoiser"))
     try:
         denoisers = denoise.train_denoiser(train_bundles, centers, denoiser_config)
@@ -367,13 +359,11 @@ def _train_artifacts(
         dataset.save_csv(train_bundle, out_dir / "train.csv")
         dataset.save_csv(test_bundle, out_dir / "test.csv")
         grid.save_grid_table_csv(anchor, out_dir / "anchor.csv")
-        nn.save_weights(txid_model, out_dir / "txid.json")
+        txid.save_table_csv(txid_table, out_dir / "txid.csv")
         nn.save_weights(denoiser_model, out_dir / "denoiser.json")
         denoise.save_lut_csv(lut, out_dir / "lut.csv")
-        for name, history in (
-            ("txid_loss.csv", txid_history), ("denoiser_loss.csv", denoiser_history)
-        ):
-            dataset.write_table_csv(out_dir / name, ["epoch", "loss"], enumerate(history))
+        loss_rows = enumerate(denoiser_history)
+        dataset.write_table_csv(out_dir / "denoiser_loss.csv", ["epoch", "loss"], loss_rows)
 
         manifest = {
             "grid_count": z,
@@ -395,14 +385,14 @@ def _train_artifacts(
                 "train": "train.csv",
                 "test": "test.csv",
                 "anchor": "anchor.csv",
-                "txid_model": "txid.json",
+                "txid_table": "txid.csv",
                 "denoiser_model": "denoiser.json",
                 "lut": "lut.csv",
             },
         }
         dataset.write_json(out_dir / "manifest.json", manifest)
         trained.append(
-            _Level(bundle.metadata.noise_rms_m, test_bundle, anchor, txid_model, denoiser_model, lut)
+            _Level(bundle.metadata.noise_rms_m, test_bundle, anchor, txid_table, denoiser_model, lut)
         )
     return trained
 
@@ -411,15 +401,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     bundle = dataset.load_csv(args.dataset)
     seed = resolve_seed(args.seed, RunConfig().seed)
     train_config = TrainConfig(args.learning_rate, args.epochs, args.batch_size)
-    stage1 = _train_stage1(bundle, args.train_fraction, seed, train_config)
     levels = [(bundle, Path(args.out))]
-    test = _train_artifacts(levels, stage1, args.train_fraction, seed, train_config)[0].test
+    test = _train_artifacts(levels, args.train_fraction, seed, train_config)[0].test
     print(f"trained artifacts in {args.out} (train {len(bundle) - len(test)}, test {len(test)})")
     return 0
 
 
 # Artifact files evaluate reads, by their key under the manifest's "files".
-_MANIFEST_FILES = ("test", "anchor", "txid_model", "denoiser_model", "lut")
+_MANIFEST_FILES = ("test", "anchor", "txid_table", "denoiser_model", "lut")
 
 
 def _read_manifest(artifact_dir: Path) -> tuple[int, float, dict[str, Path]]:
@@ -437,27 +426,22 @@ def _read_manifest(artifact_dir: Path) -> tuple[int, float, dict[str, Path]]:
     return z, level, files
 
 
-def _load_level(artifact_dir: Path, z: int, level: float, files: dict[str, Path]) -> _Level:
+def _load_level(z: int, level: float, files: dict[str, Path]) -> _Level:
     """One train output directory's evaluation inputs, read from its manifest's files."""
     test_bundle = dataset.load_csv(files["test"])
     anchor = grid.load_grid_table_csv(files["anchor"], z)
-    txid_model = nn.load_weights(files["txid_model"])
-    if txid_model.layer_dims[0] != test_bundle.metadata.codebook_size:
-        raise ConfigError(
-            f"{artifact_dir}: txid model expects {txid_model.layer_dims[0]} beams but "
-            f"dataset codebook has {test_bundle.metadata.codebook_size}"
-        )
+    txid_table = txid.load_table_csv(files["txid_table"], test_bundle.metadata.codebook_size)
     denoiser_model = nn.load_weights(files["denoiser_model"])
     lut = denoise.load_lut_csv(files["lut"], z)
-    return _Level(level, test_bundle, anchor, txid_model, denoiser_model, lut)
+    return _Level(level, test_bundle, anchor, txid_table, denoiser_model, lut)
 
 
 def _evaluate_artifacts(levels: Iterable[_Level], out_dir: Path, bin_width_m: float) -> None:
     """Score every level, then write the reports; a refusal leaves out_dir untouched."""
     scored = []
-    for level, test_bundle, anchor, txid_model, denoiser_model, lut in levels:
+    for level, test_bundle, anchor, txid_table, denoiser_model, lut in levels:
         predictions, identified = evaluate.predict_methods(
-            test_bundle, txid_model, lut, denoiser_model
+            test_bundle, txid_table, lut, denoiser_model
         )
         report = evaluate.per_grid_error(test_bundle, predictions, anchor)
         histogram = None
@@ -508,9 +492,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 f"their {tag} reports would overwrite each other"
             )
         owners[tag] = artifact_dir
-    levels = (_load_level(d, *manifest) for d, manifest in zip(dirs, manifests))
+    levels = (_load_level(*manifest) for manifest in manifests)
     _evaluate_artifacts(levels, Path(args.out), args.bin_width)
     return 0
+
+
+@contextlib.contextmanager
+def _removed_on_failure(root: Path) -> Iterator[None]:
+    """If the body fails, remove root and whichever of its parents did not
+    exist before; a directory that existed before is left in place."""
+    created = [p for p in (root, *root.parents) if not p.exists()]
+    try:
+        yield
+    except BaseException:
+        if created:
+            shutil.rmtree(created[-1], ignore_errors=True)
+        raise
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
@@ -519,23 +516,24 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     root = Path(args.out if args.out else config.output_dir)
     fraction = config.train_fraction
     train_config = TrainConfig(config.learning_rate, config.epochs, config.batch_size)
-    simulated = _simulate_datasets(config, seed, root / "datasets")
-    for direction, bundles in itertools.groupby(simulated, key=lambda item: item[0]):
-        dtag = _direction_tag(direction)
-        levels = []
-        for _, tag, _, bundle in bundles:
-            char_dir = root / "characterize" / f"{dtag}_{tag}"
-            _characterize(bundle, config.grid_count, config.bin_width_m, "auto", char_dir)
-            if tag == "clean":
-                clean = bundle
-            else:
-                levels.append((bundle, root / "artifacts" / dtag / tag))
-        dseed = derived_seed(seed, "train", dtag)
-        stage1 = _train_stage1(clean, fraction, dseed, train_config)
-        trained = _train_artifacts(levels, stage1, fraction, dseed, train_config)
-        for _, art_dir in levels:
-            print(f"trained {dtag} {art_dir.name}")
-        _evaluate_artifacts(trained, root / "eval" / dtag, config.bin_width_m)
+    with _removed_on_failure(root):
+        simulated = _simulate_datasets(config, seed, root / "datasets")
+        for direction, bundles in itertools.groupby(simulated, key=lambda item: item[0]):
+            dtag = _direction_tag(direction)
+            levels = []
+            for _, tag, _, bundle in bundles:
+                char_dir = root / "characterize" / f"{dtag}_{tag}"
+                try:
+                    _characterize(bundle, config.grid_count, config.bin_width_m, "auto", char_dir)
+                except ValueError as exc:
+                    raise DatasetFormatError(f"{dtag} {tag}: {exc}") from None
+                if tag != "clean":
+                    levels.append((bundle, root / "artifacts" / dtag / tag))
+            dseed = derived_seed(seed, "train", dtag)
+            trained = _train_artifacts(levels, fraction, dseed, train_config)
+            for _, art_dir in levels:
+                print(f"trained {dtag} {art_dir.name}")
+            _evaluate_artifacts(trained, root / "eval" / dtag, config.bin_width_m)
     print(f"pipeline outputs in {root}")
     return 0
 
@@ -569,14 +567,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (default: <dataset dir>/characterize)")
     p.set_defaults(func=cmd_characterize)
 
-    p = sub.add_parser("train", help="split, train both networks, and build the lookup table")
+    p = sub.add_parser(
+        "train", help="split, build the stage-1 beam table and the lookup table, train the denoiser"
+    )
     p.add_argument("--dataset", required=True, help="dataset CSV with noisy positions")
     p.add_argument("--out", required=True, help="artifact output directory")
     p.add_argument("--train-fraction", type=float, default=0.7, help="train split fraction (default 0.7)")
     p.add_argument("--seed", type=int, help="master seed override (beats BEAMFIX_SEED)")
-    p.add_argument("--epochs", type=int, default=250, help="training epochs (default 250)")
-    p.add_argument("--learning-rate", type=float, default=1e-3, help="Adam learning rate (default 1e-3)")
-    p.add_argument("--batch-size", type=int, default=32, help="mini-batch size (default 32)")
+    p.add_argument("--epochs", type=int, default=250, help="denoiser training epochs (default 250)")
+    p.add_argument("--learning-rate", type=float, default=1e-3, help="denoiser Adam learning rate (default 1e-3)")
+    p.add_argument("--batch-size", type=int, default=32, help="denoiser mini-batch size (default 32)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score trained artifacts on their test splits")

@@ -212,8 +212,8 @@ def read_table_csv(
 
 
 # Largest grid count and codebook size a sidecar, manifest or run config may
-# declare. A million grids is finer than any camera's pixel columns; stage 1
-# encodes each beam as a one-hot vector as wide as the codebook.
+# declare. A million grids is finer than any camera's pixel columns; a
+# codebook of 4096 beams is far finer than any array steers.
 MAX_GRID_COUNT = 1_000_000
 MAX_CODEBOOK_SIZE = 4096
 

@@ -94,7 +94,7 @@ def per_grid_error(
 
 def predict_methods(
     bundle: DatasetBundle,
-    txid_model: MlpModel,
+    txid_table: txid.BeamTable,
     lut: LookupTable,
     mlp_model: MlpModel,
 ) -> tuple[dict[str, np.ndarray], txid.Identification]:
@@ -104,7 +104,7 @@ def predict_methods(
     table and the MLP, plus the stage-1 identification that drove them.
     """
     lats, lons = dataset.positions(bundle, "noisy")
-    identified = txid.identify_all(txid_model, bundle)
+    identified = txid.identify_all(txid_table, bundle)
     return {
         "noisy": np.column_stack([lats, lons]),
         "lut": denoise.lut_predict_all(lut, identified.selected_centers[:, 0]),

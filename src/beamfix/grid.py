@@ -327,16 +327,17 @@ _GRID_TABLE_COLUMNS = (
 def read_grid_rows(
     path: str | Path, columns: Sequence[tuple[str, Callable[[str], object]]], grid_count: int
 ) -> dict[int, list]:
-    """Rows of a per-grid table CSV by their leading ``grid`` cell, which must
-    hold each grid in [0, grid_count) at most once; see dataset.read_table_csv."""
+    """Rows of a table CSV by their leading grid (or beam) cell, which must
+    hold each key in [0, grid_count) at most once; see dataset.read_table_csv."""
+    key = columns[0][0]
     rows: dict[int, list] = {}
     for row_num, (g, *cells) in dataset.read_table_csv(path, columns):
         if not 0 <= g < grid_count:
             raise DatasetFormatError(
-                f"{path}: row {row_num}: column 'grid': {g} outside [0, {grid_count})"
+                f"{path}: row {row_num}: column '{key}': {g} outside [0, {grid_count})"
             )
         if g in rows:
-            raise DatasetFormatError(f"{path}: row {row_num}: column 'grid': grid {g} repeated")
+            raise DatasetFormatError(f"{path}: row {row_num}: column '{key}': {key} {g} repeated")
         rows[g] = cells
     return rows
 

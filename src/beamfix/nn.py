@@ -64,7 +64,9 @@ class Normalizer:
         """Zero-mean/unit-scale transform from data statistics.
 
         Features with zero spread need a fallback scale. "unit" keeps them
-        at 1.0, which bounds unseen categorical values at inference time.
+        at 1.0, so an input feature that never varied in training (say,
+        every selected box at one height) stays within its own range at
+        inference time instead of being blown up by a tiny scale.
         "negligible" uses 1e-9 * max(1, |mean|), so a constant target
         denormalizes back to the constant no matter how loosely the model
         output converges.

@@ -1,7 +1,11 @@
 """Stage 1: transmitter identification.
 
-A small MLP learns beam index (one-hot) to bounding-box center; the
-detected object nearest that estimate is declared the transmitter.
+The paper regresses a one-hot beam index to the transmitter's box center
+with an MLP. Under MSE the exact minimizer for one-hot inputs is each
+beam's mean training center, so stage 1 is that closed form: a per-beam
+table. A beam absent from training takes the nearest trained beam's
+center, ties to the lower index (codebook beams are ordered by steering
+angle). The detected object nearest that center is the transmitter.
 """
 
 from __future__ import annotations
@@ -11,58 +15,60 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import dataset, nn
-from .dataset import DatasetBundle
-from .nn import MlpModel, TrainConfig
+from . import dataset, grid
+from .dataset import DatasetBundle, DatasetFormatError
 
-DEFAULT_HIDDEN_DIMS = (64, 64)
+_UNIT = dataset.float_cell(0.0, 1.0)
+_TABLE_COLUMNS = (("beam", int), ("count", int), ("x_center", _UNIT), ("y_center", _UNIT))
+
+
+class BeamTable(NamedTuple):
+    """Mean transmitter center and training row count of each trained beam."""
+
+    codebook_size: int
+    beams: np.ndarray  # (k,) trained beams, ascending
+    counts: np.ndarray  # (k,) training rows per beam
+    centers: np.ndarray  # (k, 2) mean x/y center per beam
 
 
 class Identification(NamedTuple):
     """Stage 1 for every row of a split, as columns."""
 
-    estimates: np.ndarray  # (n, 2) regressed centers, clipped into the unit square
+    estimates: np.ndarray  # (n, 2) each row's beam center from the table
     selected_index: np.ndarray  # (n,) detection slot nearest each estimate
     selected_centers: np.ndarray  # (n, 2) that detection's x/y center
 
 
-def train_txid(
-    bundle: DatasetBundle,
-    config: TrainConfig,
-    hidden_dims: Sequence[int] = DEFAULT_HIDDEN_DIMS,
-) -> tuple[MlpModel, list[float]]:
-    """Fit beam one-hot -> transmitter center on labeled samples.
+def train_txid(bundle: DatasetBundle) -> BeamTable:
+    """Per-beam mean of the labeled transmitter centers, summed in row order.
 
     Every training sample must carry a transmitter-labeled detection; the
     first sample without one is named in the error.
     """
     targets = dataset.tx_centers(bundle)
-    inputs = np.eye(bundle.metadata.codebook_size)[bundle.beams]
-    return nn.fit(inputs, [targets], hidden_dims, config)[0]
+    beams, slot, counts = np.unique(bundle.beams, return_inverse=True, return_counts=True)
+    sums = np.column_stack([np.bincount(slot, weights=column) for column in targets.T])
+    return BeamTable(bundle.metadata.codebook_size, beams, counts, sums / counts[:, None])
 
 
-def identify(model: MlpModel, beams, det_x, det_y, det_count) -> Identification:
-    """Beam -> estimated center -> nearest detection, for every row at once.
+def identify(table: BeamTable, beams, det_x, det_y, det_count) -> Identification:
+    """Beam -> table center -> nearest detection, for every row at once.
 
     Rows are a bundle's ``beams`` and its padded ``det_x``/``det_y``
-    columns with ``det_count`` real slots each. One forward pass over the
-    one-hot beams gives each row's estimate, clipped into the unit square;
-    a NaN estimate is refused. Each row selects the real slot at the
-    smallest ``np.hypot`` distance from its estimate; ties resolve to the
-    lowest detection index.
+    columns with ``det_count`` real slots each. Each row's estimate is its
+    beam's center, or the nearest trained beam's. Each row selects the
+    real slot at the smallest ``np.hypot`` distance from its estimate;
+    ties resolve to the lowest detection index.
     """
-    q = model.layer_dims[0]
+    q = table.codebook_size
     beams = np.asarray(beams)
     outside = (beams < 0) | (beams >= q)
     if outside.any():
         raise ValueError(f"beam index {beams[outside][0]} outside [0, {q - 1}]")
     if (det_count < 1).any():
         raise ValueError("cannot select from an empty detection list")
-    raw = nn.predict(model, np.eye(q)[beams])
-    nan = np.isnan(raw).any(axis=1)
-    if nan.any():
-        raise ValueError(f"stage-1 model estimate for beam {beams[nan][0]} is NaN")
-    estimates = np.clip(raw, 0.0, 1.0)
+    trained = table.beams.tolist()
+    estimates = table.centers[np.searchsorted(trained, grid.nearest_grid(trained, beams))]
     dist = np.hypot(det_x - estimates[:, :1], det_y - estimates[:, 1:])
     dist[np.arange(dist.shape[1]) >= det_count[:, None]] = np.inf
     index = dist.argmin(axis=1) if len(dist) else np.zeros(0, dtype=np.int64)
@@ -71,9 +77,23 @@ def identify(model: MlpModel, beams, det_x, det_y, det_count) -> Identification:
     return Identification(estimates, index, centers)
 
 
-def identify_all(model: MlpModel, bundle: DatasetBundle) -> Identification:
+def identify_all(table: BeamTable, bundle: DatasetBundle) -> Identification:
     """identify() over a bundle's beam and detection columns."""
-    return identify(model, bundle.beams, bundle.det_x, bundle.det_y, bundle.det_count)
+    return identify(table, bundle.beams, bundle.det_x, bundle.det_y, bundle.det_count)
+
+
+def save_table_csv(table: BeamTable, path: str | Path) -> None:
+    rows = zip(table.beams.tolist(), table.counts.tolist(), *table.centers.T.tolist())
+    dataset.write_table_csv(path, [name for name, _ in _TABLE_COLUMNS], rows)
+
+
+def load_table_csv(path: str | Path, codebook_size: int) -> BeamTable:
+    rows = grid.read_grid_rows(path, _TABLE_COLUMNS, codebook_size)
+    if not rows:
+        raise DatasetFormatError(f"{path}: no beam rows")
+    beams = sorted(rows)
+    counts, x, y = zip(*(rows[b] for b in beams))
+    return BeamTable(codebook_size, np.array(beams), np.array(counts), np.column_stack([x, y]))
 
 
 def save_predictions_csv(

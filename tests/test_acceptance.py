@@ -143,7 +143,7 @@ def test_05_transmitter_identification(scene, codebook):
     assert train_bundle.metadata.grid_count == 100
     assert train_bundle.metadata.codebook_size == 64
 
-    model, _ = txid.train_txid(train_bundle, TrainConfig(epochs=200, seed=55))
+    model = txid.train_txid(train_bundle)
     selected = txid.identify_all(model, test_bundle).selected_index
     correct = int(test_bundle.det_tx[np.arange(len(test_bundle)), selected].sum())
     accuracy = correct / len(test_bundle)
@@ -188,7 +188,7 @@ def denoise_suite(codebook) -> DenoiseSuite:
     counts = grid.build_grid_table(base_train, "ground_truth", 100)
     min_per_grid = min(c.count for c in counts.cells.values())
     anchor = grid.build_grid_table(concat(base_train, base_test), "ground_truth", 100)
-    txid_model, _ = txid.train_txid(base_train, TrainConfig(epochs=200, seed=301))
+    txid_model = txid.train_txid(base_train)
 
     overall: dict[float, dict[str, float]] = {}
     for level in NOISE_LEVELS:

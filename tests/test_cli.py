@@ -204,6 +204,7 @@ class TestRunConfig:
             ("learning_rate", 0.0, "> 0"),
             ("learning_rate", -1e-3, "> 0"),
             ("bin_width_m", 0.0, "> 0"),
+            ("noise_levels_m", [], "non-empty"),
         ],
     )
     def test_out_of_range_training_value_exit_2(self, tmp_path, capsys, key, value, bound):
@@ -369,18 +370,18 @@ class TestTrainCommand:
     def test_completes_and_persists(self, trained):
         code, art, _ = trained
         assert code == 0
-        for name in ("txid.json", "denoiser.json", "lut.csv", "anchor.csv",
-                     "train.csv", "test.csv", "manifest.json",
-                     "txid_loss.csv", "denoiser_loss.csv"):
+        for name in ("txid.csv", "denoiser.json", "lut.csv", "anchor.csv",
+                     "train.csv", "test.csv", "manifest.json", "denoiser_loss.csv"):
             assert (art / name).exists()
+        assert not (art / "txid.json").exists() and not (art / "txid_loss.csv").exists()
 
     def test_loss_histories_are_table_csvs(self, trained):
         _, art, _ = trained
-        for name in ("txid_loss.csv", "denoiser_loss.csv"):
-            rows = dataset.read_table_csv(art / name, [("epoch", int), ("loss", float)])
-            assert [cells[0] for _, cells in rows] == list(range(30))
-            assert all(np.isfinite(cells[1]) for _, cells in rows)
-            assert (art / name).read_bytes().startswith(b"epoch,loss\r\n0,")
+        path = art / "denoiser_loss.csv"
+        rows = dataset.read_table_csv(path, [("epoch", int), ("loss", float)])
+        assert [cells[0] for _, cells in rows] == list(range(30))
+        assert all(np.isfinite(cells[1]) for _, cells in rows)
+        assert path.read_bytes().startswith(b"epoch,loss\r\n0,")
 
     @pytest.mark.parametrize("key", ["grid_count", "codebook_size"])
     def test_sidecar_count_out_of_range_exit_2(self, trained, tmp_path, capsys, key):
@@ -396,10 +397,6 @@ class TestTrainCommand:
     def test_gradient_check_on_trained_models(self, trained):
         _, art, _ = trained
         rng = np.random.default_rng(0)
-        txid_model = nn.load_weights(art / "txid.json")
-        x = np.eye(txid_model.layer_dims[0])[rng.integers(0, 64, size=6)]
-        y = rng.uniform(0, 1, size=(6, 2))
-        assert nn.gradient_check(txid_model, x, y) < 1e-4
         den_model = nn.load_weights(art / "denoiser.json")
         x2 = rng.uniform(0, 1, size=(6, 2))
         y2 = rng.normal(0, 1, size=(6, 2))
@@ -412,7 +409,7 @@ class TestTrainCommand:
             ["train", "--dataset", str(data_path), "--out", str(art2),
              "--seed", "5", "--epochs", "30"]
         ) == 0
-        for name in ("txid.json", "denoiser.json", "lut.csv", "train.csv", "test.csv"):
+        for name in ("txid.csv", "denoiser.json", "lut.csv", "train.csv", "test.csv"):
             assert (art / name).read_bytes() == (art2 / name).read_bytes()
 
     def test_split_sizes_recorded(self, trained):
@@ -489,9 +486,8 @@ class TestEvaluateCommand:
         art = tmp_path / "art"
         main(["train", "--dataset", str(run / "datasets" / "l2r_rms0.5.csv"),
               "--out", str(art), "--epochs", "2"])
-        # swap in a txid model with the wrong input width
-        model = nn.init_mlp((32, 8, 2), np.random.default_rng(0))
-        nn.save_weights(model, art / "txid.json")
+        # swap in a stage-1 table of a 128-beam codebook; the dataset's has 64
+        (art / "txid.csv").write_text("beam,count,x_center,y_center\r\n100,3,0.5,0.5\r\n")
         assert main(["evaluate", "--artifacts", str(art), "--out", str(tmp_path / "e")]) == 2
 
     def test_not_an_artifact_dir_exit_2(self, tmp_path):
@@ -509,7 +505,7 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize(
         "key",
         ["grid_count", "noise_rms_m", "files", "files.test", "files.anchor",
-         "files.txid_model", "files.denoiser_model", "files.lut"],
+         "files.txid_table", "files.denoiser_model", "files.lut"],
     )
     def test_manifest_missing_key_exit_2(self, small_artifacts, tmp_path, capsys, key):
         art = tmp_path / "art"
@@ -552,10 +548,10 @@ class TestEvaluateCommand:
     def test_model_not_an_object_exit_2(self, small_artifacts, tmp_path, capsys):
         art = tmp_path / "art"
         shutil.copytree(small_artifacts["l2r"], art)
-        (art / "txid.json").write_text("[1, 2]\n")
+        (art / "denoiser.json").write_text("[1, 2]\n")
         assert main(["evaluate", "--artifacts", str(art), "--out", str(tmp_path / "e")]) == 2
         err = capsys.readouterr().err
-        assert str(art / "txid.json") in err and "expected a JSON object" in err
+        assert str(art / "denoiser.json") in err and "expected a JSON object" in err
 
     def test_bad_test_split_names_file(self, small_artifacts, tmp_path, capsys):
         good, bad = tmp_path / "good", tmp_path / "bad"
@@ -622,9 +618,17 @@ class TestEvaluateCommand:
             ("lut.csv", lambda rows: rows[:1] + [["-1"] + rows[1][1:]], "column 'grid'"),
             ("anchor.csv", lambda rows: rows[:1] + [rows[1][:2] + ["nan"] + rows[1][3:]],
              "column 'mean_lat'"),
+            ("txid.csv", lambda rows: rows[:1] + [["64"] + rows[1][1:]],
+             "row 1: column 'beam': 64 outside [0, 64)"),
+            ("txid.csv", lambda rows: rows[:1] + [["0"] + rows[1][1:]] * 2,
+             "row 2: column 'beam': beam 0 repeated"),
+            ("txid.csv", lambda rows: rows[:2] + [rows[2][:2] + ["1.5", rows[2][3]]],
+             "row 2: column 'x_center': '1.5' outside [0.0, 1.0]"),
+            ("txid.csv", lambda rows: rows[:1], "no beam rows"),
         ],
         ids=["short-row", "empty", "grid-not-int", "grid-repeated", "grid-eq-z",
-             "grid-negative", "lat-nan"],
+             "grid-negative", "lat-nan", "beam-eq-q", "beam-repeated", "center-above-1",
+             "no-beams"],
     )
     def test_malformed_table_exit_2(self, small_artifacts, tmp_path, capsys, name, edit, expected):
         art = tmp_path / "art"
@@ -660,10 +664,12 @@ class TestEvaluateCommand:
             (lambda doc: doc["target_norm"].update(shift=[1e6, 0.0]),
              r"error: latitude 99999\d\.\d+ outside \[-90, 90\]"),
             (lambda doc: doc["target_norm"].update(shift=[0.0, -1e6]),
-             r"error: longitude -99999\d\.\d+ outside \[-180, 180\]"),
-            # Hidden units overflow to inf; mixed-sign output weights make NaN.
+             r"error: longitude -(99999\d|1000000)\.\d+ outside \[-180, 180\]"),
+            # Inputs normalize above 0, so every first-layer unit overflows to
+            # inf; mixed-sign weights downstream make NaN.
             (lambda doc: doc.update(weights=[np.full_like(doc["weights"][0], 1e308).tolist(),
-                                             *doc["weights"][1:]]),
+                                             *doc["weights"][1:]],
+                                    input_norm={**doc["input_norm"], "shift": [-1.0, -1.0]}),
              r"error: latitude nan outside \[-90, 90\]"),
         ],
         ids=["latitude", "longitude", "nan"],
@@ -798,6 +804,34 @@ class TestPipelineCommand:
         assert (out / "eval" / "r2l" / "comparison.csv").exists()
 
 
+# Passes validation, then the 1000 m level's histogram needs more than
+# grid.MAX_HISTOGRAM_BINS bins, after the clean L2R data is written.
+LATE_REFUSAL = {"noise_levels_m": [1000], "bin_width_m": 0.005,
+                "samples_left_to_right": 200, "samples_right_to_left": 20}
+
+
+class TestPipelineRefusal:
+    def test_refusal_after_validation_leaves_no_out(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(LATE_REFUSAL))
+        out = tmp_path / "new" / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: l2r rms1000: largest value ")
+        assert "histogram bins" in err
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_refusal_keeps_an_existing_out(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(LATE_REFUSAL))
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert "l2r rms1000: " in capsys.readouterr().err
+        assert (out / "notes.txt").read_text() == "kept\n"
+
+
 @pytest.fixture(scope="module")
 def two_level_pipeline(tmp_path_factory):
     """A pipeline run at 0.5 and 1 m."""
@@ -822,8 +856,7 @@ class TestSharedStageOne:
     def test_one_stage1_and_split_per_direction(self, two_level_pipeline, dtag):
         out = two_level_pipeline
         levels = [out / "artifacts" / dtag / tag for tag in ("rms0.5", "rms1")]
-        for name in ("txid.json", "txid_loss.csv"):
-            assert len({(art / name).read_bytes() for art in levels}) == 1
+        assert len({(art / "txid.csv").read_bytes() for art in levels}) == 1
         ids = [dataset.load_csv(art / "test.csv").ids.tolist() for art in levels]
         assert ids[0] == ids[1]
 
@@ -845,9 +878,9 @@ class TestSharedStageOne:
         calls = []
         identify_all = txid.identify_all
 
-        def counted(model, bundle):
+        def counted(table, bundle):
             calls.append(len(bundle))
-            return identify_all(model, bundle)
+            return identify_all(table, bundle)
 
         monkeypatch.setattr(txid, "identify_all", counted)
         config = write_config(tmp_path, samples_left_to_right=60, samples_right_to_left=50,

@@ -287,7 +287,7 @@ class TestLoaderProperties:
     # Numbers for model weights, biases and normalizers: finite but extreme
     # ones drive predictions out of range or overflow to NaN.
     MODEL_VALUES = [0.0, -1.0, 1e6, -1e6, 1e150, 1e300, -1e300, math.nan, math.inf, "x", None, []]
-    ARTIFACT_FILES = ["manifest.json", "txid.json", "denoiser.json", "anchor.csv", "lut.csv"]
+    ARTIFACT_FILES = ["manifest.json", "txid.csv", "denoiser.json", "anchor.csv", "lut.csv"]
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)

@@ -209,11 +209,11 @@ class TestExports:
         traj = simulate.TrajectoryConfig(60, Direction.LEFT_TO_RIGHT, 1, seed=15)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 16))
         anchor = grid.build_grid_table(bundle, "ground_truth", 100)
-        txid_model, _ = txid.train_txid(bundle, TrainConfig(epochs=5, seed=17))
+        txid_table = txid.train_txid(bundle)
         centers = [tuple(c) for c in dataset.tx_centers(bundle).tolist()]
         lut = denoise.build_lut(bundle, 100)
         [(den, _)] = denoise.train_denoiser([bundle], centers, TrainConfig(epochs=5, seed=18))
-        predictions, _ = predict_methods(bundle, txid_model, lut, den)
+        predictions, _ = predict_methods(bundle, txid_table, lut, den)
         reports = {0.5: per_grid_error(bundle, predictions, anchor)}
         table = comparison_text_table(reports)
         lines = table.splitlines()
