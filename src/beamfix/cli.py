@@ -60,9 +60,9 @@ class RunConfig:
     samples_right_to_left: int = 1086
     num_distractors: int = 2
     output_dir: str = "runs/latest"
-    learning_rate: float = 1e-3
-    epochs: int = 250
-    batch_size: int = 32
+    learning_rate: float = TrainConfig.learning_rate
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
     bin_width_m: float = 0.05
 
     def validate(self) -> None:
@@ -190,7 +190,7 @@ def _load_scene(config: RunConfig) -> simulate.SceneGeometry:
     try:
         return simulate.load_scene(config.scene_path)
     except (ValueError, OSError) as exc:
-        raise ConfigError(f"cannot load scene {config.scene_path}: {exc}") from None
+        raise ConfigError(f"cannot load scene: {exc}") from None
 
 
 def _simulate_datasets(config: RunConfig, seed: int, out_dir: Path) -> Iterator[tuple]:
@@ -259,10 +259,8 @@ def _characterize(
         "positions": selector,
         "grid_count": grid_count,
         "bin_width_m": bin_width_m,
-        "populated_grids": len(table.cells),
-        "mean_displacement_m": float(
-            np.mean([table.cells[g].avg_displacement_m for g in table.populated()])
-        ),
+        "populated_grids": len(table.grids),
+        "mean_displacement_m": float(np.mean(table.avg_displacement_m)),
     }
     try:
         fit = grid.fit_gaussian(sample_hist)
@@ -499,14 +497,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 @contextlib.contextmanager
 def _removed_on_failure(root: Path) -> Iterator[None]:
-    """If the body fails, remove root and whichever of its parents did not
-    exist before; a directory that existed before is left in place."""
+    """If the body fails, remove root and whichever of its parents did not exist
+    before, or else the directories the body added to root (a pipeline writes
+    only directories there); files overwritten in older ones stay changed."""
     created = [p for p in (root, *root.parents) if not p.exists()]
+    before = set(root.iterdir()) if root.is_dir() else set()
     try:
         yield
     except BaseException:
-        if created:
-            shutil.rmtree(created[-1], ignore_errors=True)
+        added = set(root.iterdir()) - before if root.is_dir() else set()
+        for path in created[-1:] or added:
+            shutil.rmtree(path, ignore_errors=True)
         raise
 
 
@@ -557,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("characterize", help="per-grid error table, histograms, and Gaussian fit")
     p.add_argument("--dataset", required=True, help="dataset CSV to characterize")
     p.add_argument("--grid-count", type=int, default=None, help="grids Z (default: dataset metadata, typically 100)")
-    p.add_argument("--bin-width", type=float, default=0.05, help="histogram bin width in meters (default 0.05)")
+    p.add_argument("--bin-width", type=float, default=RunConfig.bin_width_m, help="histogram bin width in meters (default %(default)s)")
     p.add_argument(
         "--positions",
         choices=["auto", "ground-truth", "noisy"],
@@ -572,17 +573,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dataset", required=True, help="dataset CSV with noisy positions")
     p.add_argument("--out", required=True, help="artifact output directory")
-    p.add_argument("--train-fraction", type=float, default=0.7, help="train split fraction (default 0.7)")
+    p.add_argument("--train-fraction", type=float, default=RunConfig.train_fraction, help="train split fraction (default %(default)s)")
     p.add_argument("--seed", type=int, help="master seed override (beats BEAMFIX_SEED)")
-    p.add_argument("--epochs", type=int, default=250, help="denoiser training epochs (default 250)")
-    p.add_argument("--learning-rate", type=float, default=1e-3, help="denoiser Adam learning rate (default 1e-3)")
-    p.add_argument("--batch-size", type=int, default=32, help="denoiser mini-batch size (default 32)")
+    p.add_argument("--epochs", type=int, default=RunConfig.epochs, help="denoiser training epochs (default %(default)s)")
+    p.add_argument("--learning-rate", type=float, default=RunConfig.learning_rate, help="denoiser Adam learning rate (default %(default)s)")
+    p.add_argument("--batch-size", type=int, default=RunConfig.batch_size, help="denoiser mini-batch size (default %(default)s)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score trained artifacts on their test splits")
     p.add_argument("--artifacts", nargs="+", required=True, help="train output directories, one per noise level")
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument("--bin-width", type=float, default=0.05, help="histogram bin width in meters (default 0.05)")
+    p.add_argument("--bin-width", type=float, default=RunConfig.bin_width_m, help="histogram bin width in meters (default %(default)s)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("pipeline", help="simulate, characterize, train, and evaluate end to end")

@@ -272,7 +272,7 @@ def read_json(path: str | Path) -> dict:
 
 
 def json_field(doc: dict, path: str | Path, key: str, parse: Callable = lambda raw: raw):
-    """The value at a dotted key of a read_json document, parsed.
+    """The value at a dotted key (a numeric part indexes a list) of a read_json document, parsed.
 
     Errors name the file and the key: ``<file>: missing key '<k>'`` or
     ``<file>: key '<k>': <why>``.
@@ -280,7 +280,9 @@ def json_field(doc: dict, path: str | Path, key: str, parse: Callable = lambda r
     value = doc
     parts = key.split(".")
     for depth, part in enumerate(parts, 1):
-        if not isinstance(value, dict) or part not in value:
+        if isinstance(value, list) and part.isdecimal() and int(part) < len(value):
+            part = int(part)
+        elif not isinstance(value, dict) or part not in value:
             raise DatasetFormatError(f"{path}: missing key '{'.'.join(parts[:depth])}'")
         value = value[part]
     try:

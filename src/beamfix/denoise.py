@@ -73,8 +73,7 @@ def lut_predict_all(lut: LookupTable, x_centers) -> np.ndarray:
     """
     populated = sorted(lut.means)
     means = np.array([(lut.means[g].lat_deg, lut.means[g].lon_deg) for g in populated])
-    grids = grid.nearest_grid(populated, grid.assign_grids(x_centers, lut.grid_count))
-    return means[np.searchsorted(populated, grids)]
+    return means[grid.nearest_row(populated, grid.assign_grids(x_centers, lut.grid_count))]
 
 
 def lut_predict(lut: LookupTable, x_center: float) -> GeoPosition:

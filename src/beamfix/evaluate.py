@@ -1,9 +1,9 @@
 """Per-grid haversine evaluation, cross-noise-level comparison, plot exports.
 
 Errors are measured against per-grid ground-truth anchor means: test
-samples are grouped with ``grid.group_by_grid``, and each one's haversine
-distance from its grid's anchor mean to the predicted position is averaged
-within each grid, then equally weighted across populated grids.
+samples are grouped with ``grid.group_by_grid``, each grid finds its anchor
+row once (``grid.nearest_row``), and the haversine distances from that mean
+to the predictions are averaged per grid, then equally across grids.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from . import dataset, denoise, geo, grid, txid
 from .dataset import DatasetBundle
 from .denoise import LookupTable
-from .geo import GeoPosition
 from .grid import GridTable
 from .nn import MlpModel
 
@@ -50,10 +49,10 @@ def per_grid_error(
     """Score methods' (n, 2) lat/lon predictions against ground-truth anchor means.
 
     Samples are grouped by the grid of their transmitter-labeled
-    detection. A sample whose grid is absent from the anchor table is
-    scored against the nearest populated anchor grid and flagged. Rows are
-    scored one at a time by the scalar haversine, whose every bit the
-    reports print; ``geo.haversine_m`` rounds some rows differently.
+    detection. A grid absent from the anchor table is scored against the
+    nearest populated anchor grid (ties to the lower) and flagged. Rows are
+    scored one by one on plain floats by the scalar haversine, whose every
+    bit the reports print; ``geo.haversine_m`` rounds some rows differently.
     """
     if not predictions:
         raise ValueError("no prediction methods to evaluate")
@@ -67,17 +66,17 @@ def per_grid_error(
     methods = [m for m in METHOD_ORDER if m in predictions]
     methods += [m for m in predictions if m not in METHOD_ORDER]
 
-    x = dataset.tx_centers(test_bundle)[:, 0]
-    positions = {m: [GeoPosition(*p) for p in predictions[m].tolist()] for m in methods}
+    positions = {m: predictions[m].tolist() for m in methods}
+    groups = grid.group_by_grid(dataset.tx_centers(test_bundle)[:, 0], gt_anchor.grid_count)
+    anchor_rows = grid.nearest_row(gt_anchor.grids, list(groups))
+    anchors = zip(gt_anchor.grids[anchor_rows].tolist(), gt_anchor.means[anchor_rows].tolist())
     rows = []
     fallback_samples = 0
-    for g, idx in grid.group_by_grid(x, gt_anchor.grid_count).items():
-        anchor_grid = gt_anchor.nearest_populated(g)
+    for (g, idx), (anchor_grid, (lat, lon)) in zip(groups.items(), anchors):
         if anchor_grid != g:
             fallback_samples += len(idx)
-        anchor = gt_anchor.cells[anchor_grid].mean_position
         mean_error = {
-            m: float(np.mean([geo.haversine_distance(anchor, positions[m][i]) for i in idx]))
+            m: float(np.mean([geo.haversine_distance(lat, lon, *positions[m][i]) for i in idx]))
             for m in methods
         }
         rows.append(GridErrorRow(g, len(idx), mean_error, anchor_grid != g))

@@ -72,17 +72,17 @@ class NoiseSpec:
             raise ValueError(f"target_rms_m must be >= 0, got {self.target_rms_m}")
 
 
-def haversine_distance(a: GeoPosition, b: GeoPosition) -> float:
-    """Great-circle distance in meters between two positions.
+def haversine_distance(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """Great-circle distance in meters; degrees in, as ``haversine_m`` but scalar.
 
-    Symmetric, nonnegative, and exactly zero for identical inputs. The
-    asin argument is clamped to 1 so floating-point noise near antipodal
-    points cannot produce a domain error.
+    Scoring uses it: numpy's sin and arcsin round some distances differently
+    in the last bit, and the reports print every bit. Symmetric, nonnegative,
+    zero for identical inputs; asin's argument is clamped to 1 near antipodes.
     """
-    phi1 = math.radians(a.lat_deg)
-    phi2 = math.radians(b.lat_deg)
-    half_dphi = math.radians(b.lat_deg - a.lat_deg) / 2.0
-    half_dlam = math.radians(b.lon_deg - a.lon_deg) / 2.0
+    phi1 = math.radians(lat1)
+    phi2 = math.radians(lat2)
+    half_dphi = math.radians(lat2 - lat1) / 2.0
+    half_dlam = math.radians(lon2 - lon1) / 2.0
     h = math.sin(half_dphi) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(half_dlam) ** 2
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 

@@ -2,11 +2,11 @@
 
 The normalized image width is divided into Z equal vertical grids. A
 sample belongs to the grid containing the x-center of its transmitter
-detection. ``group_by_grid``, ``grid_means`` and the ``nearest_grid``
-fallback are the one grid layer that outlier removal, the lookup table
-and evaluation share. Per-grid average displacement from the grid's mean
-position is the site-specific error measure; its distribution is
-summarized by a histogram and a least-squares Gaussian fit.
+detection. ``group_by_grid``, ``grid_means`` and the ``nearest_row``
+fallback are the one grid layer that outlier removal, the lookup table,
+stage 1 and evaluation share. A ``GridTable`` holds each populated grid's
+count, mean position and average displacement from it (the site-specific
+error measure) as columns; a histogram and a Gaussian fit summarize them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Collection, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,42 +84,35 @@ def grid_means(
     }
 
 
-def nearest_grid(populated: Collection[int], grids) -> np.ndarray:
-    """Each of the grids (an int or an array) if populated, else the closest
-    populated grid; ties go to the lower index."""
-    if not populated:
-        raise ValueError("no populated grids to fall back to")
-    pop = np.array(sorted(populated), dtype=np.int64)
-    g = np.asarray(grids, dtype=np.int64)
-    right = np.searchsorted(pop, g)  # first populated grid >= g, if any
-    above = pop[np.minimum(right, len(pop) - 1)]
-    below = pop[np.maximum(right - 1, 0)]
-    return np.where(np.abs(above - g) < np.abs(g - below), above, below)
+def nearest_row(keys: np.ndarray, queries) -> np.ndarray:
+    """Row in the ascending ``keys`` of the key nearest each query (an int or an
+    array), ties to the lower key: the fallback for any grid or beam a table lacks."""
+    if not len(keys):
+        raise ValueError("no populated keys to fall back to")
+    keys = np.asarray(keys, dtype=np.int64)
+    q = np.asarray(queries, dtype=np.int64)
+    above = np.minimum(np.searchsorted(keys, q), len(keys) - 1)  # first key >= q, else the last
+    below = np.maximum(above - 1, 0)
+    return np.where(np.abs(keys[above] - q) < np.abs(q - keys[below]), above, below)
 
 
-@dataclass(frozen=True, slots=True)
-class GridCell:
-    count: int
-    mean_position: GeoPosition
-    avg_displacement_m: float
-
-
-@dataclass(frozen=True)
-class GridTable:
-    """Per-grid statistics over the populated grids; empty grids are absent."""
+class GridTable(NamedTuple):
+    """Per-grid statistics over the populated grids, as columns; empty grids are absent."""
 
     grid_count: int
-    cells: dict[int, GridCell]
+    grids: np.ndarray  # (k,) populated grids, ascending
+    counts: np.ndarray  # (k,) samples per grid
+    means: np.ndarray  # (k, 2) mean lat/lon per grid
+    avg_displacement_m: np.ndarray  # (k,) mean haversine distance of the members from it
 
-    def populated(self) -> list[int]:
-        return sorted(self.cells)
 
-    def total_count(self) -> int:
-        return sum(c.count for c in self.cells.values())
-
-    def nearest_populated(self, grid: int) -> int:
-        """Closest populated grid index; ties resolve to the lower index."""
-        return int(nearest_grid(self.cells, grid))
+def _grid_table(grid_count: int, rows: Sequence[tuple]) -> GridTable:
+    """GridTable of (grid, count, mean_lat, mean_lon, avg_displacement_m) rows, grids ascending."""
+    grids, counts, lats, lons, avg = zip(*rows) if rows else [()] * 5
+    return GridTable(
+        grid_count, np.array(grids, dtype=np.int64), np.array(counts, dtype=np.int64),
+        np.column_stack([lats, lons]), np.array(avg, dtype=float),
+    )
 
 
 def build_grid_table(
@@ -135,11 +128,11 @@ def build_grid_table(
     ordered = bundle.take(np.argsort(bundle.ids, kind="stable"))
     x = dataset.tx_centers(ordered)[:, 0]
     lats, lons = dataset.positions(ordered, selector)
-    cells: dict[int, GridCell] = {}
+    rows = []
     for g, (idx, mean) in grid_means(x, lats, lons, grid_count).items():
         disp = geo.haversine_m(mean.lat_deg, mean.lon_deg, lats[idx], lons[idx])
-        cells[g] = GridCell(len(idx), mean, float(disp.mean()))
-    return GridTable(grid_count, cells)
+        rows.append((g, len(idx), mean.lat_deg, mean.lon_deg, float(disp.mean())))
+    return _grid_table(grid_count, rows)
 
 
 def per_sample_displacements(
@@ -149,13 +142,14 @@ def per_sample_displacements(
     ordered = bundle.take(np.argsort(bundle.ids, kind="stable"))
     x = dataset.tx_centers(ordered)[:, 0]
     lats, lons = dataset.positions(ordered, selector)
+    row_of = {g: row for row, g in enumerate(table.grids.tolist())}
     out = np.empty(len(ordered))
     for g, idx in group_by_grid(x, table.grid_count).items():
-        if g not in table.cells:
+        if g not in row_of:
             sid = ordered.ids[idx[0]]
             raise ValueError(f"sample {sid}: grid {g} is not populated in the table")
-        mean = table.cells[g].mean_position
-        out[idx] = geo.haversine_m(mean.lat_deg, mean.lon_deg, lats[idx], lons[idx])
+        lat, lon = table.means[row_of[g]].tolist()
+        out[idx] = geo.haversine_m(lat, lon, lats[idx], lons[idx])
     return out
 
 
@@ -200,10 +194,9 @@ def histogram_from_values(values: Sequence[float], bin_width_m: float) -> Histog
 
 def displacement_histogram(table: GridTable, bin_width_m: float) -> Histogram:
     """Histogram of the per-grid average displacements over populated grids."""
-    if not table.cells:
+    if not len(table.grids):
         raise ValueError("grid table has no populated grids")
-    values = [table.cells[g].avg_displacement_m for g in table.populated()]
-    return histogram_from_values(values, bin_width_m)
+    return histogram_from_values(table.avg_displacement_m, bin_width_m)
 
 
 @dataclass(frozen=True)
@@ -328,7 +321,8 @@ def read_grid_rows(
     path: str | Path, columns: Sequence[tuple[str, Callable[[str], object]]], grid_count: int
 ) -> dict[int, list]:
     """Rows of a table CSV by their leading grid (or beam) cell, which must
-    hold each key in [0, grid_count) at most once; see dataset.read_table_csv."""
+    hold each key in [0, grid_count) at most once, in at least one row; see
+    dataset.read_table_csv."""
     key = columns[0][0]
     rows: dict[int, list] = {}
     for row_num, (g, *cells) in dataset.read_table_csv(path, columns):
@@ -339,24 +333,22 @@ def read_grid_rows(
         if g in rows:
             raise DatasetFormatError(f"{path}: row {row_num}: column '{key}': {key} {g} repeated")
         rows[g] = cells
+    if not rows:
+        raise DatasetFormatError(f"{path}: no {key} rows")
     return rows
 
 
 def save_grid_table_csv(table: GridTable, path: str | Path) -> None:
-    rows = (
-        (g, c.count, c.mean_position.lat_deg, c.mean_position.lon_deg, c.avg_displacement_m)
-        for g, c in sorted(table.cells.items())
+    rows = zip(
+        table.grids.tolist(), table.counts.tolist(), *table.means.T.tolist(),
+        table.avg_displacement_m.tolist(),
     )
     dataset.write_table_csv(path, [name for name, _ in _GRID_TABLE_COLUMNS], rows)
 
 
 def load_grid_table_csv(path: str | Path, grid_count: int) -> GridTable:
     rows = read_grid_rows(path, _GRID_TABLE_COLUMNS, grid_count)
-    cells = {
-        g: GridCell(count, GeoPosition(lat, lon), avg)
-        for g, (count, lat, lon, avg) in rows.items()
-    }
-    return GridTable(grid_count, cells)
+    return _grid_table(grid_count, [(g, *rows[g]) for g in sorted(rows)])
 
 
 def save_histogram_csv(histogram: Histogram, path: str | Path) -> None:

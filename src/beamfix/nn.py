@@ -112,7 +112,7 @@ class MlpModel:
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    epochs: int = 300
+    epochs: int = 250
     batch_size: int = 32
     seed: int = 0
     weight_init_scale: float = 1.0

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, geo
-from .dataset import DatasetBundle, DatasetMeta, Direction
+from .dataset import DatasetBundle, DatasetFormatError, DatasetMeta, Direction
 from .geo import GeoPosition, LocalOffset, NoiseSpec
 
 
@@ -83,8 +83,16 @@ class SceneGeometry:
             raise ValueError(f"camera_hfov_deg must be in (0, 180), got {self.camera_hfov_deg}")
         if self.road[0] == self.road[1]:
             raise ValueError("road endpoints must be distinct")
-        for end in self.road:
-            project_to_image(self, end)  # raises if outside the frustum
+        for i, end in enumerate(self.road):
+            try:
+                project_to_image(self, end)  # raises if outside the frustum
+                azimuth = _array_azimuth_deg(self, end)
+            except ValueError as exc:
+                raise ValueError(f"road.{i}: {exc}") from None
+            if not abs(azimuth) < 90.0:
+                raise ValueError(f"road.{i}: {azimuth:.2f} deg off array_normal_deg is behind the array")
+            if abs(end.lat_deg) > geo.MAX_OFFSET_LATITUDE_DEG:  # GPS noise is a local offset
+                raise ValueError(f"road.{i}: |lat_deg| must be <= {geo.MAX_OFFSET_LATITUDE_DEG}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +119,11 @@ def bearing_deg(origin: GeoPosition, target: GeoPosition) -> float:
     """Compass azimuth (0 north, 90 east) from origin to a nearby target."""
     off = geo.offset_between(origin, target)
     return math.degrees(math.atan2(off.east_m, off.north_m))
+
+
+def _array_azimuth_deg(scene: SceneGeometry, target: GeoPosition) -> float:
+    """Azimuth of a target off the array normal, in (-180, 180]."""
+    return _wrap_angle_deg(bearing_deg(scene.bs_position, target) - scene.array_normal_deg)
 
 
 def project_to_image(scene: SceneGeometry, target: GeoPosition) -> float:
@@ -147,40 +160,37 @@ def default_scene() -> SceneGeometry:
     )
 
 
-def scene_to_json(scene: SceneGeometry) -> dict:
-    return {
-        "bs_position": {"lat_deg": scene.bs_position.lat_deg, "lon_deg": scene.bs_position.lon_deg},
-        "bs_heading_deg": scene.bs_heading_deg,
-        "camera_hfov_deg": scene.camera_hfov_deg,
-        "road": [
-            {"lat_deg": p.lat_deg, "lon_deg": p.lon_deg} for p in scene.road
-        ],
-        "array_normal_deg": scene.array_normal_deg,
-    }
-
-
-def scene_from_json(doc: dict) -> SceneGeometry:
-    try:
-        return SceneGeometry(
-            bs_position=GeoPosition(doc["bs_position"]["lat_deg"], doc["bs_position"]["lon_deg"]),
-            bs_heading_deg=float(doc["bs_heading_deg"]),
-            camera_hfov_deg=float(doc["camera_hfov_deg"]),
-            road=(
-                GeoPosition(doc["road"][0]["lat_deg"], doc["road"][0]["lon_deg"]),
-                GeoPosition(doc["road"][1]["lat_deg"], doc["road"][1]["lon_deg"]),
-            ),
-            array_normal_deg=float(doc["array_normal_deg"]),
-        )
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ValueError(f"malformed scene document: {exc}") from None
-
-
 def load_scene(path: str | Path) -> SceneGeometry:
-    return scene_from_json(dataset.read_json(path))
+    """The scene a save_scene file holds; every error names the file and the key
+    (the road's two positions are keys ``road.0`` and ``road.1``)."""
+    doc = dataset.read_json(path)
+
+    def number(key: str) -> float:
+        return dataset.json_field(doc, path, key, dataset.json_float)
+
+    def position(key: str) -> GeoPosition:
+        lat, lon = number(f"{key}.lat_deg"), number(f"{key}.lon_deg")
+        return dataset.json_field(doc, path, key, lambda _: GeoPosition(lat, lon))
+
+    fields = (
+        position("bs_position"), number("bs_heading_deg"), number("camera_hfov_deg"),
+        (position("road.0"), position("road.1")), number("array_normal_deg"),
+    )
+    try:
+        return SceneGeometry(*fields)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
 
 
 def save_scene(scene: SceneGeometry, path: str | Path) -> None:
-    dataset.write_json(path, scene_to_json(scene))
+    doc = {
+        "bs_position": {"lat_deg": scene.bs_position.lat_deg, "lon_deg": scene.bs_position.lon_deg},
+        "bs_heading_deg": scene.bs_heading_deg,
+        "camera_hfov_deg": scene.camera_hfov_deg,
+        "road": [{"lat_deg": p.lat_deg, "lon_deg": p.lon_deg} for p in scene.road],
+        "array_normal_deg": scene.array_normal_deg,
+    }
+    dataset.write_json(path, doc)
 
 
 def generate_scenario(
@@ -225,8 +235,7 @@ def generate_scenario(
         order = rng.permutation(width)
         det_x[i], det_y[i] = np.vstack([tx, distractors])[order].T
         det_tx[i] = order == 0
-        azimuth = _wrap_angle_deg(bearing_deg(scene.bs_position, position) - scene.array_normal_deg)
-        beams[i] = select_best_beam(codebook, azimuth)
+        beams[i] = select_best_beam(codebook, _array_azimuth_deg(scene, position))
 
     metadata = DatasetMeta(
         grid_count=grid_count,

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import dataset, grid
-from .dataset import DatasetBundle, DatasetFormatError
+from .dataset import DatasetBundle
 
 _UNIT = dataset.float_cell(0.0, 1.0)
 _TABLE_COLUMNS = (("beam", int), ("count", int), ("x_center", _UNIT), ("y_center", _UNIT))
@@ -67,8 +67,7 @@ def identify(table: BeamTable, beams, det_x, det_y, det_count) -> Identification
         raise ValueError(f"beam index {beams[outside][0]} outside [0, {q - 1}]")
     if (det_count < 1).any():
         raise ValueError("cannot select from an empty detection list")
-    trained = table.beams.tolist()
-    estimates = table.centers[np.searchsorted(trained, grid.nearest_grid(trained, beams))]
+    estimates = table.centers[grid.nearest_row(table.beams, beams)]
     dist = np.hypot(det_x - estimates[:, :1], det_y - estimates[:, 1:])
     dist[np.arange(dist.shape[1]) >= det_count[:, None]] = np.inf
     index = dist.argmin(axis=1) if len(dist) else np.zeros(0, dtype=np.int64)
@@ -89,8 +88,6 @@ def save_table_csv(table: BeamTable, path: str | Path) -> None:
 
 def load_table_csv(path: str | Path, codebook_size: int) -> BeamTable:
     rows = grid.read_grid_rows(path, _TABLE_COLUMNS, codebook_size)
-    if not rows:
-        raise DatasetFormatError(f"{path}: no beam rows")
     beams = sorted(rows)
     counts, x, y = zip(*(rows[b] for b in beams))
     return BeamTable(codebook_size, np.array(beams), np.array(counts), np.column_stack([x, y]))

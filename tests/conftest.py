@@ -4,7 +4,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from beamfix import simulate
+from beamfix import geo, simulate
 from beamfix.dataset import DatasetBundle, DatasetMeta, DetectionClass, Direction
 from beamfix.geo import GeoPosition, NoiseSpec
 
@@ -135,6 +135,26 @@ def same_bundle(a, b) -> bool:
         and getattr(a, name).shape == getattr(b, name).shape
         and getattr(a, name).tobytes() == getattr(b, name).tobytes()
         for name in COLUMNS
+    )
+
+
+def distance(a: GeoPosition, b: GeoPosition) -> float:
+    """geo.haversine_distance between two positions."""
+    return geo.haversine_distance(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg)
+
+
+def grid_cell(table, g) -> tuple[int, GeoPosition, float]:
+    """Count, mean position and average displacement of populated grid g of a GridTable."""
+    [row] = np.flatnonzero(table.grids == g)
+    mean = GeoPosition(*table.means[row].tolist())
+    return int(table.counts[row]), mean, float(table.avg_displacement_m[row])
+
+
+def same_table(a, b) -> bool:
+    """Equal grid counts, and every column of two GridTables equal bit for bit."""
+    return a.grid_count == b.grid_count and all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in zip(a[1:], b[1:])
     )
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import shutil
 
@@ -157,6 +158,51 @@ class TestSimulateCommand:
         config = write_config(tmp_path, noise_levels_m=levels)
         out = tmp_path / "x"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("array_normal_deg", "5", "key 'array_normal_deg'"),
+            ("bs_heading_deg", True, "key 'bs_heading_deg'"),
+            ("bs_heading_deg", math.nan, "key 'bs_heading_deg'"),
+            ("bs_heading_deg", None, "missing key 'bs_heading_deg'"),
+            ("camera_hfov_deg", 200.0, "camera_hfov_deg"),
+            ("bs_position.lat_deg", 95.0, "key 'bs_position': latitude 95.0"),
+            ("bs_position", [], "missing key 'bs_position.lat_deg'"),
+            ("road", [], "missing key 'road.0'"),
+            ("road.0", None, "missing key 'road.0.lat_deg'"),
+            ("road.1.lon_deg", "x", "key 'road.1.lon_deg'"),
+            ("bs_heading_deg", 90.0, "road.0: target"),
+            ("array_normal_deg", 180.0, "road.0: 135.22 deg off array_normal_deg"),
+            ("polar", 88.9999, "road.0: |lat_deg| must be <= 89.0"),
+        ],
+    )
+    def test_mutated_scene_exit_2_naming_the_key(self, tmp_path, capsys, key, value, named):
+        from beamfix import simulate as sim
+
+        scene_path = tmp_path / "scene.json"
+        sim.save_scene(sim.default_scene(), scene_path)
+        doc = json.loads(scene_path.read_text())
+        if key == "polar":  # every position moved north by the same angle
+            shift = value - doc["bs_position"]["lat_deg"]
+            for point in (doc["bs_position"], *doc["road"]):
+                point["lat_deg"] += shift
+            key, value = "bs_heading_deg", 0.0
+        *parents, last = key.split(".")
+        holder = doc
+        for part in parents:
+            holder = holder[int(part)] if isinstance(holder, list) else holder[part]
+        if value is None and isinstance(holder, dict):
+            del holder[last]
+        else:
+            holder[int(last) if isinstance(holder, list) else last] = value
+        scene_path.write_text(json.dumps(doc))
+        config = write_config(tmp_path, scene_path=str(scene_path))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(scene_path) in err and named in err
         assert not out.exists()
 
 
@@ -625,10 +671,12 @@ class TestEvaluateCommand:
             ("txid.csv", lambda rows: rows[:2] + [rows[2][:2] + ["1.5", rows[2][3]]],
              "row 2: column 'x_center': '1.5' outside [0.0, 1.0]"),
             ("txid.csv", lambda rows: rows[:1], "no beam rows"),
+            ("anchor.csv", lambda rows: rows[:1], "no grid rows"),
+            ("lut.csv", lambda rows: rows[:1], "no grid rows"),
         ],
         ids=["short-row", "empty", "grid-not-int", "grid-repeated", "grid-eq-z",
              "grid-negative", "lat-nan", "beam-eq-q", "beam-repeated", "center-above-1",
-             "no-beams"],
+             "no-beams", "no-anchor-grids", "no-lut-grids"],
     )
     def test_malformed_table_exit_2(self, small_artifacts, tmp_path, capsys, name, edit, expected):
         art = tmp_path / "art"
@@ -830,6 +878,7 @@ class TestPipelineRefusal:
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
         assert "l2r rms1000: " in capsys.readouterr().err
         assert (out / "notes.txt").read_text() == "kept\n"
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
 
 @pytest.fixture(scope="module")

@@ -32,7 +32,7 @@ from beamfix.dataset import (
 )
 from beamfix.geo import GeoPosition, LocalOffset, NoiseSpec
 
-from conftest import make_bundle, make_sample, same_bundle
+from conftest import grid_cell, make_bundle, make_sample, same_bundle
 
 BASE = GeoPosition(33.42, -111.93)
 
@@ -535,8 +535,8 @@ class TestRemoveOutliers:
         cleaned = remove_outliers(bundle, grid_count=100)
         after = grid.build_grid_table(cleaned, "ground_truth", 100)
         assert len(cleaned) < len(bundle)
-        for g, cell in after.cells.items():
-            assert cell.avg_displacement_m <= before.cells[g].avg_displacement_m + 1e-9
+        for g in after.grids.tolist():
+            assert grid_cell(after, g)[2] <= grid_cell(before, g)[2] + 1e-9
 
     def test_missing_transmitter_label_rejected(self):
         s = make_sample(0, 0.5, BASE, detections=((DetectionClass.DISTRACTOR, 0.5, 0.5),))

@@ -20,7 +20,7 @@ from beamfix.denoise import (
 from beamfix.geo import GeoPosition, LocalOffset, NoiseSpec
 from beamfix.nn import MlpModel, Normalizer, TrainConfig
 
-from conftest import gt_positions, make_bundle, make_sample
+from conftest import distance, grid_cell, gt_positions, make_bundle, make_sample
 
 BASE = GeoPosition(33.42, -111.93)
 
@@ -59,9 +59,9 @@ class TestBuildLut:
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 2))
         lut = build_lut(bundle, 100)
         table = grid.build_grid_table(bundle, "noisy", 100)
-        assert set(lut.means) == set(table.cells)
-        for g, cell in table.cells.items():
-            assert lut.means[g] == cell.mean_position
+        assert sorted(lut.means) == table.grids.tolist()
+        for g in lut.means:
+            assert lut.means[g] == grid_cell(table, g)[1]
 
     def test_empty_bundle_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -137,7 +137,7 @@ class TestLutPredict:
                     for i, (e, no) in enumerate(offsets)
                 ]
                 lut = build_lut(make_bundle(samples), 100)
-                residuals.append(geo.haversine_distance(lut.means[50], BASE))
+                residuals.append(distance(lut.means[50], BASE))
             return float(np.mean(residuals))
 
         small, large = mean_residual(10), mean_residual(160)
@@ -224,7 +224,7 @@ class TestTrainDenoiser:
         lut_residual = float(
             np.mean(
                 [
-                    geo.haversine_distance(lut.means[grid.assign_grid(x, 100)], gt)
+                    distance(lut.means[grid.assign_grid(x, 100)], gt)
                     for gt, (x, _) in zip(gt_positions(bundle), centers)
                 ]
             )

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamfix import dataset, denoise, geo, grid, simulate, txid
 from beamfix.dataset import Direction
@@ -15,7 +17,7 @@ from beamfix.evaluate import (
 from beamfix.geo import GeoPosition, LocalOffset, NoiseSpec
 from beamfix.nn import TrainConfig
 
-from conftest import concat, make_bundle, make_sample, noisy_positions
+from conftest import concat, distance, grid_cell, make_bundle, make_sample, noisy_positions
 
 BASE = GeoPosition(33.42, -111.93)
 
@@ -24,13 +26,87 @@ def _noisy(sid, x, noisy_pos, gt=BASE):
     return make_sample(sid, x, gt, noisy=noisy_pos)
 
 
+def per_row_scores(bundle, predictions, anchor):
+    """per_grid_error one row at a time: grid.assign_grid, the min-rule fallback
+    and the scalar haversine. Returns (grid, count, errors, fallback) rows and
+    the fallback sample count."""
+    keys = anchor.grids.tolist()
+    members: dict[int, list[int]] = {}
+    for i, x in enumerate(dataset.tx_centers(bundle)[:, 0].tolist()):
+        members.setdefault(grid.assign_grid(x, anchor.grid_count), []).append(i)
+    rows, fallback_samples = [], 0
+    for g in sorted(members):
+        nearest = min(keys, key=lambda k: (abs(k - g), k))
+        lat, lon = anchor.means[keys.index(nearest)].tolist()
+        errors = {
+            m: float(np.mean([
+                geo.haversine_distance(lat, lon, *preds[i].tolist()) for i in members[g]
+            ]))
+            for m, preds in predictions.items()
+        }
+        rows.append((g, len(members[g]), errors, nearest != g))
+        fallback_samples += len(members[g]) if nearest != g else 0
+    return rows, fallback_samples
+
+
+def assert_matches_per_row(bundle, predictions, anchor):
+    report = per_grid_error(bundle, predictions, anchor)
+    rows, fallback_samples = per_row_scores(bundle, predictions, anchor)
+    got = [(r.grid, r.count, r.mean_error_m, r.anchor_fallback) for r in report.per_grid]
+    assert got == rows
+    assert report.fallback_samples == fallback_samples
+    for m in predictions:
+        assert report.overall[m] == float(np.mean([errors[m] for _, _, errors, _ in rows]))
+    return report
+
+
+@st.composite
+def scoring_cases(draw):
+    """An anchor table over a few of Z grids, and test rows on any grid, with predictions."""
+    z = draw(st.integers(min_value=1, max_value=40))
+    keys = sorted(draw(st.sets(st.integers(min_value=0, max_value=z - 1), min_size=1)))
+    on_grid = st.integers(min_value=0, max_value=z - 1).map(lambda g: (g + 0.5) / z)
+    xs = draw(st.lists(st.one_of(on_grid, st.floats(0.0, 1.0)), min_size=1, max_size=30))
+    degrees = st.floats(min_value=-1e-3, max_value=1e-3)
+    means = np.array(draw(st.lists(st.tuples(degrees, degrees), min_size=len(keys),
+                                   max_size=len(keys)))) + (BASE.lat_deg, BASE.lon_deg)
+    anchor = grid.GridTable(
+        z, np.array(keys), np.ones(len(keys), dtype=np.int64), means, np.zeros(len(keys))
+    )
+    bundle = make_bundle([make_sample(i, x, BASE) for i, x in enumerate(xs)], grid_count=z)
+    predictions = {
+        m: np.array(draw(st.lists(st.tuples(degrees, degrees), min_size=len(xs),
+                                  max_size=len(xs)))) + (BASE.lat_deg, BASE.lon_deg)
+        for m in ("noisy", "lut")
+    }
+    return bundle, predictions, anchor
+
+
 class TestPerGridError:
+    @given(case=scoring_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_row_reference(self, case):
+        # Bit for bit: the columnar scoring equals the per-row reference,
+        # fallback grids and ties included.
+        assert_matches_per_row(*case)
+
+    def test_tie_scores_against_the_lower_anchor(self):
+        a, b = (geo.apply_offset(BASE, LocalOffset(0.0, north)) for north in (3.0, -5.0))
+        anchor = grid.build_grid_table(
+            make_bundle([_noisy(0, 0.105, a, gt=a), _noisy(1, 0.145, b, gt=b)]),
+            "ground_truth", 100,
+        )
+        stray = make_bundle([_noisy(5, 0.125, BASE)])  # grid 12: grids 10 and 14 both 2 away
+        report = assert_matches_per_row(stray, {"noisy": noisy_positions(stray)}, anchor)
+        assert report.per_grid[0].anchor_fallback
+        assert report.per_grid[0].mean_error_m["noisy"] == distance(a, BASE)
+
     def test_anchor_means_score_zero(self):
         samples = [_noisy(i, (i % 10) / 10 + 0.05, BASE) for i in range(30)]
         bundle = make_bundle(samples)
         anchor = grid.build_grid_table(bundle, "ground_truth", 100)
         means = [
-            anchor.cells[grid.assign_grid(x, 100)].mean_position
+            grid_cell(anchor, grid.assign_grid(x, 100))[1]
             for x in dataset.tx_centers(bundle)[:, 0].tolist()
         ]
         predictions = {"noisy": np.array([(p.lat_deg, p.lon_deg) for p in means])}
@@ -60,7 +136,7 @@ class TestPerGridError:
         train_bundle = simulate.generate_scenario(scene, codebook, train_traj, NoiseSpec(0.5, 5))
         test_bundle = simulate.generate_scenario(scene, codebook, test_traj, NoiseSpec(0.5, 6))
         counts = grid.build_grid_table(train_bundle, "ground_truth", 100)
-        assert min(c.count for c in counts.cells.values()) >= 10
+        assert counts.counts.min() >= 10
         anchor = grid.build_grid_table(concat(train_bundle, test_bundle), "ground_truth", 100)
         lut = denoise.build_lut(train_bundle, 100)
         predictions = {"lut": denoise.lut_predict_all(lut, dataset.tx_centers(test_bundle)[:, 0])}
@@ -88,7 +164,7 @@ class TestPerGridError:
         assert report.per_grid[0].anchor_fallback
         # nearest populated anchor is grid 30
         assert report.per_grid[0].mean_error_m["noisy"] == pytest.approx(
-            geo.haversine_distance(anchor.cells[30].mean_position, BASE), abs=1e-12
+            distance(grid_cell(anchor, 30)[1], BASE), abs=1e-12
         )
 
     def test_prediction_length_mismatch_rejected(self):

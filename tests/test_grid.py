@@ -21,7 +21,7 @@ from beamfix.grid import (
     save_grid_table_csv,
 )
 
-from conftest import gt_positions, make_bundle, make_sample
+from conftest import distance, grid_cell, gt_positions, make_bundle, make_sample, same_table
 
 BASE = GeoPosition(33.42, -111.93)
 
@@ -95,36 +95,36 @@ class TestGroupByGrid:
 
 
 class TestNearestGrid:
-    """The array fallback rule equals min(populated, key=(|g - x|, g)) row by row."""
+    """grid.nearest_row, the one fallback rule: the row of min(keys, key=(|k - q|, k))."""
 
     @given(
-        populated=st.sets(st.integers(min_value=0, max_value=60), min_size=1, max_size=15),
-        grids=st.lists(st.integers(min_value=0, max_value=60), max_size=40),
+        keys=st.sets(st.integers(min_value=0, max_value=60), min_size=1, max_size=15),
+        queries=st.lists(st.integers(min_value=0, max_value=60), max_size=40),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_min_rule(self, populated, grids):
-        got = grid.nearest_grid(populated, grids)
-        assert got.shape == (len(grids),)
-        want = [min(populated, key=lambda g: (abs(g - x), g)) for x in grids]
-        assert got.tolist() == want
+    def test_matches_min_rule(self, keys, queries):
+        keys = sorted(keys)
+        got = grid.nearest_row(np.array(keys), queries)
+        assert got.shape == (len(queries),)
+        want = [min(keys, key=lambda k: (abs(k - q), k)) for q in queries]
+        assert [keys[row] for row in got.tolist()] == want
 
-    def test_scalar_grid_and_table_method(self):
-        assert int(grid.nearest_grid({10, 14}, 12)) == 10  # tie at distance 2
+    def test_scalar_query_and_table_grids(self):
+        assert int(grid.nearest_row(np.array([10, 14]), 12)) == 0  # tie at distance 2
         samples = [make_sample(0, 0.105, BASE), make_sample(1, 0.145, BASE)]
         table = build_grid_table(make_bundle(samples), "ground_truth", 100)
-        assert table.nearest_populated(12) == 10 and table.nearest_populated(13) == 14
-        assert table.nearest_populated(14) == 14
+        assert table.grids[grid.nearest_row(table.grids, [12, 13, 14])].tolist() == [10, 14, 14]
 
     def test_no_populated_grids_rejected(self):
-        with pytest.raises(ValueError, match="no populated grids"):
-            grid.nearest_grid({}, [3])
+        with pytest.raises(ValueError, match="no populated keys"):
+            grid.nearest_row(np.array([], dtype=np.int64), [3])
 
 
 class TestGridTable:
     def test_identical_points_zero_displacement(self):
         samples = [make_sample(i, 0.105, BASE) for i in range(6)]
         table = build_grid_table(make_bundle(samples), "ground_truth", 100)
-        assert table.cells[10].avg_displacement_m == 0.0
+        assert grid_cell(table, 10)[2] == 0.0
 
     def test_two_points_two_meters_apart(self):
         # Analytic oracle: mean at the midpoint, each point 1 m away.
@@ -132,10 +132,10 @@ class TestGridTable:
         b = geo.apply_offset(BASE, LocalOffset(0.0, -1.0))
         samples = [make_sample(0, 0.105, a), make_sample(1, 0.105, b)]
         table = build_grid_table(make_bundle(samples), "ground_truth", 100)
-        cell = table.cells[10]
-        assert cell.count == 2
-        assert abs(cell.avg_displacement_m - 1.0) < 1e-6
-        assert geo.haversine_distance(cell.mean_position, BASE) < 1e-6
+        count, mean, avg = grid_cell(table, 10)
+        assert count == 2
+        assert abs(avg - 1.0) < 1e-6
+        assert distance(mean, BASE) < 1e-6
 
     def test_gaussian_cloud_matches_rayleigh_mean(self):
         # Monte-Carlo oracle: mean distance of an isotropic 2-D Gaussian
@@ -150,17 +150,17 @@ class TestGridTable:
         ]
         table = build_grid_table(make_bundle(samples), "ground_truth", 100)
         expected = sigma * math.sqrt(math.pi / 2) * math.sqrt((n - 1) / n)
-        assert abs(table.cells[50].avg_displacement_m - expected) / expected < 0.03
+        assert abs(grid_cell(table, 50)[2] - expected) / expected < 0.03
 
     def test_permutation_invariant(self, small_synthetic_bundle):
         bundle = small_synthetic_bundle
         table_a = build_grid_table(bundle, "ground_truth", 100)
         table_b = build_grid_table(bundle.take(np.arange(len(bundle))[::-1]), "ground_truth", 100)
-        assert table_a == table_b
+        assert same_table(table_a, table_b)
 
     def test_counts_sum_to_samples(self, small_synthetic_bundle):
         table = build_grid_table(small_synthetic_bundle, "ground_truth", 100)
-        assert table.total_count() == len(small_synthetic_bundle)
+        assert table.counts.sum() == len(small_synthetic_bundle)
 
     @pytest.mark.parametrize(
         "base,shift",
@@ -190,10 +190,14 @@ class TestGridTable:
             )
             for i, s in enumerate(samples)
         ]
-        before = build_grid_table(make_bundle(samples), "ground_truth", 100).cells[33]
-        after = build_grid_table(make_bundle(shifted), "ground_truth", 100).cells[33]
-        assert abs(after.avg_displacement_m - before.avg_displacement_m) < 1e-9
-        moved = geo.offset_between(before.mean_position, after.mean_position)
+        _, before_mean, before_avg = grid_cell(
+            build_grid_table(make_bundle(samples), "ground_truth", 100), 33
+        )
+        _, after_mean, after_avg = grid_cell(
+            build_grid_table(make_bundle(shifted), "ground_truth", 100), 33
+        )
+        assert abs(after_avg - before_avg) < 1e-9
+        moved = geo.offset_between(before_mean, after_mean)
         assert abs(moved.east_m - shift.east_m) < 1e-6
         assert abs(moved.north_m - shift.north_m) < 1e-6
 
@@ -206,7 +210,7 @@ class TestGridTable:
         table = build_grid_table(small_synthetic_bundle, "ground_truth", 100)
         path = tmp_path / "table.csv"
         save_grid_table_csv(table, path)
-        assert load_grid_table_csv(path, 100) == table
+        assert same_table(load_grid_table_csv(path, 100), table)
 
 
 class TestHistogram:
@@ -232,7 +236,7 @@ class TestHistogram:
     def test_counts_cover_populated_grids(self, small_synthetic_bundle):
         table = build_grid_table(small_synthetic_bundle, "ground_truth", 100)
         hist = displacement_histogram(table, 0.05)
-        assert hist.counts.sum() == len(table.cells)
+        assert hist.counts.sum() == len(table.grids)
 
     def test_mode_near_noise_level(self, scene, codebook):
         # Generation oracle: per-grid average displacement of a 0.3 m RMS
@@ -303,5 +307,5 @@ class TestPerSampleDisplacements:
         centers = dataset.tx_centers(ordered)
         for (x, _), position, d in zip(centers.tolist(), gt_positions(ordered), disp):
             g = assign_grid(x, 100)
-            direct = geo.haversine_distance(table.cells[g].mean_position, position)
+            direct = distance(grid_cell(table, g)[1], position)
             assert abs(d - direct) < 1e-12

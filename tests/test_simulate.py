@@ -9,14 +9,14 @@ from beamfix.simulate import (
     TrajectoryConfig,
     build_dft_codebook,
     generate_scenario,
+    load_scene,
     project_to_image,
-    scene_from_json,
-    scene_to_json,
+    save_scene,
     select_best_beam,
     steering_vector,
 )
 
-from conftest import same_bundle
+from conftest import distance, same_bundle
 
 
 class TestCodebook:
@@ -107,8 +107,9 @@ class TestProjection:
                 array_normal_deg=0.0,
             )
 
-    def test_scene_json_round_trip(self, scene):
-        assert scene_from_json(scene_to_json(scene)) == scene
+    def test_scene_json_round_trip(self, scene, tmp_path):
+        save_scene(scene, tmp_path / "scene.json")
+        assert load_scene(tmp_path / "scene.json") == scene
 
 
 class TestGenerateScenario:
@@ -167,7 +168,7 @@ class TestGenerateScenario:
 
     def test_default_scene_grid_width(self, scene):
         # Lane span divided by 100 grids should sit near 0.26 m.
-        span = geo.haversine_distance(scene.road[0], scene.road[1])
+        span = distance(scene.road[0], scene.road[1])
         x_lo = project_to_image(scene, scene.road[0])
         x_hi = project_to_image(scene, scene.road[1])
         width = span / ((x_hi - x_lo) * 100)
