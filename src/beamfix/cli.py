@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import dataclasses
 import itertools
+import math
 import os
 import shutil
 import sys
@@ -293,8 +294,8 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--grid-count must be in [1, {dataset.MAX_GRID_COUNT}], got {grid_count}"
         )
-    if not args.bin_width > 0:
-        raise ConfigError(f"--bin-width must be > 0, got {args.bin_width}")
+    if not (math.isfinite(args.bin_width) and args.bin_width > 0):
+        raise ConfigError(f"--bin-width must be finite and > 0, got {args.bin_width}")
     out_dir = Path(args.out) if args.out else Path(args.dataset).parent / "characterize"
     try:
         _characterize(bundle, grid_count, args.bin_width, args.positions, out_dir)
@@ -377,7 +378,7 @@ def _train_artifacts(
                 "learning_rate": train_config.learning_rate,
                 "epochs": train_config.epochs,
                 "batch_size": train_config.batch_size,
-                "weight_init_scale": train_config.weight_init_scale,
+                "weight_init_scale": nn.WEIGHT_INIT_SCALE,
             },
             "files": {
                 "train": "train.csv",
@@ -474,8 +475,8 @@ def _evaluate_artifacts(levels: Iterable[_Level], out_dir: Path, bin_width_m: fl
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if not args.bin_width > 0:
-        raise ConfigError(f"--bin-width must be > 0, got {args.bin_width}")
+    if not (math.isfinite(args.bin_width) and args.bin_width > 0):
+        raise ConfigError(f"--bin-width must be finite and > 0, got {args.bin_width}")
     dirs = [Path(d) for d in args.artifacts]
     for d in dirs:
         if not d.exists():

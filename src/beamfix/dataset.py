@@ -303,10 +303,23 @@ def float_cell(low: float, high: float) -> Callable[[str], float]:
     return parse
 
 
+def count_cell(raw: str) -> int:
+    """Cell parser for a row count: an integer in [1, 2**63 - 1], so it fits an int64."""
+    value = int(raw)
+    if not 1 <= value < 2**63:
+        raise ValueError(f"{raw!r} outside [1, {2**63 - 1}]")
+    return value
+
+
 _BASE_COLUMNS = [
     "id", "direction", "beam_index",
     "gt_lat", "gt_lon", "noisy_lat", "noisy_lon", "num_detections",
 ]
+
+
+def _header(slots: int) -> list[str]:
+    """A dataset CSV's header: the base columns, then class, x and y per detection slot."""
+    return _BASE_COLUMNS + [f"det{j}_{f}" for j in range(slots) for f in ("class", "x", "y")]
 
 
 def _meta_path(path: Path) -> Path:
@@ -323,7 +336,7 @@ def save_csv(bundle: DatasetBundle, path: str | Path) -> None:
     """
     path = Path(path)
     k = int(bundle.det_count.max(initial=0))
-    header = _BASE_COLUMNS + [f"det{j}_{field}" for j in range(k) for field in ("class", "x", "y")]
+    header = _header(k)
     cells = np.empty((len(bundle), len(header)), dtype=object)
     b = bundle  # the base columns, then the detection class, x and y every third column
     for c, column in enumerate((
@@ -363,16 +376,14 @@ def load_csv(path: str | Path) -> DatasetBundle:
         header = next(reader, None)
         if header is None:
             raise DatasetFormatError(f"{path}: empty file: missing header row")
-        if header[: len(_BASE_COLUMNS)] != _BASE_COLUMNS:
-            raise DatasetFormatError(
-                f"{path}: header mismatch: expected leading columns {_BASE_COLUMNS}, "
-                f"got {header[:8]}"
-            )
+        expected = _header((len(header) - len(_BASE_COLUMNS)) // 3)
+        if header != expected:
+            raise DatasetFormatError(f"{path}: header mismatch: expected {expected}, got {header}")
         rows = list(reader)
     nonblank = np.fromiter(map(len, rows), bool, len(rows))
     row_nums = np.flatnonzero(nonblank) + 1
     try:
-        directions, columns = _parse_rows(list(itertools.compress(rows, nonblank)))
+        directions, columns = _parse_rows(list(itertools.compress(rows, nonblank)), len(header))
         return DatasetBundle(**columns, metadata=_dataset_meta(path, directions, columns["beams"]))
     except RowError as exc:
         raise DatasetFormatError(f"{path}: row {row_nums[exc.index]}: {exc.why}") from None
@@ -413,12 +424,14 @@ def _one_of(cells: Sequence[str], field: str, enum_cls, rows: np.ndarray) -> np.
     return values
 
 
-def _parse_rows(rows: list[list[str]]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Each row's direction cell, and the bundle columns of the rows; checks each
-    field's type (the bundle checks values) and raises RowError naming the field."""
+def _parse_rows(rows: list[list[str]], columns: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Each row's direction cell, and the bundle columns of rows at most ``columns``
+    cells wide; checks each field's type (the bundle checks values) and raises
+    RowError naming the field."""
     n = len(rows)
     width = np.fromiter(map(len, rows), np.int64, n)
     _refuse(width < 8, lambda i: f"only {width[i]} cells, expected at least 8")
+    _refuse(width > columns, lambda i: f"{width[i]} cells, but the header has {columns}")
     cells = list(itertools.zip_longest(*rows, fillvalue="")) or [()] * 8
     filled = np.array([np.fromiter(map(bool, c), bool, n) for c in cells], bool)
     filled = filled.reshape(len(cells), n).T
@@ -518,17 +531,18 @@ def inject_noise(bundle: DatasetBundle, spec: NoiseSpec) -> DatasetBundle:
     return replace(bundle, noisy_lat=noisy_lat, noisy_lon=noisy_lon, metadata=metadata)
 
 
-def remove_outliers(bundle: DatasetBundle, grid_count: int | None = None) -> DatasetBundle:
+def remove_outliers(bundle: DatasetBundle) -> DatasetBundle:
     """Drop per-grid outliers by a single scaled-MAD pass over ground truth.
 
-    Samples are grouped by the grid of their transmitter detection. Within
-    each grid, a sample is removed when its haversine displacement from the
-    grid's ground-truth mean exceeds 3 * (1.4826 * median displacement).
+    Samples are grouped by the grid of their transmitter detection, at the
+    bundle's own grid count. Within each grid, a sample is removed when its
+    haversine displacement from the grid's ground-truth mean exceeds
+    3 * (1.4826 * median displacement).
     Grids with fewer than 3 samples are left untouched.
     """
     from .grid import grid_means
 
-    z = grid_count if grid_count is not None else bundle.metadata.grid_count
+    z = bundle.metadata.grid_count
     lats, lons = bundle.gt_lat, bundle.gt_lon
     keep = np.ones(len(bundle), dtype=bool)
     for idx, mean in grid_means(tx_centers(bundle)[:, 0], lats, lons, z).values():

@@ -15,14 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from . import dataset, grid, nn
-from .dataset import DatasetBundle
+from .dataset import DatasetBundle, count_cell
 from .geo import GeoPosition
 from .nn import MlpModel, TrainConfig
 
-DEFAULT_HIDDEN_DIMS = (64, 64)
+HIDDEN_DIMS = (64, 64)
 
 _LUT_COLUMNS = (
-    ("grid", int), ("count", int), ("mean_lat", grid.LATITUDE), ("mean_lon", grid.LONGITUDE)
+    ("grid", int), ("count", count_cell), ("mean_lat", grid.LATITUDE), ("mean_lon", grid.LONGITUDE)
 )
 
 
@@ -85,7 +85,6 @@ def train_denoiser(
     bundles: Sequence[DatasetBundle],
     tx_centers: Sequence[tuple[float, float]],
     config: TrainConfig,
-    hidden_dims: Sequence[int] = DEFAULT_HIDDEN_DIMS,
 ) -> list[tuple[MlpModel, list[float]]]:
     """Regress (x, y) bounding-box center to the noisy position, one model per bundle.
 
@@ -103,7 +102,7 @@ def train_denoiser(
     if len(tx_centers) != len(bundles[0]):
         raise ValueError(f"{len(tx_centers)} centers for {len(bundles[0])} samples")
     targets = [np.column_stack(dataset.positions(b, "noisy")) for b in bundles]
-    return nn.fit(np.array(tx_centers, dtype=float), targets, hidden_dims, config)
+    return nn.fit(np.array(tx_centers, dtype=float), targets, HIDDEN_DIMS, config)
 
 
 def mlp_predict(model: MlpModel, centers) -> np.ndarray:

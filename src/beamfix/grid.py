@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import dataset, geo
-from .dataset import DatasetFormatError, PositionSelector, float_cell
+from .dataset import DatasetFormatError, PositionSelector, count_cell, float_cell
 from .geo import GeoPosition
 
 if TYPE_CHECKING:
@@ -174,8 +174,8 @@ MAX_HISTOGRAM_BINS = 100_000
 
 def histogram_from_values(values: Sequence[float], bin_width_m: float) -> Histogram:
     """Bin nonnegative values into fixed-width bins starting at 0."""
-    if bin_width_m <= 0:
-        raise ValueError(f"bin_width_m must be > 0, got {bin_width_m}")
+    if not (math.isfinite(bin_width_m) and bin_width_m > 0):
+        raise ValueError(f"bin_width_m must be finite and > 0, got {bin_width_m}")
     vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         raise ValueError("cannot build a histogram from zero values")
@@ -206,8 +206,6 @@ class GaussianFit:
     sigma_m: float
     r_squared: float
     adjusted_r_squared: float
-    bin_width_m: float
-    bin_counts: tuple[float, ...]
     iterations: int
 
 
@@ -224,7 +222,11 @@ def _gauss_jacobian(params: np.ndarray, x: np.ndarray) -> np.ndarray:
     )
 
 
-def fit_gaussian(histogram: Histogram, max_iterations: int = 200) -> GaussianFit:
+# Most damped Gauss-Newton iterations fit_gaussian takes before it gives up.
+GAUSSIAN_MAX_ITERATIONS = 200
+
+
+def fit_gaussian(histogram: Histogram) -> GaussianFit:
     """Least-squares Gaussian fit of a displacement histogram.
 
     Fits A * exp(-(x - mu)^2 / (2 sigma^2)) to bin centers and counts with
@@ -251,7 +253,7 @@ def fit_gaussian(histogram: Histogram, max_iterations: int = 200) -> GaussianFit
     sse = float(((y - _gauss(params, x)) ** 2).sum())
     lam = 1e-3
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, GAUSSIAN_MAX_ITERATIONS + 1):
         residual = y - _gauss(params, x)
         jac = _gauss_jacobian(params, x)
         jtj = jac.T @ jac
@@ -285,7 +287,7 @@ def fit_gaussian(histogram: Histogram, max_iterations: int = 200) -> GaussianFit
             break
     else:
         raise FitConvergenceError(
-            f"no convergence within {max_iterations} iterations (SSE {sse:.6g})",
+            f"no convergence within {GAUSSIAN_MAX_ITERATIONS} iterations (SSE {sse:.6g})",
             tuple(float(p) for p in params),
         )
 
@@ -298,8 +300,6 @@ def fit_gaussian(histogram: Histogram, max_iterations: int = 200) -> GaussianFit
         sigma_m=float(params[2]),
         r_squared=r2,
         adjusted_r_squared=adjusted,
-        bin_width_m=histogram.bin_width_m,
-        bin_counts=tuple(float(c) for c in y),
         iterations=iterations,
     )
 
@@ -310,7 +310,7 @@ LONGITUDE = float_cell(-180.0, 180.0)
 
 _GRID_TABLE_COLUMNS = (
     ("grid", int),
-    ("count", int),
+    ("count", count_cell),
     ("mean_lat", LATITUDE),
     ("mean_lon", LONGITUDE),
     ("avg_displacement_m", float_cell(0.0, sys.float_info.max)),

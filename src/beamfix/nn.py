@@ -5,6 +5,11 @@ checked against finite differences. Training is mini-batch gradient
 descent with Adam-style adaptive moments (beta1 0.9, beta2 0.999,
 epsilon 1e-8) and a seeded shuffle, so runs are bit-reproducible.
 
+Every model carries an input and a target normalizer. ``init_mlp`` gives
+identity ones, so ``predict`` of a bare model is its ``forward``; ``fit``
+fits both to its data. One layer loop, ``_forward_cached``, runs training
+and inference alike.
+
 The trainer fits a stack of K models of one shape at once. The K models
 share the training inputs, the learning rate, the epochs and the batch
 order (one seeded shuffle per epoch); each has its own weights, target
@@ -36,6 +41,7 @@ from . import dataset
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+WEIGHT_INIT_SCALE = 1.0
 
 
 class TrainingDivergedError(RuntimeError):
@@ -82,6 +88,11 @@ class Normalizer:
             raise ValueError(f"unknown constant_feature_scale {constant_feature_scale!r}")
         return cls(shift, np.where(std > 0, std, fallback))
 
+    @classmethod
+    def identity(cls, width: int) -> "Normalizer":
+        """Shift 0, scale 1: normalizing and denormalizing leave values as they are."""
+        return cls(np.zeros(width), np.ones(width))
+
     def normalize(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.shift) / self.scale
 
@@ -96,8 +107,8 @@ class MlpModel:
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    input_norm: Normalizer | None = None
-    target_norm: Normalizer | None = None
+    input_norm: Normalizer
+    target_norm: Normalizer
 
     def copy(self) -> "MlpModel":
         return MlpModel(
@@ -115,32 +126,30 @@ class TrainConfig:
     epochs: int = 250
     batch_size: int = 32
     seed: int = 0
-    weight_init_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def init_mlp(
-    layer_dims: Sequence[int],
-    rng: np.random.Generator,
-    weight_init_scale: float = 1.0,
-) -> MlpModel:
-    """Seeded uniform init in +-scale/sqrt(fan_in); biases start at zero."""
+def init_mlp(layer_dims: Sequence[int], rng: np.random.Generator) -> MlpModel:
+    """Seeded uniform init in +-WEIGHT_INIT_SCALE/sqrt(fan_in); biases start at zero
+    and both normalizers are the identity."""
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError(f"layer_dims must be >= 2 positive sizes, got {dims}")
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = weight_init_scale / math.sqrt(fan_in)
+        bound = WEIGHT_INIT_SCALE / math.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(dims, weights, biases)
+    return MlpModel(
+        dims, weights, biases, Normalizer.identity(dims[0]), Normalizer.identity(dims[-1])
+    )
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -150,13 +159,8 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input has {x.shape[-1]} features, model expects {model.layer_dims[0]}"
         )
-    a = x.reshape(-1, 1, x.shape[-1])
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w + b
-        if i < last:
-            a = np.maximum(a, 0.0)
-    return a[0, 0] if x.ndim == 1 else a[:, 0]
+    out = _forward_cached(model.weights, model.biases, x.reshape(-1, 1, x.shape[-1]))[1][-1]
+    return out[0, 0] if x.ndim == 1 else out[:, 0]
 
 
 def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -165,14 +169,8 @@ def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
     Overflow passes silently: finite but extreme weights give inf or NaN
     outputs, and the callers check the outputs they use.
     """
-    x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        if model.input_norm is not None:
-            x = model.input_norm.normalize(x)
-        y = forward(model, x)
-        if model.target_norm is not None:
-            y = model.target_norm.denormalize(y)
-    return y
+        return model.target_norm.denormalize(forward(model, model.input_norm.normalize(x)))
 
 
 def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -241,7 +239,7 @@ def train(
     """Train K models of one shape as one stack with Adam, one target array each.
 
     Returns each model with its per-epoch mean loss. Inputs and targets
-    are passed through each model's normalizers (when set), so a loss is
+    are passed through each model's normalizers, so a loss is
     in normalized units. Zero epochs is a no-op. Each model's weights and
     biases are rebound to fresh arrays holding its trained values, so no
     two models share memory. A non-finite loss raises
@@ -266,9 +264,8 @@ def train(
         raise ValueError("training set is empty")
     if config.batch_size > len(x):
         raise ValueError(f"batch_size {config.batch_size} exceeds dataset size {len(x)}")
-    xk = np.stack([x if m.input_norm is None else m.input_norm.normalize(x) for m in models])
-    yk = np.stack([y if m.target_norm is None else m.target_norm.normalize(y)
-                   for m, y in zip(models, targets)])
+    xk = np.stack([m.input_norm.normalize(x) for m in models])
+    yk = np.stack([m.target_norm.normalize(y) for m, y in zip(models, targets)])
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
@@ -350,26 +347,23 @@ def fit(
     targets: Sequence[np.ndarray],
     hidden_dims: Sequence[int],
     config: TrainConfig,
-    normalize_inputs: bool = True,
-    normalize_targets: bool = True,
 ) -> list[tuple[MlpModel, list[float]]]:
     """One model per target array, trained as one stack on shared inputs.
 
     The seeded initial weights are drawn once and every model starts from
-    them; each model gets its own data-driven target normalizer.
+    them. The models share an input normalizer fitted to the inputs, and
+    each gets its own target normalizer fitted to its targets.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     ys = [np.atleast_2d(np.asarray(t, dtype=float)) for t in targets]
     if not ys:
         raise ValueError("fit needs at least one target array")
     rng = np.random.default_rng(config.seed)
-    init = init_mlp((x.shape[1], *hidden_dims, ys[0].shape[1]), rng, config.weight_init_scale)
-    if normalize_inputs:
-        init.input_norm = Normalizer.from_data(x)
+    init = init_mlp((x.shape[1], *hidden_dims, ys[0].shape[1]), rng)
+    init.input_norm = Normalizer.from_data(x)
     models = [init.copy() for _ in ys]
-    if normalize_targets:
-        for model, y in zip(models, ys):
-            model.target_norm = Normalizer.from_data(y, constant_feature_scale="negligible")
+    for model, y in zip(models, ys):
+        model.target_norm = Normalizer.from_data(y, constant_feature_scale="negligible")
     return train(models, x, ys, config, rng=rng)
 
 
@@ -404,35 +398,36 @@ def gradient_check(
     return worst
 
 
-def _norm_to_json(norm: Normalizer | None):
-    if norm is None:
-        return None
+def _norm_to_json(norm: Normalizer) -> dict:
     return {"shift": norm.shift.tolist(), "scale": norm.scale.tolist()}
 
 
-def _float_array(raw, path: str | Path, field: str) -> np.ndarray:
-    try:
-        return np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {field}: {exc}") from None
+def _finite_array(what: str, shape: tuple[int, ...]):
+    """Parser for a model file's array of finite numbers of one shape; errors start with what."""
+
+    def parse(raw) -> np.ndarray:
+        try:
+            arr = np.array(raw, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{what}: {exc}") from None
+        if arr.shape != shape:
+            raise ValueError(f"{what}: shape {arr.shape}, expected {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{what}: not all finite")
+        return arr
+
+    return parse
 
 
-def _norm_from_json(doc: dict, path: str | Path, field: str, width: int) -> Normalizer | None:
-    if dataset.json_field(doc, path, field) is None:
-        return None
-    shift, scale = (
-        dataset.json_field(doc, path, f"{field}.{part}", lambda raw: np.array(raw, dtype=float))
-        for part in ("shift", "scale")
-    )
-    if shift.shape != (width,) or scale.shape != (width,):
-        raise ValueError(
-            f"{path}: {field}: shift and scale need shape ({width},), "
-            f"got {shift.shape} and {scale.shape}"
-        )
-    try:
-        return Normalizer(shift, scale)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {field}: {exc}") from None
+def _normalizer(width: int):
+    """Parser for a model file's normalizer of ``width`` features: {"shift": .., "scale": ..}."""
+
+    def parse(raw) -> Normalizer:
+        if not (isinstance(raw, dict) and {"shift", "scale"} <= set(raw)):
+            raise ValueError("expected an object with a shift and a scale")
+        return Normalizer(*(_finite_array(k, (width,))(raw[k]) for k in ("shift", "scale")))
+
+    return parse
 
 
 def save_weights(model: MlpModel, path: str | Path) -> None:
@@ -450,7 +445,11 @@ def save_weights(model: MlpModel, path: str | Path) -> None:
 
 
 def load_weights(path: str | Path) -> MlpModel:
-    """Load a model saved by save_weights; outputs reproduce bit for bit."""
+    """Load a model saved by save_weights; outputs reproduce bit for bit.
+
+    Every key is required, the normalizers too. Errors name the file and
+    the key, with list entries as ``weights.0``.
+    """
     try:
         doc = dataset.read_json(path)
     except dataset.DatasetFormatError as exc:
@@ -460,34 +459,24 @@ def load_weights(path: str | Path) -> MlpModel:
     )
     if len(dims) < 2:
         raise ValueError(f"{path}: layer_dims {list(dims)} needs an input and an output width")
-    raw_weights = dataset.json_field(doc, path, "weights", list)
-    raw_biases = dataset.json_field(doc, path, "biases", list)
     activations = [
         dataset.json_field(doc, path, key, dataset.json_str)
         for key in ("hidden_activation", "output_activation")
     ]
     if activations != ["relu", "identity"]:
         raise ValueError(f"{path}: unsupported activations {'/'.join(activations)}")
-    input_norm = _norm_from_json(doc, path, "input_norm", dims[0])
-    target_norm = _norm_from_json(doc, path, "target_norm", dims[-1])
-    if len(raw_weights) != len(dims) - 1 or len(raw_biases) != len(dims) - 1:
-        raise ValueError(f"{path}: {len(raw_weights)} weight arrays for {len(dims)} layer dims")
-    weights, biases = [], []
-    for i, (raw_w, raw_b) in enumerate(zip(raw_weights, raw_biases)):
-        w = _float_array(raw_w, path, f"layer {i} weights")
-        b = _float_array(raw_b, path, f"layer {i} biases")
-        if w.shape != (dims[i], dims[i + 1]):
-            raise ValueError(
-                f"{path}: layer {i} weights have shape {w.shape}, "
-                f"expected {(dims[i], dims[i + 1])}"
-            )
-        if b.shape != (dims[i + 1],):
-            raise ValueError(
-                f"{path}: layer {i} biases have shape {b.shape}, expected {(dims[i + 1],)}"
-            )
-        for field, arr in (("weights", w), ("biases", b)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{path}: layer {i} {field} are not all finite")
-        weights.append(w)
-        biases.append(b)
+    shapes = {"weights": list(zip(dims[:-1], dims[1:])), "biases": [(d,) for d in dims[1:]]}
+    for key, want in shapes.items():
+        found = dataset.json_field(doc, path, key)
+        if not (isinstance(found, list) and len(found) == len(want)):
+            raise ValueError(f"{path}: key '{key}': expected a list of {len(want)} arrays")
+    weights, biases = (
+        [dataset.json_field(doc, path, f"{key}.{i}", _finite_array(f"layer {i} {key}", shape))
+         for i, shape in enumerate(want)]
+        for key, want in shapes.items()
+    )
+    input_norm, target_norm = (
+        dataset.json_field(doc, path, field, _normalizer(width))
+        for field, width in (("input_norm", dims[0]), ("target_norm", dims[-1]))
+    )
     return MlpModel(dims, weights, biases, input_norm, target_norm)

@@ -16,10 +16,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import dataset, grid
-from .dataset import DatasetBundle
+from .dataset import DatasetBundle, count_cell
 
 _UNIT = dataset.float_cell(0.0, 1.0)
-_TABLE_COLUMNS = (("beam", int), ("count", int), ("x_center", _UNIT), ("y_center", _UNIT))
+_TABLE_COLUMNS = (("beam", int), ("count", count_cell), ("x_center", _UNIT), ("y_center", _UNIT))
 
 
 class BeamTable(NamedTuple):

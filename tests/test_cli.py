@@ -23,6 +23,11 @@ SMALL_CONFIG = {
     "seed": 21,
 }
 
+# The table CSVs with a count column, and counts each must refuse: one past
+# int64 and two below 1.
+COUNTED_TABLES = ("anchor.csv", "lut.csv", "txid.csv")
+BAD_COUNTS = {"past-int64": "99999999999999999999999", "zero": "0", "negative": "-1"}
+
 
 def _no_read_back(path):
     raise AssertionError(f"load_csv({path}) called")
@@ -373,7 +378,16 @@ class TestCharacterizeCommand:
         out = tmp_path / "x"
         assert main(["characterize", "--dataset", str(data_path), "--bin-width", "0",
                      "--out", str(out)]) == 2
-        assert "--bin-width must be > 0" in capsys.readouterr().err
+        assert "--bin-width must be finite and > 0, got 0.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bin_width_flag_not_finite_exit_2(self, tmp_path, capsys):
+        data_path = tmp_path / "data.csv"
+        dataset.save_csv(make_bundle([make_sample(0, 0.5, BASE)]), data_path)
+        out = tmp_path / "x"
+        assert main(["characterize", "--dataset", str(data_path), "--bin-width", "inf",
+                     "--out", str(out)]) == 2
+        assert "--bin-width must be finite and > 0, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_far_gps_fix_exit_2(self, tmp_path, capsys):
@@ -439,6 +453,15 @@ class TestTrainCommand:
         assert main(["train", "--dataset", str(copy), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert str(meta_path) in err and f"'{key}'" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_learning_rate_flag_not_finite_exit_2(self, trained, tmp_path, capsys, value):
+        _, _, data_path = trained
+        out = tmp_path / "x"
+        assert main(["train", "--dataset", str(data_path), "--out", str(out),
+                     "--learning-rate", value]) == 2
+        assert f"learning_rate must be finite and > 0, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gradient_check_on_trained_models(self, trained):
         _, art, _ = trained
@@ -521,8 +544,15 @@ class TestEvaluateCommand:
         out.mkdir()
         assert main(["evaluate", "--artifacts", str(small_artifacts["l2r"]), "--out", str(out),
                      "--bin-width", "0"]) == 2
-        assert "--bin-width must be > 0, got 0.0" in capsys.readouterr().err
+        assert "--bin-width must be finite and > 0, got 0.0" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_bin_width_flag_not_finite_writes_nothing(self, small_artifacts, tmp_path, capsys):
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--artifacts", str(small_artifacts["l2r"]), "--out", str(out),
+                     "--bin-width", "inf"]) == 2
+        assert "--bin-width must be finite and > 0, got inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_q_mismatch_exit_2(self, tmp_path):
         config = write_config(tmp_path, noise_levels_m=[0.5],
@@ -639,8 +669,13 @@ class TestEvaluateCommand:
             (lambda doc: doc["biases"][1].__setitem__(0, "x"), "layer 1 biases"),
             (lambda doc: _cut_normalizer(doc, "target_norm"), "target_norm"),
             (lambda doc: _cut_normalizer(doc, "input_norm"), "input_norm"),
+            (lambda doc: doc.update(input_norm=None), "key 'input_norm'"),
+            (lambda doc: doc.pop("target_norm"), "missing key 'target_norm'"),
+            (lambda doc: doc.update(weights=dict(enumerate(doc["weights"]))),
+             "key 'weights': expected a list of 3 arrays"),
         ],
-        ids=["weights-x", "biases-x", "target_norm-cut", "input_norm-cut"],
+        ids=["weights-x", "biases-x", "target_norm-cut", "input_norm-cut", "input_norm-null",
+             "target_norm-missing", "weights-object"],
     )
     def test_malformed_model_exit_2(self, small_artifacts, tmp_path, capsys, edit, expected):
         art = tmp_path / "art"
@@ -673,10 +708,14 @@ class TestEvaluateCommand:
             ("txid.csv", lambda rows: rows[:1], "no beam rows"),
             ("anchor.csv", lambda rows: rows[:1], "no grid rows"),
             ("lut.csv", lambda rows: rows[:1], "no grid rows"),
+            *((name, lambda rows, c=count: rows[:1] + [rows[1][:1] + [c] + rows[1][2:]],
+               f"row 1: column 'count': '{count}' outside [1, {2**63 - 1}]")
+              for name in COUNTED_TABLES for count in BAD_COUNTS.values()),
         ],
         ids=["short-row", "empty", "grid-not-int", "grid-repeated", "grid-eq-z",
              "grid-negative", "lat-nan", "beam-eq-q", "beam-repeated", "center-above-1",
-             "no-beams", "no-anchor-grids", "no-lut-grids"],
+             "no-beams", "no-anchor-grids", "no-lut-grids",
+             *(f"{name[:-4]}-count-{label}" for name in COUNTED_TABLES for label in BAD_COUNTS)],
     )
     def test_malformed_table_exit_2(self, small_artifacts, tmp_path, capsys, name, edit, expected):
         art = tmp_path / "art"
@@ -945,17 +984,17 @@ class TestSharedStageOne:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_names_direction_and_level_exit_1(self, tmp_path, monkeypatch, capsys):
-        # Blow up the second level's denoiser targets; the stack's error
-        # must name the level it came from.
-        fit = nn.fit
+        # Blow up the second level's denoiser targets past its identity
+        # target normalizer; the stack's error must name the level it came from.
+        train = nn.train
 
-        def fit_second_diverges(inputs, targets, hidden_dims, config, **kwargs):
-            if len(targets) == 1:
-                return fit(inputs, targets, hidden_dims, config, **kwargs)
-            targets = [t * (1e200 if k == 1 else 1.0) for k, t in enumerate(targets)]
-            return fit(inputs, targets, hidden_dims, config, normalize_targets=False)
+        def train_second_diverges(models, inputs, targets, config, rng=None):
+            if len(models) > 1:
+                models[1].target_norm = nn.Normalizer.identity(2)
+                targets = [t * (1e200 if k == 1 else 1.0) for k, t in enumerate(targets)]
+            return train(models, inputs, targets, config, rng=rng)
 
-        monkeypatch.setattr(nn, "fit", fit_second_diverges)
+        monkeypatch.setattr(nn, "train", train_second_diverges)
         config = write_config(tmp_path, samples_left_to_right=60, samples_right_to_left=50,
                               epochs=2)
         assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "pipe")]) == 1

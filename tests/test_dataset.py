@@ -152,6 +152,29 @@ class TestCsvRoundTrip:
             load_csv(path)
         assert str(exc.value).startswith(f"{path}: ") and expected in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "slots, row, expected",
+        [
+            ("foo,bar,baz", "0,L2R,3,33.0,-111.0,,,1,TX,0.3,0.5", "header mismatch"),
+            ("det0_class,det0_x", "0,L2R,3,33.0,-111.0,,,1,TX,0.3", "header mismatch"),
+            ("det1_class,det1_x,det1_y", "0,L2R,3,33.0,-111.0,,,1,TX,0.3,0.5", "header mismatch"),
+            ("det0_class,det0_x,det0_y", "0,L2R,3,33.0,-111.0,,,2,TX,0.3,0.5,DISTRACTOR,0.1,0.2",
+             "row 1: 14 cells, but the header has 11"),
+            ("det0_class,det0_x,det0_y", "0,L2R,3,33.0,-111.0,,,1,TX,0.3,0.5,",
+             "row 1: 12 cells, but the header has 11"),
+        ],
+        ids=["renamed-slot", "partial-slot", "slot-out-of-order", "wide-row", "trailing-cell"],
+    )
+    def test_header_names_every_detection_slot(self, tmp_path, slots, row, expected):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"id,direction,beam_index,gt_lat,gt_lon,noisy_lat,noisy_lon,num_detections,{slots}\n"
+            f"{row}\n"
+        )
+        with pytest.raises(DatasetFormatError) as exc:
+            load_csv(path)
+        assert str(exc.value).startswith(f"{path}: ") and expected in str(exc.value)
+
     def test_empty_file_names_the_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -507,17 +530,17 @@ class TestRemoveOutliers:
         # Median displacement is 50/11 m, threshold 3*1.4826*that ~ 20.2 m,
         # so only the distant point (45.5 m from the mean) goes.
         cluster = _grid_cluster(0, 0.505, [0.0] * 10 + [50.0])
-        cleaned = remove_outliers(make_bundle(cluster), grid_count=100)
+        cleaned = remove_outliers(make_bundle(cluster))
         assert set(cleaned.ids.tolist()) == set(range(10))
 
     def test_coincident_points_kept(self):
         cluster = _grid_cluster(0, 0.505, [0.0] * 8)
-        cleaned = remove_outliers(make_bundle(cluster), grid_count=100)
+        cleaned = remove_outliers(make_bundle(cluster))
         assert len(cleaned) == 8
 
     def test_small_grids_untouched(self):
         cluster = _grid_cluster(0, 0.505, [0.0, 5000.0])
-        cleaned = remove_outliers(make_bundle(cluster), grid_count=100)
+        cleaned = remove_outliers(make_bundle(cluster))
         assert len(cleaned) == 2
 
     def test_average_displacement_never_grows(self):
@@ -532,7 +555,7 @@ class TestRemoveOutliers:
             sid += len(spread)
         bundle = make_bundle(samples)
         before = grid.build_grid_table(bundle, "ground_truth", 100)
-        cleaned = remove_outliers(bundle, grid_count=100)
+        cleaned = remove_outliers(bundle)
         after = grid.build_grid_table(cleaned, "ground_truth", 100)
         assert len(cleaned) < len(bundle)
         for g in after.grids.tolist():
@@ -541,4 +564,4 @@ class TestRemoveOutliers:
     def test_missing_transmitter_label_rejected(self):
         s = make_sample(0, 0.5, BASE, detections=((DetectionClass.DISTRACTOR, 0.5, 0.5),))
         with pytest.raises(ValueError, match="sample 0"):
-            remove_outliers(make_bundle([s]), grid_count=100)
+            remove_outliers(make_bundle([s]))

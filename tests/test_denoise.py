@@ -265,7 +265,8 @@ class TestTrainDenoiser:
 
 def _affine_denoiser(lat, lon):
     """One-layer denoiser whose output is the constant (lat, lon)."""
-    return MlpModel((2, 2), [np.zeros((2, 2))], [np.array([lat, lon], dtype=float)])
+    return MlpModel((2, 2), [np.zeros((2, 2))], [np.array([lat, lon], dtype=float)],
+                    Normalizer.identity(2), Normalizer.identity(2))
 
 
 class TestMlpPredictRange:
@@ -291,7 +292,8 @@ class TestMlpPredictRange:
 
     def test_first_bad_row_named(self):
         # Output lat = 80 + 20 * x: rows at x = 0.6 and 0.9 overflow, 0.6 first.
-        model = MlpModel((2, 2), [np.array([[20.0, 0.0], [0.0, 0.0]])], [np.array([80.0, 0.0])])
+        model = MlpModel((2, 2), [np.array([[20.0, 0.0], [0.0, 0.0]])], [np.array([80.0, 0.0])],
+                         Normalizer.identity(2), Normalizer.identity(2))
         with pytest.raises(ValueError, match="latitude 92.0 outside"):
             mlp_predict(model, [(0.1, 0.5), (0.6, 0.5), (0.9, 0.5)])
 
@@ -299,7 +301,7 @@ class TestMlpPredictRange:
         # Finite weights whose products overflow: the hidden unit reads inf,
         # and inf * 0 makes the latitude NaN.
         weights = [np.full((2, 1), 1e308), np.array([[0.0, 1.0]])]
-        model = MlpModel((2, 1, 2), weights, [np.zeros(1), np.zeros(2)])
-        model.input_norm = Normalizer(np.zeros(2), np.full(2, 1e-10))
+        model = MlpModel((2, 1, 2), weights, [np.zeros(1), np.zeros(2)],
+                         Normalizer(np.zeros(2), np.full(2, 1e-10)), Normalizer.identity(2))
         with pytest.raises(ValueError, match="latitude nan outside"):
             mlp_predict(model, [(0.5, 0.5)])

@@ -43,11 +43,13 @@ def reference_forward(model, x):
 
 class TestForward:
     def test_zero_weights_zero_output(self):
-        model = MlpModel((3, 4, 2), [np.zeros((3, 4)), np.zeros((4, 2))], [np.zeros(4), np.zeros(2)])
+        model = MlpModel((3, 4, 2), [np.zeros((3, 4)), np.zeros((4, 2))], [np.zeros(4), np.zeros(2)],
+                         Normalizer.identity(3), Normalizer.identity(2))
         assert np.all(forward(model, np.array([1.0, -2.0, 3.0])) == 0.0)
 
     def test_identity_single_layer(self):
-        model = MlpModel((3, 3), [np.eye(3)], [np.zeros(3)])
+        model = MlpModel((3, 3), [np.eye(3)], [np.zeros(3)],
+                         Normalizer.identity(3), Normalizer.identity(3))
         x = np.array([0.3, -1.2, 7.0])
         assert np.array_equal(forward(model, x), x)
 
@@ -71,6 +73,8 @@ class TestForward:
         out = forward(model, batch)
         for i in range(10):
             assert np.array_equal(out[i], forward(model, batch[i]))
+        # A bare model's normalizers are the identity.
+        assert np.array_equal(predict(model, batch), out)
 
     def test_empty_batch(self):
         model = init_mlp((4, 6, 3), np.random.default_rng(3))
@@ -80,13 +84,12 @@ class TestForward:
 def single_row_2d_predict(model, x):
     """predict() of one row as a (1, d) 2-D product: the per-row path that
     batched inference replaced."""
-    a = x if model.input_norm is None else model.input_norm.normalize(x)
-    a = a.reshape(1, -1)
+    a = model.input_norm.normalize(x).reshape(1, -1)
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         a = a @ w + b
         if i < len(model.weights) - 1:
             a = np.maximum(a, 0.0)
-    return a[0] if model.target_norm is None else model.target_norm.denormalize(a[0])
+    return model.target_norm.denormalize(a[0])
 
 
 class TestRowExactPredict:
@@ -190,7 +193,8 @@ class TestGradientCheck:
         assert gradient_check(model, x, y) < 1e-7
 
     def test_zero_model_zero_targets(self):
-        model = MlpModel((2, 3, 1), [np.zeros((2, 3)), np.zeros((3, 1))], [np.zeros(3), np.zeros(1)])
+        model = MlpModel((2, 3, 1), [np.zeros((2, 3)), np.zeros((3, 1))], [np.zeros(3), np.zeros(1)],
+                         Normalizer.identity(2), Normalizer.identity(1))
         x = np.zeros((4, 2))
         y = np.zeros((4, 1))
         grad_w, grad_b = nn._gradients(model, x, y)
@@ -242,12 +246,12 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_aborts_with_diagnostic(self):
-        # Targets near 1e200 overflow the squared error to inf on the
-        # first batch.
+        # Targets near 1e200, left as they are by a bare model's identity
+        # normalizers, overflow the squared error to inf on the first batch.
         x, y = self._linear_fixture(50)
+        model = init_mlp((1, 8, 1), np.random.default_rng(13))
         with pytest.raises(TrainingDivergedError, match="learning rate"):
-            fit(x, [1e200 * y], (8,), TrainConfig(learning_rate=1e3, epochs=50, seed=13),
-                normalize_inputs=False, normalize_targets=False)
+            train([model], x, [1e200 * y], TrainConfig(learning_rate=1e3, epochs=50, seed=13))
 
     def test_batch_size_bounds(self):
         x, y = self._linear_fixture(10)
@@ -281,10 +285,8 @@ def reference_train(model, inputs, targets, config):
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.atleast_2d(np.asarray(targets, dtype=float))
-    if model.input_norm is not None:
-        x = model.input_norm.normalize(x)
-    if model.target_norm is not None:
-        y = model.target_norm.normalize(y)
+    x = model.input_norm.normalize(x)
+    y = model.target_norm.normalize(y)
     rng = np.random.default_rng(config.seed)
     m_w = [np.zeros_like(w) for w in model.weights]
     v_w = [np.zeros_like(w) for w in model.weights]
@@ -388,7 +390,7 @@ class TestFusedTrainerOracle:
             ((2, 16, 16, 2), 45, 8, True, "own-normalizers"),  # partial last batch
             ((2, 16, 16, 2), 45, 8, True, "constant-column"),
             ((2, 16, 16, 2), 150, 70, True, "own-normalizers"),  # 140 elements per batch
-            ((3, 2), 40, 7, False, "own-normalizers"),  # single affine layer, no normalizers
+            ((3, 2), 40, 7, False, "own-normalizers"),  # single affine layer, identity normalizers
             ((64, 64, 64, 2), 90, 32, True, "one-hot"),  # stage-1 shape
         ],
     )
@@ -452,9 +454,9 @@ class TestFusedTrainerOracle:
         rng = np.random.default_rng(38)
         x = rng.normal(size=(30, 2))
         y = rng.normal(size=(30, 2))
+        models = [init_mlp((2, 8, 2), np.random.default_rng(39)) for _ in range(3)]
         with pytest.raises(TrainingDivergedError, match=r"^model 1: non-finite loss") as exc:
-            fit(x, [y, 1e200 * y, y], (8,), TrainConfig(epochs=5, batch_size=10, seed=39),
-                normalize_targets=False)
+            train(models, x, [y, 1e200 * y, y], TrainConfig(epochs=5, batch_size=10, seed=39))
         assert exc.value.model_index == 1
 
     def test_mismatched_stacks_rejected(self):
@@ -519,6 +521,21 @@ class TestPersistence:
         with pytest.raises(ValueError, match=match) as exc:
             load_weights(path)
         assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("field", ["input_norm", "target_norm"])
+    @pytest.mark.parametrize("cut", ["null", "missing"])
+    def test_normalizers_required(self, tmp_path, field, cut):
+        path = tmp_path / "model.json"
+        save_weights(init_mlp((3, 4, 2), np.random.default_rng(20)), path)
+        doc = json.loads(path.read_text())
+        if cut == "null":
+            doc[field] = None
+        else:
+            del doc[field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"'{field}'") as exc:
+            load_weights(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_inconsistent_dims_name_the_layer(self, tmp_path):
         rng = np.random.default_rng(17)
