@@ -289,7 +289,7 @@ def _characterize(
 
 def cmd_characterize(args: argparse.Namespace) -> int:
     bundle = dataset.load_csv(args.dataset)
-    grid_count = args.grid_count if args.grid_count else bundle.metadata.grid_count
+    grid_count = bundle.metadata.grid_count if args.grid_count is None else args.grid_count
     if not 1 <= grid_count <= dataset.MAX_GRID_COUNT:
         raise ConfigError(
             f"--grid-count must be in [1, {dataset.MAX_GRID_COUNT}], got {grid_count}"

@@ -10,13 +10,14 @@ columns once, vectorized; bundles are immutable.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence, TypeVar
 
 import numpy as np
 
@@ -49,7 +50,7 @@ class RowError(ValueError):
         self.why = why
 
 
-def _refuse(bad: np.ndarray, why: Callable[[int], str], ids: np.ndarray | None = None) -> None:
+def refuse_rows(bad: np.ndarray, why: Callable[[int], str], ids: np.ndarray | None = None) -> None:
     """Raise RowError for the first row i flagged in ``bad``; given the sample
     ``ids``, its message names the sample: 'sample <id>: <why(i)>'."""
     if bad.any():
@@ -58,6 +59,7 @@ def _refuse(bad: np.ndarray, why: Callable[[int], str], ids: np.ndarray | None =
 
 
 PositionSelector = Literal["ground_truth", "noisy"]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +117,7 @@ class DatasetBundle:
             object.__setattr__(self, name, values)
 
         def refuse(bad, why):
-            _refuse(bad, why, self.ids)
+            refuse_rows(bad, why, self.ids)
 
         repeated = np.ones(n, dtype=bool)
         repeated[np.unique(self.ids, return_index=True)[1]] = False
@@ -154,7 +156,7 @@ class DatasetBundle:
 
 def tx_centers(bundle: DatasetBundle) -> np.ndarray:
     """(n, 2) transmitter x/y centers in row order; raises naming a sample without one."""
-    _refuse(~bundle.det_tx.any(axis=1), lambda i: "no transmitter detection", bundle.ids)
+    refuse_rows(~bundle.det_tx.any(axis=1), lambda i: "no transmitter detection", bundle.ids)
     rows, slots = np.nonzero(bundle.det_tx)  # one transmitter per row, in row order
     return np.column_stack([bundle.det_x[rows, slots], bundle.det_y[rows, slots]])
 
@@ -163,7 +165,7 @@ def positions(bundle: DatasetBundle, selector: PositionSelector) -> tuple[np.nda
     """Latitudes and longitudes of each row's ground-truth or noisy position."""
     if selector != "noisy":
         return bundle.gt_lat, bundle.gt_lon
-    _refuse(np.isnan(bundle.noisy_lat), lambda i: "no noisy position", bundle.ids)
+    refuse_rows(np.isnan(bundle.noisy_lat), lambda i: "no noisy position", bundle.ids)
     return bundle.noisy_lat, bundle.noisy_lon
 
 
@@ -175,40 +177,111 @@ def write_table_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequ
         writer.writerows(rows)
 
 
-def read_table_csv(
-    path: str | Path, columns: Sequence[tuple[str, Callable[[str], object]]]
-) -> list[tuple[int, list]]:
-    """(data row number, parsed cells) for each non-blank row of a write_table_csv file.
+def read_csv(
+    path: str | Path,
+    header: Callable[[int], Sequence[str]],
+    parse: Callable[[list[tuple[str, ...]], np.ndarray], T],
+) -> T:
+    """parse(columns, widths) of a CSV file's non-blank data rows.
 
-    The header must name ``columns`` exactly; each cell goes through its
-    column's parser. Errors name the file, the row and the column.
+    The header row must equal ``header(its width)``. ``columns`` are the
+    rows' cells transposed, one tuple per header column: short rows are
+    padded with "" and cells past the header dropped, so callers refuse
+    rows by ``widths``, each row's cell count. A RowError from ``parse``
+    becomes ``<file>: row <n>: <why>``, n being the 1-based data row.
     """
-    header = [name for name, _ in columns]
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found is None:
-            raise DatasetFormatError(f"{path}: empty file: missing header row")
-        if found != header:
-            raise DatasetFormatError(f"{path}: header mismatch: expected {header}, got {found}")
-        for row_num, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(columns):
-                raise DatasetFormatError(
-                    f"{path}: row {row_num}: {len(row)} cells, expected {len(columns)}"
-                )
-            cells = []
-            for (name, parse), raw in zip(columns, row):
-                try:
-                    cells.append(parse(raw))
-                except ValueError as exc:
-                    raise DatasetFormatError(
-                        f"{path}: row {row_num}: column '{name}': {exc}"
-                    ) from None
-            rows.append((row_num, cells))
-    return rows
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            found, *rows = list(csv.reader(fh)) or [None]
+    except (csv.Error, UnicodeDecodeError) as exc:  # e.g. a cell over 128 KiB, or bad UTF-8
+        raise DatasetFormatError(f"{path}: not a readable CSV file: {exc}") from None
+    if found is None:
+        raise DatasetFormatError(f"{path}: empty file: missing header row")
+    expected = list(header(len(found)))
+    if found != expected:
+        raise DatasetFormatError(f"{path}: header mismatch: expected {expected}, got {found}")
+    nonblank = np.fromiter(map(len, rows), bool, len(rows))
+    row_nums = np.flatnonzero(nonblank) + 1
+    rows = list(itertools.compress(rows, nonblank))
+    widths = np.fromiter(map(len, rows), np.int64, len(rows))
+    columns = list(itertools.zip_longest(*rows, fillvalue=""))[: len(expected)]
+    columns += [("",) * len(rows)] * (len(expected) - len(columns))
+    try:
+        return parse(columns, widths)
+    except RowError as exc:
+        raise DatasetFormatError(f"{path}: row {row_nums[exc.index]}: {exc.why}") from None
+
+
+# ASCII whitespace (str.isspace) and "_", which int() and float() skip: "1_6" reads 16.
+_LOOSE_CHARS = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f_"
+
+
+def _strict(text: str) -> bool:
+    """Whether text is ASCII without _LOOSE_CHARS, as every numeric cell must be."""
+    return text.isascii() and not any(c in text for c in _LOOSE_CHARS)
+
+
+def _cell_error(raw: str, kind: type, low, high) -> str | None:
+    """Why one numeric cell fails, or None: the strict-cell rule, then int() or
+    float() (NaN is not a number), then the range [low, high]."""
+    try:
+        if not _strict(raw):
+            raise ValueError
+        value = kind(raw)
+    except ValueError:
+        return f"not {'an integer' if kind is int else 'a number'}: {raw!r}"
+    if value != value:
+        return f"not a number: {raw!r}"
+    return None if low <= value <= high else f"{raw!r} outside [{low}, {high}]"
+
+
+def _numbers(
+    cells: Sequence[str], name: str, rows: np.ndarray, kind: type, low, high
+) -> np.ndarray:
+    """The cells in the ``rows`` mask through int() or float(), as int64 or float64
+    (others read 0 or NaN); RowError names the first cell that _cell_error refuses."""
+    dtype = np.int64 if kind is int else np.float64
+    values = np.full(len(rows), 0 if kind is int else np.nan, dtype)
+    picked = list(itertools.compress(cells, rows))
+    try:
+        if _strict("".join(picked)):
+            parsed = np.fromiter(map(kind, picked), dtype, len(picked))
+            if ((parsed >= low) & (parsed <= high)).all():  # NaN is never in range
+                values[rows] = parsed
+                return values
+    except (ValueError, OverflowError):
+        pass
+    bad = np.zeros(len(rows), dtype=bool)
+    bad[rows] = [_cell_error(raw, kind, low, high) is not None for raw in picked]
+    refuse_rows(bad, lambda i: f"column '{name}': {_cell_error(cells[i], kind, low, high)}")
+    return values  # unreachable: a cell was refused
+
+
+def _one_of(cells: Sequence[str], name: str, enum_cls, rows: np.ndarray) -> np.ndarray:
+    """The cells as a str array; each in the ``rows`` mask must be a value of ``enum_cls``."""
+    values = np.array(cells, dtype=str)
+    allowed = [e.value for e in enum_cls]
+    bad = rows & ~np.isin(values, allowed)
+    refuse_rows(bad, lambda i: f"column '{name}': {cells[i]!r} not one of {'/'.join(allowed)}")
+    return values
+
+
+# A column parser: (cells, column name, row mask) -> the masked cells as an array.
+ColumnParser = Callable[[Sequence[str], str, np.ndarray], np.ndarray]
+
+
+def integers(low: int = -(2**63), high: int = 2**63 - 1) -> ColumnParser:
+    """Column parser for integers in [low, high], as int64."""
+    return functools.partial(_numbers, kind=int, low=low, high=high)
+
+
+def floats(low: float = -math.inf, high: float = math.inf) -> ColumnParser:
+    """Column parser for numbers in [low, high], as float64; NaN is refused."""
+    return functools.partial(_numbers, kind=float, low=low, high=high)
+
+
+# Any int64, any number, and a table's row count: an integer in [1, 2**63 - 1].
+INTEGERS, FLOATS, COUNTS = integers(), floats(), integers(1)
 
 
 # Largest grid count and codebook size a sidecar, manifest or run config may
@@ -291,26 +364,6 @@ def json_field(doc: dict, path: str | Path, key: str, parse: Callable = lambda r
         raise DatasetFormatError(f"{path}: key '{key}': {exc}") from None
 
 
-def float_cell(low: float, high: float) -> Callable[[str], float]:
-    """Cell parser for a float in [low, high]; NaN is never in range."""
-
-    def parse(raw: str) -> float:
-        value = float(raw)
-        if not low <= value <= high:
-            raise ValueError(f"{raw!r} outside [{low}, {high}]")
-        return value
-
-    return parse
-
-
-def count_cell(raw: str) -> int:
-    """Cell parser for a row count: an integer in [1, 2**63 - 1], so it fits an int64."""
-    value = int(raw)
-    if not 1 <= value < 2**63:
-        raise ValueError(f"{raw!r} outside [1, {2**63 - 1}]")
-    return value
-
-
 _BASE_COLUMNS = [
     "id", "direction", "beam_index",
     "gt_lat", "gt_lon", "noisy_lat", "noisy_lon", "num_detections",
@@ -366,90 +419,44 @@ def load_csv(path: str | Path) -> DatasetBundle:
     """Read a bundle from CSV, enforcing the schema and all field invariants.
 
     Errors name the file, and carry the 1-based data row number and the
-    offending field. Metadata comes from the ``<file>.meta.json`` sidecar
+    offending column. Metadata comes from the ``<file>.meta.json`` sidecar
     when present; otherwise defaults are inferred (direction from the rows,
-    codebook size from the largest beam index rounded up to 64).
+    codebook size max(64, largest beam index + 1)).
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DatasetFormatError(f"{path}: empty file: missing header row")
-        expected = _header((len(header) - len(_BASE_COLUMNS)) // 3)
-        if header != expected:
-            raise DatasetFormatError(f"{path}: header mismatch: expected {expected}, got {header}")
-        rows = list(reader)
-    nonblank = np.fromiter(map(len, rows), bool, len(rows))
-    row_nums = np.flatnonzero(nonblank) + 1
-    try:
-        directions, columns = _parse_rows(list(itertools.compress(rows, nonblank)), len(header))
+
+    def bundle(cells: list[tuple[str, ...]], width: np.ndarray) -> DatasetBundle:
+        directions, columns = _parse_columns(cells, width)
         return DatasetBundle(**columns, metadata=_dataset_meta(path, directions, columns["beams"]))
-    except RowError as exc:
-        raise DatasetFormatError(f"{path}: row {row_nums[exc.index]}: {exc.why}") from None
+
+    return read_csv(path, lambda width: _header((width - len(_BASE_COLUMNS)) // 3), bundle)
 
 
-def _unparseable(kind: type, raw: str) -> bool:
-    try:
-        value = np.array(kind(raw), np.int64 if kind is int else np.float64)
-    except (ValueError, OverflowError):
-        return True
-    return bool(np.isnan(value))
-
-
-def _numbers(cells: Sequence[str], field: str, kind: type, rows: np.ndarray) -> np.ndarray:
-    """The cells in the ``rows`` mask through int() or float(), as int64 or float64
-    (others read 0 or NaN); NaN and ints beyond int64 raise RowError naming the row."""
-    dtype = np.int64 if kind is int else np.float64
-    values = np.full(len(rows), 0 if kind is int else np.nan, dtype)
-    try:
-        values[rows] = np.fromiter(map(kind, itertools.compress(cells, rows)), dtype, rows.sum())
-        if not np.isnan(values[rows]).any():
-            return values
-    except (ValueError, OverflowError):
-        pass
-    bad = np.zeros(len(rows), dtype=bool)
-    bad[rows] = [_unparseable(kind, cells[i]) for i in np.flatnonzero(rows)]
-    what = "an integer" if kind is int else "a number"
-    _refuse(bad, lambda i: f"field '{field}': not {what}: {cells[i]!r}")
-    return values  # unreachable: a cell was refused
-
-
-def _one_of(cells: Sequence[str], field: str, enum_cls, rows: np.ndarray) -> np.ndarray:
-    """The cells as a str array; each in the ``rows`` mask must be a value of ``enum_cls``."""
-    values = np.array(cells, dtype=str)
-    allowed = [e.value for e in enum_cls]
-    bad = rows & ~np.isin(values, allowed)
-    _refuse(bad, lambda i: f"field '{field}': {cells[i]!r} not one of {'/'.join(allowed)}")
-    return values
-
-
-def _parse_rows(rows: list[list[str]], columns: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Each row's direction cell, and the bundle columns of rows at most ``columns``
-    cells wide; checks each field's type (the bundle checks values) and raises
-    RowError naming the field."""
-    n = len(rows)
-    width = np.fromiter(map(len, rows), np.int64, n)
-    _refuse(width < 8, lambda i: f"only {width[i]} cells, expected at least 8")
-    _refuse(width > columns, lambda i: f"{width[i]} cells, but the header has {columns}")
-    cells = list(itertools.zip_longest(*rows, fillvalue="")) or [()] * 8
+def _parse_columns(cells: list[tuple[str, ...]], width: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Each row's direction cell, and the bundle columns of rows ``width`` cells
+    wide, one tuple of cells per header column; checks each cell's type (the
+    bundle checks values) and raises RowError naming the column."""
+    n = len(width)
+    refuse_rows(width < 8, lambda i: f"only {width[i]} cells, expected at least 8")
+    refuse_rows(width > len(cells), lambda i: f"{width[i]} cells, but the header has {len(cells)}")
     filled = np.array([np.fromiter(map(bool, c), bool, n) for c in cells], bool)
     filled = filled.reshape(len(cells), n).T
     every, noisy = np.ones(n, dtype=bool), filled[:, 5] | filled[:, 6]
     directions = _one_of(cells[1], "direction", Direction, every)
     columns = {
-        key: _numbers(cells[c], _BASE_COLUMNS[c], kind, noisy if c in (5, 6) else every)
-        for c, key, kind in (
-            (0, "ids", int), (2, "beams", int), (3, "gt_lat", float), (4, "gt_lon", float),
-            (5, "noisy_lat", float), (6, "noisy_lon", float), (7, "det_count", int),
+        key: parse(cells[c], _BASE_COLUMNS[c], noisy if c in (5, 6) else every)
+        for c, key, parse in (
+            (0, "ids", INTEGERS), (2, "beams", INTEGERS), (3, "gt_lat", FLOATS),
+            (4, "gt_lon", FLOATS), (5, "noisy_lat", FLOATS), (6, "noisy_lon", FLOATS),
+            (7, "det_count", INTEGERS),
         )
     }
     count = columns["det_count"]
-    _refuse(
+    refuse_rows(
         count > (width - 8) // 3,
         lambda i: f"{count[i]} detections declared but row has {width[i]} cells",
     )
-    _refuse(
+    refuse_rows(
         (filled[:, 8:] & (np.arange(len(cells) - 8) // 3 >= count[:, None])).any(axis=1),
         lambda i: f"unexpected non-empty cell beyond {count[i]} detections",
     )
@@ -460,7 +467,7 @@ def _parse_rows(rows: list[list[str]], columns: int) -> tuple[np.ndarray, dict[s
     ], bool).reshape(len(slots), n).T
     for f, axis in ((1, "x"), (2, "y")):
         columns[f"det_{axis}"] = np.array([
-            _numbers(cells[8 + 3 * j + f], f"det{j}_{axis}", float, count > j) for j in slots
+            FLOATS(cells[8 + 3 * j + f], f"det{j}_{axis}", count > j) for j in slots
         ]).reshape(len(slots), n).T
     return directions, columns
 
@@ -473,7 +480,7 @@ def _dataset_meta(path: Path, directions: np.ndarray, beams: np.ndarray) -> Data
         doc = read_json(meta_file)
         metadata = DatasetMeta(**{k: json_field(doc, meta_file, k, p) for k, p in _META_FIELDS})
         expected = metadata.direction.value
-        _refuse(
+        refuse_rows(
             directions != expected,
             lambda i: f"direction {directions[i]} does not match bundle direction {expected}",
         )

@@ -15,14 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from . import dataset, grid, nn
-from .dataset import DatasetBundle, count_cell
+from .dataset import COUNTS, INTEGERS, DatasetBundle
 from .geo import GeoPosition
 from .nn import MlpModel, TrainConfig
 
 HIDDEN_DIMS = (64, 64)
 
 _LUT_COLUMNS = (
-    ("grid", int), ("count", count_cell), ("mean_lat", grid.LATITUDE), ("mean_lon", grid.LONGITUDE)
+    ("grid", INTEGERS), ("count", COUNTS), ("mean_lat", grid.LATITUDE), ("mean_lon", grid.LONGITUDE)
 )
 
 
@@ -122,7 +122,7 @@ def save_lut_csv(lut: LookupTable, path: str | Path) -> None:
 
 
 def load_lut_csv(path: str | Path, grid_count: int) -> LookupTable:
-    rows = grid.read_grid_rows(path, _LUT_COLUMNS, grid_count)
-    means = {g: GeoPosition(lat, lon) for g, (_, lat, lon) in rows.items()}
-    counts = {g: count for g, (count, _, _) in rows.items()}
-    return LookupTable(grid_count, means, counts)
+    columns = grid.read_grid_rows(path, _LUT_COLUMNS, grid_count)
+    grids, counts, lats, lons = (column.tolist() for column in columns)
+    means = {g: GeoPosition(lat, lon) for g, lat, lon in zip(grids, lats, lons)}
+    return LookupTable(grid_count, means, dict(zip(grids, counts)))

@@ -15,12 +15,12 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from . import dataset, geo
-from .dataset import DatasetFormatError, PositionSelector, count_cell, float_cell
+from .dataset import COUNTS, INTEGERS, DatasetFormatError, PositionSelector, refuse_rows
 from .geo import GeoPosition
 
 if TYPE_CHECKING:
@@ -106,15 +106,6 @@ class GridTable(NamedTuple):
     avg_displacement_m: np.ndarray  # (k,) mean haversine distance of the members from it
 
 
-def _grid_table(grid_count: int, rows: Sequence[tuple]) -> GridTable:
-    """GridTable of (grid, count, mean_lat, mean_lon, avg_displacement_m) rows, grids ascending."""
-    grids, counts, lats, lons, avg = zip(*rows) if rows else [()] * 5
-    return GridTable(
-        grid_count, np.array(grids, dtype=np.int64), np.array(counts, dtype=np.int64),
-        np.column_stack([lats, lons]), np.array(avg, dtype=float),
-    )
-
-
 def build_grid_table(
     bundle: "DatasetBundle", selector: PositionSelector, grid_count: int
 ) -> GridTable:
@@ -132,7 +123,11 @@ def build_grid_table(
     for g, (idx, mean) in grid_means(x, lats, lons, grid_count).items():
         disp = geo.haversine_m(mean.lat_deg, mean.lon_deg, lats[idx], lons[idx])
         rows.append((g, len(idx), mean.lat_deg, mean.lon_deg, float(disp.mean())))
-    return _grid_table(grid_count, rows)
+    grids, counts, mean_lats, mean_lons, avg = zip(*rows) if rows else [()] * 5
+    return GridTable(
+        grid_count, np.array(grids, dtype=np.int64), np.array(counts, dtype=np.int64),
+        np.column_stack([mean_lats, mean_lons]), np.array(avg, dtype=float),
+    )
 
 
 def per_sample_displacements(
@@ -304,38 +299,45 @@ def fit_gaussian(histogram: Histogram) -> GaussianFit:
     )
 
 
-# Cell parsers for the position columns of the per-grid tables.
-LATITUDE = float_cell(-90.0, 90.0)
-LONGITUDE = float_cell(-180.0, 180.0)
+# Column parsers for the position columns of the per-grid tables.
+LATITUDE = dataset.floats(-90.0, 90.0)
+LONGITUDE = dataset.floats(-180.0, 180.0)
 
 _GRID_TABLE_COLUMNS = (
-    ("grid", int),
-    ("count", count_cell),
+    ("grid", INTEGERS),
+    ("count", COUNTS),
     ("mean_lat", LATITUDE),
     ("mean_lon", LONGITUDE),
-    ("avg_displacement_m", float_cell(0.0, sys.float_info.max)),
+    ("avg_displacement_m", dataset.floats(0.0, sys.float_info.max)),
 )
 
 
 def read_grid_rows(
-    path: str | Path, columns: Sequence[tuple[str, Callable[[str], object]]], grid_count: int
-) -> dict[int, list]:
-    """Rows of a table CSV by their leading grid (or beam) cell, which must
-    hold each key in [0, grid_count) at most once, in at least one row; see
-    dataset.read_table_csv."""
-    key = columns[0][0]
-    rows: dict[int, list] = {}
-    for row_num, (g, *cells) in dataset.read_table_csv(path, columns):
-        if not 0 <= g < grid_count:
-            raise DatasetFormatError(
-                f"{path}: row {row_num}: column '{key}': {g} outside [0, {grid_count})"
-            )
-        if g in rows:
-            raise DatasetFormatError(f"{path}: row {row_num}: column '{key}': {key} {g} repeated")
-        rows[g] = cells
-    if not rows:
+    path: str | Path, columns: Sequence[tuple[str, dataset.ColumnParser]], grid_count: int
+) -> list[np.ndarray]:
+    """The parsed columns of a table CSV, sorted by the leading grid (or beam)
+    column, which must hold each key in [0, grid_count) at most once, in at
+    least one row. Every row must have one cell per column; see dataset.read_csv."""
+    names = [name for name, _ in columns]
+    key = names[0]
+
+    def parse(cells: list[tuple[str, ...]], widths: np.ndarray) -> list[np.ndarray]:
+        refuse_rows(widths != len(names), lambda i: f"{widths[i]} cells, expected {len(names)}")
+        every = np.ones(len(widths), dtype=bool)
+        parsed = [parse_column(c, name, every) for (name, parse_column), c in zip(columns, cells)]
+        keys = parsed[0]
+        outside = (keys < 0) | (keys >= grid_count)
+        refuse_rows(outside, lambda i: f"column '{key}': {keys[i]} outside [0, {grid_count})")
+        repeated = np.ones(len(keys), dtype=bool)
+        repeated[np.unique(keys, return_index=True)[1]] = False
+        refuse_rows(repeated, lambda i: f"column '{key}': {key} {keys[i]} repeated")
+        order = np.argsort(keys)
+        return [column[order] for column in parsed]
+
+    parsed = dataset.read_csv(path, lambda width: names, parse)
+    if not len(parsed[0]):
         raise DatasetFormatError(f"{path}: no {key} rows")
-    return rows
+    return parsed
 
 
 def save_grid_table_csv(table: GridTable, path: str | Path) -> None:
@@ -347,8 +349,8 @@ def save_grid_table_csv(table: GridTable, path: str | Path) -> None:
 
 
 def load_grid_table_csv(path: str | Path, grid_count: int) -> GridTable:
-    rows = read_grid_rows(path, _GRID_TABLE_COLUMNS, grid_count)
-    return _grid_table(grid_count, [(g, *rows[g]) for g in sorted(rows)])
+    grids, counts, lats, lons, avg = read_grid_rows(path, _GRID_TABLE_COLUMNS, grid_count)
+    return GridTable(grid_count, grids, counts, np.column_stack([lats, lons]), avg)
 
 
 def save_histogram_csv(histogram: Histogram, path: str | Path) -> None:

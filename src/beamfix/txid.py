@@ -16,10 +16,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import dataset, grid
-from .dataset import DatasetBundle, count_cell
+from .dataset import COUNTS, INTEGERS, DatasetBundle
 
-_UNIT = dataset.float_cell(0.0, 1.0)
-_TABLE_COLUMNS = (("beam", int), ("count", count_cell), ("x_center", _UNIT), ("y_center", _UNIT))
+_UNIT = dataset.floats(0.0, 1.0)
+_TABLE_COLUMNS = (("beam", INTEGERS), ("count", COUNTS), ("x_center", _UNIT), ("y_center", _UNIT))
 
 
 class BeamTable(NamedTuple):
@@ -87,10 +87,8 @@ def save_table_csv(table: BeamTable, path: str | Path) -> None:
 
 
 def load_table_csv(path: str | Path, codebook_size: int) -> BeamTable:
-    rows = grid.read_grid_rows(path, _TABLE_COLUMNS, codebook_size)
-    beams = sorted(rows)
-    counts, x, y = zip(*(rows[b] for b in beams))
-    return BeamTable(codebook_size, np.array(beams), np.array(counts), np.column_stack([x, y]))
+    beams, counts, x, y = grid.read_grid_rows(path, _TABLE_COLUMNS, codebook_size)
+    return BeamTable(codebook_size, beams, counts, np.column_stack([x, y]))
 
 
 def save_predictions_csv(

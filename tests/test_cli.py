@@ -372,6 +372,16 @@ class TestCharacterizeCommand:
                      "--out", str(tmp_path / "x")]) == 2
         assert "--grid-count" in capsys.readouterr().err
 
+    def test_grid_count_flag_zero_exit_2(self, tmp_path, capsys):
+        # 0 is a given value, not "use the sidecar's grid count".
+        data_path = tmp_path / "data.csv"
+        dataset.save_csv(make_bundle([make_sample(0, 0.5, BASE)]), data_path)
+        out = tmp_path / "x"
+        assert main(["characterize", "--dataset", str(data_path), "--grid-count", "0",
+                     "--out", str(out)]) == 2
+        assert "--grid-count must be in [1, 1000000], got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bin_width_flag_not_positive_exit_2(self, tmp_path, capsys):
         data_path = tmp_path / "data.csv"
         dataset.save_csv(make_bundle([make_sample(0, 0.5, BASE)]), data_path)
@@ -402,13 +412,33 @@ class TestCharacterizeCommand:
         assert "largest value" in err and "bin width 0.05 m" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "column, cell, why",
+        [(2, "1_6", "column 'beam_index': not an integer: '1_6'"),
+         (3, "3_3.0", "column 'gt_lat': not a number: '3_3.0'"),
+         (7, "\uff11", "column 'num_detections': not an integer: '\uff11'"),
+         (0, " 3 ", "column 'id': not an integer: ' 3 '")],
+        ids=["beam-underscore", "lat-underscore", "count-full-width", "id-spaces"],
+    )
+    def test_loose_numeric_cell_exit_2(self, tmp_path, capsys, column, cell, why):
+        # int() and float() would read these as 16, 33.0, 1 and 3.
+        data_path = tmp_path / "data.csv"
+        dataset.save_csv(make_bundle([make_sample(i, 0.5, BASE) for i in range(3)]), data_path)
+        lines = [line.split(",") for line in data_path.read_text().splitlines()]
+        lines[2][column] = cell
+        data_path.write_text("\n".join(",".join(line) for line in lines) + "\n")
+        out = tmp_path / "x"
+        assert main(["characterize", "--dataset", str(data_path), "--out", str(out)]) == 2
+        assert f"{data_path}: row 2: {why}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_row_names_file(self, tmp_path, capsys):
         data_path = tmp_path / "data.csv"
         dataset.save_csv(make_bundle([make_sample(0, 0.5, BASE)]), data_path)
         data_path.write_text(data_path.read_text().replace("\n0,L2R,", "\nx,L2R,"))
         assert main(["characterize", "--dataset", str(data_path), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
-        assert f"{data_path}: row 1: field 'id'" in err
+        assert f"{data_path}: row 1: column 'id'" in err
 
 
 @pytest.fixture(scope="module")
@@ -438,9 +468,16 @@ class TestTrainCommand:
     def test_loss_histories_are_table_csvs(self, trained):
         _, art, _ = trained
         path = art / "denoiser_loss.csv"
-        rows = dataset.read_table_csv(path, [("epoch", int), ("loss", float)])
-        assert [cells[0] for _, cells in rows] == list(range(30))
-        assert all(np.isfinite(cells[1]) for _, cells in rows)
+
+        def parse(cells, widths):
+            assert (widths == 2).all()
+            every = np.ones(len(widths), dtype=bool)
+            return (dataset.INTEGERS(cells[0], "epoch", every),
+                    dataset.FLOATS(cells[1], "loss", every))
+
+        epochs, losses = dataset.read_csv(path, lambda width: ["epoch", "loss"], parse)
+        assert epochs.tolist() == list(range(30))
+        assert np.isfinite(losses).all()
         assert path.read_bytes().startswith(b"epoch,loss\r\n0,")
 
     @pytest.mark.parametrize("key", ["grid_count", "codebook_size"])
@@ -641,7 +678,7 @@ class TestEvaluateCommand:
         (bad / "test.csv").write_text("\n".join(rows))
         out = tmp_path / "e"
         assert main(["evaluate", "--artifacts", str(good), str(bad), "--out", str(out)]) == 2
-        assert f"{bad / 'test.csv'}: row 1: field 'id'" in capsys.readouterr().err
+        assert f"{bad / 'test.csv'}: row 1: column 'id'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field, value",
@@ -711,11 +748,21 @@ class TestEvaluateCommand:
             *((name, lambda rows, c=count: rows[:1] + [rows[1][:1] + [c] + rows[1][2:]],
                f"row 1: column 'count': '{count}' outside [1, {2**63 - 1}]")
               for name in COUNTED_TABLES for count in BAD_COUNTS.values()),
+            # int() and float() would read these as 16, 3, 33.0 and 1.
+            ("txid.csv", lambda rows: rows[:1] + [["1_6"] + rows[1][1:]] + rows[2:],
+             "row 1: column 'beam': not an integer: '1_6'"),
+            ("lut.csv", lambda rows: rows[:2] + [rows[2][:1] + [" 3 "] + rows[2][2:]],
+             "row 2: column 'count': not an integer: ' 3 '"),
+            ("anchor.csv", lambda rows: rows[:1] + [rows[1][:2] + ["3_3.0"] + rows[1][3:]],
+             "row 1: column 'mean_lat': not a number: '3_3.0'"),
+            ("txid.csv", lambda rows: rows[:1] + [rows[1][:1] + ["\uff11"] + rows[1][2:]],
+             "row 1: column 'count': not an integer: '\uff11'"),
         ],
         ids=["short-row", "empty", "grid-not-int", "grid-repeated", "grid-eq-z",
              "grid-negative", "lat-nan", "beam-eq-q", "beam-repeated", "center-above-1",
              "no-beams", "no-anchor-grids", "no-lut-grids",
-             *(f"{name[:-4]}-count-{label}" for name in COUNTED_TABLES for label in BAD_COUNTS)],
+             *(f"{name[:-4]}-count-{label}" for name in COUNTED_TABLES for label in BAD_COUNTS),
+             "beam-underscore", "count-spaces", "lat-underscore", "count-full-width"],
     )
     def test_malformed_table_exit_2(self, small_artifacts, tmp_path, capsys, name, edit, expected):
         art = tmp_path / "art"
@@ -728,6 +775,7 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--artifacts", str(art), "--out", str(tmp_path / "e")]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and expected in err
+        assert not (tmp_path / "e").exists()
 
     def test_refusal_at_a_later_level_writes_nothing(self, tmp_path, capsys):
         config = write_config(tmp_path, noise_levels_m=[0.5, 1.0], samples_left_to_right=60,

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamfix import geo, grid
+from beamfix import dataset, geo, grid
 from beamfix.cli import RunConfig, main
 from beamfix.dataset import (
     DatasetBundle,
@@ -19,6 +20,7 @@ from beamfix.dataset import (
     DatasetMeta,
     DetectionClass,
     Direction,
+    RowError,
     inject_noise,
     json_field,
     json_int,
@@ -136,11 +138,23 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize(
         "row, expected",
         [
-            ("x,L2R,3,33.0,-111.0,,,1,TX,0.3,0.5", "row 1: field 'id'"),
+            ("x,L2R,3,33.0,-111.0,,,1,TX,0.3,0.5", "row 1: column 'id'"),
             ("0,L2R,3,33.0,-111.0,,,1,TX,1.3,0.5", "row 1: det0"),
             ("0,L2R,5000,33.0,-111.0,,,1,TX,0.3,0.5", "needs a codebook larger than 4096"),
+            # int() and float() would read these as 16, 33.0, 1, 1 and 0.5.
+            ("0,L2R,1_6,33.0,-111.0,,,1,TX,0.3,0.5",
+             "row 1: column 'beam_index': not an integer: '1_6'"),
+            ("0,L2R,3,3_3.0,-111.0,,,1,TX,0.3,0.5",
+             "row 1: column 'gt_lat': not a number: '3_3.0'"),
+            ("0,L2R,3,33.0,-111.0,,,\uff11,TX,0.3,0.5",
+             "row 1: column 'num_detections': not an integer: '\uff11'"),
+            ("0,L2R,3,33.0,-111.0,,, 1 ,TX,0.3,0.5",
+             "row 1: column 'num_detections': not an integer: ' 1 '"),
+            ("0,L2R,3,33.0,-111.0,,,1,TX,0.3,\t0.5",
+             "row 1: column 'det0_y': not a number: '\\t0.5'"),
         ],
-        ids=["bad-id", "x-range", "huge-beam"],
+        ids=["bad-id", "x-range", "huge-beam", "beam-underscore", "lat-underscore",
+             "count-full-width", "count-spaces", "y-tab"],
     )
     def test_errors_name_the_file(self, tmp_path, row, expected):
         path = tmp_path / "bad.csv"
@@ -174,6 +188,23 @@ class TestCsvRoundTrip:
         with pytest.raises(DatasetFormatError) as exc:
             load_csv(path)
         assert str(exc.value).startswith(f"{path}: ") and expected in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "cell", [b"1" * 200_000, b"1\xff", b"1\x00"], ids=["oversized", "not-utf-8", "nul"]
+    )
+    def test_unreadable_file_names_the_file(self, tmp_path, cell):
+        # The csv module raises its own error on a cell over 128 KiB (and, before
+        # Python 3.11, on a NUL byte); those and bad UTF-8 exit 2 like any bad cell.
+        path = tmp_path / "bad.csv"
+        path.write_bytes(
+            b"id,direction,beam_index,gt_lat,gt_lon,noisy_lat,noisy_lon,num_detections,"
+            b"det0_class,det0_x,det0_y\n" + cell + b",L2R,3,33.0,-111.0,,,1,TX,0.3,0.5\n"
+        )
+        with pytest.raises(DatasetFormatError) as exc:
+            load_csv(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert main(["characterize", "--dataset", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
 
     def test_empty_file_names_the_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -238,7 +269,8 @@ class TestLoaderProperties:
             assert same_bundle(load_csv(path), bundle)
 
     CELLS = ["", "nan", "NaN", "inf", "-1", "0", "1", "1.5", "200", "-200", "1e400", "x",
-             "TX", "DISTRACTOR", "BOGUS", "L2R", "R2L", "99999999999999999999999"]
+             "TX", "DISTRACTOR", "BOGUS", "L2R", "R2L", "99999999999999999999999",
+             "1_6", " 3 ", "3_3.0", "\uff11"]
     SIDECAR_VALUES = [None, "", "x", -1, 0, 1.5, 7, math.nan, 10**30, "L2R", "R2L", True, []]
 
     @given(data=st.data())
@@ -397,6 +429,63 @@ def trained_artifacts(tmp_path_factory):
         assert main(["train", "--dataset", str(tmp / "run" / "datasets" / "l2r_rms0.5.csv"),
                      "--out", str(tmp / "art"), "--epochs", "2"]) == 0
     return tmp / "art"
+
+
+def reference_cell(raw, kind, low, high):
+    """One numeric cell by the documented rule, or None when it is refused: ASCII
+    without whitespace or "_", then int() or float(), then not NaN and in [low, high]."""
+    if not raw.isascii() or any(c.isspace() or c == "_" for c in raw):
+        return None
+    try:
+        value = kind(raw)
+    except ValueError:
+        return None
+    return value if value == value and low <= value <= high else None
+
+
+# Cells int() or float() read loosely ("1_6", " 3 ", full-width digits), edges of
+# int64 and of each range, and spellings of NaN and infinity.
+NUMERIC_CELLS = [
+    "0", "1", "-1", "+7", "007", "16", "63", "64", "90", "-90", "180.5", "0.5", "1.5", "-0.0",
+    ".5", "5.", "1e5", "1E-3", "1e400", "-1e400", "inf", "-inf", "Infinity", "nan", "NaN",
+    "1_6", " 3 ", "3 ", "\t3", "3\n", "1\x1c", "3_3.0", "1_000.5", "\uff11", "\u0663", "\xa01",
+    "", "x", "0x10", "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "-9223372036854775809", "99999999999999999999999", "1.7976931348623157e308",
+]
+
+
+class TestColumnParsers:
+    """Each column parser agrees with reference_cell applied cell by cell."""
+
+    @pytest.mark.parametrize(
+        "parser",
+        [dataset.INTEGERS, dataset.COUNTS, dataset.integers(0, 63), dataset.FLOATS,
+         grid.LATITUDE, grid.LONGITUDE, dataset.floats(0.0, 1.0),
+         dataset.floats(0.0, sys.float_info.max)],
+        ids=["int64", "count", "beam", "float", "latitude", "longitude", "unit", "distance"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_parser_matches_per_cell_reference(self, parser, data):
+        cell = st.one_of(st.sampled_from(NUMERIC_CELLS), st.integers(-(2**70), 2**70).map(str),
+                         st.floats().map(repr), st.text(max_size=4))
+        cells = tuple(data.draw(st.lists(cell, max_size=12)))
+        rows = np.array(data.draw(st.lists(st.booleans(), min_size=len(cells),
+                                           max_size=len(cells))), dtype=bool)
+        kind, low, high = (parser.keywords[key] for key in ("kind", "low", "high"))
+        expected = [reference_cell(raw, kind, low, high) for raw in cells]
+        refused = [i for i in np.flatnonzero(rows) if expected[i] is None]
+        if refused:
+            with pytest.raises(RowError) as exc:
+                parser(cells, "c", rows)
+            assert exc.value.index == refused[0]
+            assert exc.value.why.startswith("column 'c': ")
+            return
+        values = parser(cells, "c", rows)
+        dtype = np.int64 if kind is int else np.float64
+        kept = np.array([expected[i] for i in np.flatnonzero(rows)], dtype)
+        assert values.dtype == dtype and values.shape == (len(cells),)
+        assert values[rows].tobytes() == kept.tobytes()  # bit for bit, -0.0 included
 
 
 class TestJsonLayer:
