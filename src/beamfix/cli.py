@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import math
 import os
 import shutil
@@ -195,8 +194,10 @@ def _load_scene(config: RunConfig) -> simulate.SceneGeometry:
 
 
 def _simulate_datasets(config: RunConfig, seed: int, out_dir: Path) -> Iterator[tuple]:
-    """Save one clean bundle plus one per noise level, per direction; yield each
-    as (direction, tag, path, bundle) once it is saved, clean first."""
+    """Save one clean bundle plus one per noise level, per direction, each
+    direction's in one pass; once a direction is saved, yield it with its
+    (tag, path, bundle) triples, clean first. The next direction is simulated
+    only when asked for, so one direction's bundles are alive at a time."""
     scene = _load_scene(config)
     codebook = simulate.build_dft_codebook(config.codebook_antennas, config.codebook_beams)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -221,26 +222,25 @@ def _simulate_datasets(config: RunConfig, seed: int, out_dir: Path) -> Iterator[
             source=f"synthetic:{dtag}:clean",
         )
         clean = dataset.remove_outliers(clean)
-        path = out_dir / f"{dtag}_clean.csv"
-        dataset.save_csv(clean, path)
-        yield direction, "clean", path, clean
+        saved = [("clean", out_dir / f"{dtag}_clean.csv", clean)]
         for level in config.noise_levels_m:
             tag = _level_tag(level)
             spec = NoiseSpec(level, derived_seed(seed, "noise", dtag, tag))
             noisy = dataset.inject_noise(clean, spec)
             metadata = dataclasses.replace(noisy.metadata, source=f"synthetic:{dtag}:{tag}")
             noisy = dataclasses.replace(noisy, metadata=metadata)
-            path = out_dir / f"{dtag}_{tag}.csv"
-            dataset.save_csv(noisy, path)
-            yield direction, tag, path, noisy
+            saved.append((tag, out_dir / f"{dtag}_{tag}.csv", noisy))
+        dataset.save_csvs([(bundle, path) for _, path, bundle in saved])
+        yield direction, saved
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config.seed)
     out_dir = Path(args.out if args.out else config.output_dir) / "datasets"
-    for _, _, path, bundle in _simulate_datasets(config, seed, out_dir):
-        print(f"wrote {path} ({len(bundle)} samples, rms {bundle.metadata.noise_rms_m:g} m)")
+    for _, saved in _simulate_datasets(config, seed, out_dir):
+        for _, path, bundle in saved:
+            print(f"wrote {path} ({len(bundle)} samples, rms {bundle.metadata.noise_rms_m:g} m)")
     return 0
 
 
@@ -350,13 +350,17 @@ def _train_artifacts(
         where = f"{_direction_tag(meta.direction)} {_level_tag(meta.noise_rms_m)}"
         raise TrainingDivergedError(f"{where}: {exc}", exc.model_index) from None
 
+    for _, out_dir in levels:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    dataset.save_csvs([  # the levels share one split, so their splits share all but noisy GPS
+        (part, out_dir / name)
+        for (_, out_dir), split in zip(levels, splits)
+        for part, name in zip(split, ("train.csv", "test.csv"))
+    ])
     trained = []
     for (bundle, out_dir), (train_bundle, test_bundle), denoiser in zip(levels, splits, denoisers):
         denoiser_model, denoiser_history = denoiser
         lut = denoise.build_lut(train_bundle, z, centers)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        dataset.save_csv(train_bundle, out_dir / "train.csv")
-        dataset.save_csv(test_bundle, out_dir / "test.csv")
         grid.save_grid_table_csv(anchor, out_dir / "anchor.csv")
         txid.save_table_csv(txid_table, out_dir / "txid.csv")
         nn.save_weights(denoiser_model, out_dir / "denoiser.json")
@@ -519,11 +523,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     fraction = config.train_fraction
     train_config = TrainConfig(config.learning_rate, config.epochs, config.batch_size)
     with _removed_on_failure(root):
-        simulated = _simulate_datasets(config, seed, root / "datasets")
-        for direction, bundles in itertools.groupby(simulated, key=lambda item: item[0]):
+        for direction, saved in _simulate_datasets(config, seed, root / "datasets"):
             dtag = _direction_tag(direction)
             levels = []
-            for _, tag, _, bundle in bundles:
+            for tag, _, bundle in saved:
                 char_dir = root / "characterize" / f"{dtag}_{tag}"
                 try:
                     _characterize(bundle, config.grid_count, config.bin_width_m, "auto", char_dir)

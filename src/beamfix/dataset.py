@@ -5,10 +5,16 @@ capture instant: the sample id, the serving beam index, the ground-truth
 position, an optional noise-corrupted position, and the detected objects
 in the camera frame, padded to the widest row. A bundle checks all its
 columns once, vectorized; bundles are immutable.
+
+CSV files go through one reader (``read_csv``), which parses BLOCK_ROWS
+rows at a time, and one writer. ``save_csvs`` writes several bundles in
+one pass, BLOCK_ROWS rows at a time, formatting a column that they hold
+bit for bit once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
@@ -17,7 +23,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Literal, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Literal, Sequence, TypeVar
 
 import numpy as np
 
@@ -169,47 +175,101 @@ def positions(bundle: DatasetBundle, selector: PositionSelector) -> tuple[np.nda
     return bundle.noisy_lat, bundle.noisy_lon
 
 
+# Rows of cells that CSV I/O holds as Python strings at a time, whatever the
+# files' length: the reader reads a file BLOCK_ROWS rows at a time, and
+# save_csvs spreads BLOCK_ROWS rows over the files it writes together.
+# Memory not handed back to the system stays in the process's peak, so a
+# block must stay small next to the stacked denoiser fit that sets the
+# pipeline's peak.
+BLOCK_ROWS = 512
+
+
+def _write_csvs(
+    paths: Sequence[str | Path],
+    headers: Sequence[Sequence[str]],
+    blocks: Iterable[Sequence[Iterable[Sequence]]],
+) -> None:
+    """Write each file's header row, then block by block its data rows: a block
+    holds one row iterable per file, in ``paths`` order. str() of a Python
+    float round-trips exactly. A path given twice is refused before any file
+    is opened: two handles on one file would interleave."""
+    resolved = [Path(path).resolve() for path in paths]
+    for path, where in zip(paths, resolved):
+        if resolved.count(where) > 1:
+            raise ValueError(f"{path}: given twice in one write")
+    with contextlib.ExitStack() as stack:
+        writers = [
+            csv.writer(stack.enter_context(open(path, "w", newline="", encoding="utf-8")))
+            for path in paths
+        ]
+        for writer, header in zip(writers, headers):
+            writer.writerow(header)
+        for block in blocks:
+            for writer, rows in zip(writers, block):
+                writer.writerows(rows)
+            del block  # drop this block's cells before the next block's are made
+
+
 def write_table_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header row, then the data rows; str() of a Python float round-trips exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write a header row, then the data rows as they come; str() of a Python
+    float round-trips exactly."""
+    _write_csvs([path], [header], [[rows]])
+
+
+def _named_rows(path, row_nums: np.ndarray, fn: Callable[..., T], *args) -> T:
+    """fn(*args), turning its RowError into ``<file>: row <n>: <why>``."""
+    try:
+        return fn(*args)
+    except RowError as exc:
+        raise DatasetFormatError(f"{path}: row {row_nums[exc.index]}: {exc.why}") from None
 
 
 def read_csv(
     path: str | Path,
     header: Callable[[int], Sequence[str]],
-    parse: Callable[[list[tuple[str, ...]], np.ndarray], T],
+    parse: Callable[[list[tuple[str, ...]], np.ndarray], Sequence[np.ndarray]],
+    finish: Callable[[list[np.ndarray]], T] = lambda columns: columns,
 ) -> T:
-    """parse(columns, widths) of a CSV file's non-blank data rows.
+    """finish() of the arrays that parse(columns, widths) makes of a CSV file's
+    non-blank data rows, BLOCK_ROWS rows at a time.
 
-    The header row must equal ``header(its width)``. ``columns`` are the
-    rows' cells transposed, one tuple per header column: short rows are
-    padded with "" and cells past the header dropped, so callers refuse
-    rows by ``widths``, each row's cell count. A RowError from ``parse``
-    becomes ``<file>: row <n>: <why>``, n being the 1-based data row.
+    The header row must equal ``header(its width)``. ``columns`` are a
+    block's rows' cells transposed, one tuple per header column: short rows
+    are padded with "" and cells past the header dropped, so callers refuse
+    rows by ``widths``, each row's cell count. parse returns arrays of one
+    entry per row; each is concatenated over the blocks (a file without
+    data rows is parsed as one empty block), and finish runs once on the
+    whole file's arrays, for checks across rows. A RowError from parse or
+    finish becomes ``<file>: row <n>: <why>``, n being the 1-based data row.
     """
+    parts, row_nums, read = [], [], 0
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            found, *rows = list(csv.reader(fh)) or [None]
+            reader = csv.reader(fh)
+            found = next(reader, None)
+            if found is None:
+                raise DatasetFormatError(f"{path}: empty file: missing header row")
+            expected = list(header(len(found)))
+            if found != expected:
+                raise DatasetFormatError(
+                    f"{path}: header mismatch: expected {expected}, got {found}"
+                )
+            while True:
+                block = list(itertools.islice(reader, BLOCK_ROWS))
+                nonblank = np.fromiter(map(len, block), bool, len(block))
+                row_nums.append(np.flatnonzero(nonblank) + read + 1)
+                read += len(block)
+                rows = list(itertools.compress(block, nonblank))
+                widths = np.fromiter(map(len, rows), np.int64, len(rows))
+                columns = list(itertools.zip_longest(*rows, fillvalue=""))[: len(expected)]
+                columns += [("",) * len(rows)] * (len(expected) - len(columns))
+                parts.append(_named_rows(path, row_nums[-1], parse, columns, widths))
+                if len(block) < BLOCK_ROWS:
+                    break
     except (csv.Error, UnicodeDecodeError) as exc:  # e.g. a cell over 128 KiB, or bad UTF-8
         raise DatasetFormatError(f"{path}: not a readable CSV file: {exc}") from None
-    if found is None:
-        raise DatasetFormatError(f"{path}: empty file: missing header row")
-    expected = list(header(len(found)))
-    if found != expected:
-        raise DatasetFormatError(f"{path}: header mismatch: expected {expected}, got {found}")
-    nonblank = np.fromiter(map(len, rows), bool, len(rows))
-    row_nums = np.flatnonzero(nonblank) + 1
-    rows = list(itertools.compress(rows, nonblank))
-    widths = np.fromiter(map(len, rows), np.int64, len(rows))
-    columns = list(itertools.zip_longest(*rows, fillvalue=""))[: len(expected)]
-    columns += [("",) * len(rows)] * (len(expected) - len(columns))
-    try:
-        return parse(columns, widths)
-    except RowError as exc:
-        raise DatasetFormatError(f"{path}: row {row_nums[exc.index]}: {exc.why}") from None
+    merged = [np.concatenate(arrays) for arrays in zip(*parts)]
+    return _named_rows(path, np.concatenate(row_nums), finish, merged)
 
 
 # ASCII whitespace (str.isspace) and "_", which int() and float() skip: "1_6" reads 16.
@@ -379,29 +439,76 @@ def _meta_path(path: Path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
-def save_csv(bundle: DatasetBundle, path: str | Path) -> None:
-    """Write a bundle to CSV plus a metadata sidecar.
+def save_csvs(pairs: Sequence[tuple[DatasetBundle, str | Path]]) -> None:
+    """Write each (bundle, path) to CSV plus a metadata sidecar, in one pass.
 
     Floats are serialized with repr (shortest exact round-trip), so
     load_csv(save_csv(b)) reproduces every column bit for bit. Rows are
     padded with empty cells up to the widest detection list in the file,
-    and a row without a noisy fix leaves both noisy cells empty.
+    and a row without a noisy fix leaves both noisy cells empty. The files
+    are written in blocks of BLOCK_ROWS // len(pairs) rows each, and within
+    a block a column whose values and blank cells are bitwise equal in
+    several bundles is formatted once: a capture's noise levels share all
+    but their noisy columns. A path given twice is refused.
     """
-    path = Path(path)
-    k = int(bundle.det_count.max(initial=0))
-    header = _header(k)
-    cells = np.empty((len(bundle), len(header)), dtype=object)
-    b = bundle  # the base columns, then the detection class, x and y every third column
-    for c, column in enumerate((
-        b.ids, b.metadata.direction.value, b.beams, b.gt_lat, b.gt_lon, b.noisy_lat, b.noisy_lon,
-        b.det_count, np.where(b.det_tx, "TX", "DISTRACTOR")[:, :k], b.det_x[:, :k], b.det_y[:, :k],
-    )):
-        cells[:, c if c < 8 else slice(c, None, 3)] = column
-    cells[np.isnan(b.noisy_lat), 5:7] = ""
-    cells[:, 8:][np.repeat(np.arange(k) >= b.det_count[:, None], 3, axis=1)] = ""
-    write_table_csv(path, header, cells.tolist())
-    meta = bundle.metadata
-    write_json(_meta_path(path), {**asdict(meta), "direction": meta.direction.value})
+    bundles = [bundle for bundle, _ in pairs]
+    paths = [Path(path) for _, path in pairs]
+    slots = [int(bundle.det_count.max(initial=0)) for bundle in bundles]
+
+    def blocks() -> Iterator[list[Iterator[tuple[str, ...]]]]:
+        step = max(1, BLOCK_ROWS // (len(bundles) or 1))
+        for start in range(0, max(map(len, bundles), default=0), step):
+            rows = slice(start, start + step)
+            formatted: dict[tuple, list[str]] = {}  # cells by dtype, value bits, blank bits
+            block = []
+            for bundle, k in zip(bundles, slots):
+                cells = []
+                for values, blank in _csv_columns(bundle, k, rows):
+                    key = (values.dtype.str, values.tobytes(), blank.tobytes())
+                    if key not in formatted:
+                        formatted[key] = _text(values, blank)
+                    cells.append(formatted[key])
+                block.append(zip(*cells))
+            yield block
+
+    _write_csvs(paths, [_header(k) for k in slots], blocks())
+    for bundle, path in zip(bundles, paths):
+        meta = bundle.metadata
+        write_json(_meta_path(path), {**asdict(meta), "direction": meta.direction.value})
+
+
+def save_csv(bundle: DatasetBundle, path: str | Path) -> None:
+    """Write one bundle to CSV plus a metadata sidecar; see save_csvs."""
+    save_csvs([(bundle, path)])
+
+
+def _csv_columns(
+    bundle: DatasetBundle, slots: int, rows: slice
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each CSV column's values over ``rows`` of a bundle and its mask of blank
+    cells, in header order for ``slots`` detection slots."""
+    b, count = bundle, bundle.det_count[rows]
+    kept, no_fix = np.zeros(len(count), dtype=bool), np.isnan(b.noisy_lat[rows])
+    yield b.ids[rows], kept
+    yield np.full(len(count), b.metadata.direction.value), kept
+    for values in (b.beams, b.gt_lat, b.gt_lon):
+        yield values[rows], kept
+    yield b.noisy_lat[rows], no_fix
+    yield b.noisy_lon[rows], no_fix
+    yield count, kept
+    for j in range(slots):
+        padding = count <= j
+        yield np.where(b.det_tx[rows, j], "TX", "DISTRACTOR"), padding
+        yield b.det_x[rows, j], padding
+        yield b.det_y[rows, j], padding
+
+
+def _text(values: np.ndarray, blank: np.ndarray) -> list[str]:
+    """Each value's str() (exact for a Python float), or "" where ``blank``."""
+    text = list(map(str, values.tolist()))
+    for i in np.flatnonzero(blank).tolist():
+        text[i] = ""
+    return text
 
 
 # Every key the sidecar must hold, with the parser for its value.
@@ -425,17 +532,25 @@ def load_csv(path: str | Path) -> DatasetBundle:
     """
     path = Path(path)
 
-    def bundle(cells: list[tuple[str, ...]], width: np.ndarray) -> DatasetBundle:
-        directions, columns = _parse_columns(cells, width)
+    def bundle(parsed: list[np.ndarray]) -> DatasetBundle:
+        directions, *values = parsed
+        columns = dict(zip(_COLUMNS, values))
+        slots = max(int(columns["det_count"].max(initial=0)), 0)
+        for name in ("det_tx", "det_x", "det_y"):
+            columns[name] = columns[name][:, :slots]
         return DatasetBundle(**columns, metadata=_dataset_meta(path, directions, columns["beams"]))
 
-    return read_csv(path, lambda width: _header((width - len(_BASE_COLUMNS)) // 3), bundle)
+    def header(width: int) -> list[str]:
+        return _header((width - len(_BASE_COLUMNS)) // 3)
+
+    return read_csv(path, header, _parse_columns, bundle)
 
 
-def _parse_columns(cells: list[tuple[str, ...]], width: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Each row's direction cell, and the bundle columns of rows ``width`` cells
-    wide, one tuple of cells per header column; checks each cell's type (the
-    bundle checks values) and raises RowError naming the column."""
+def _parse_columns(cells: list[tuple[str, ...]], width: np.ndarray) -> list[np.ndarray]:
+    """Each row's direction cell, then the bundle columns (in _COLUMNS order)
+    of rows ``width`` cells wide, one tuple of cells per header column, with
+    a detection column per header slot. Checks each cell's type (the bundle
+    checks values) and raises RowError naming the column."""
     n = len(width)
     refuse_rows(width < 8, lambda i: f"only {width[i]} cells, expected at least 8")
     refuse_rows(width > len(cells), lambda i: f"{width[i]} cells, but the header has {len(cells)}")
@@ -460,7 +575,7 @@ def _parse_columns(cells: list[tuple[str, ...]], width: np.ndarray) -> tuple[np.
         (filled[:, 8:] & (np.arange(len(cells) - 8) // 3 >= count[:, None])).any(axis=1),
         lambda i: f"unexpected non-empty cell beyond {count[i]} detections",
     )
-    slots = range(max(int(count.max(initial=0)), 0))
+    slots = range((len(cells) - 8) // 3)
     columns["det_tx"] = np.array([
         _one_of(cells[8 + 3 * j], f"det{j}_class", DetectionClass, count > j) == "TX"
         for j in slots
@@ -469,7 +584,7 @@ def _parse_columns(cells: list[tuple[str, ...]], width: np.ndarray) -> tuple[np.
         columns[f"det_{axis}"] = np.array([
             FLOATS(cells[8 + 3 * j + f], f"det{j}_{axis}", count > j) for j in slots
         ]).reshape(len(slots), n).T
-    return directions, columns
+    return [directions] + [columns[name] for name in _COLUMNS]
 
 
 def _dataset_meta(path: Path, directions: np.ndarray, beams: np.ndarray) -> DatasetMeta:

@@ -176,8 +176,9 @@ def histogram_from_values(values: Sequence[float], bin_width_m: float) -> Histog
         raise ValueError("cannot build a histogram from zero values")
     if np.any(vals < 0):
         raise ValueError("displacement values must be nonnegative")
-    largest = vals.max()
-    if not largest / bin_width_m < MAX_HISTOGRAM_BINS:
+    # Python floats: their quotient for a subnormal width is inf, without numpy's overflow warning.
+    largest = float(vals.max())
+    if not largest / float(bin_width_m) < MAX_HISTOGRAM_BINS:
         raise ValueError(
             f"largest value {largest} m at bin width {bin_width_m} m needs more than "
             f"{MAX_HISTOGRAM_BINS} histogram bins"
@@ -328,13 +329,17 @@ def read_grid_rows(
         keys = parsed[0]
         outside = (keys < 0) | (keys >= grid_count)
         refuse_rows(outside, lambda i: f"column '{key}': {keys[i]} outside [0, {grid_count})")
+        return parsed
+
+    def key_sorted(parsed: list[np.ndarray]) -> list[np.ndarray]:
+        keys = parsed[0]
         repeated = np.ones(len(keys), dtype=bool)
         repeated[np.unique(keys, return_index=True)[1]] = False
         refuse_rows(repeated, lambda i: f"column '{key}': {key} {keys[i]} repeated")
         order = np.argsort(keys)
         return [column[order] for column in parsed]
 
-    parsed = dataset.read_csv(path, lambda width: names, parse)
+    parsed = dataset.read_csv(path, lambda width: names, parse, key_sorted)
     if not len(parsed[0]):
         raise DatasetFormatError(f"{path}: no {key} rows")
     return parsed

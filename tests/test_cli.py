@@ -400,6 +400,20 @@ class TestCharacterizeCommand:
         assert "--bin-width must be finite and > 0, got inf" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bin_width_flag_subnormal_exit_2(self, tmp_path, capsys):
+        # The bin count of 1 m at 5e-324 m overflows a float; the refusal must not.
+        north = geo.apply_offset(BASE, LocalOffset(0.0, 1.0))
+        samples = [make_sample(0, 0.5, BASE, noisy=BASE), make_sample(1, 0.5, BASE, noisy=north)]
+        data_path = tmp_path / "data.csv"
+        dataset.save_csv(make_bundle(samples), data_path)
+        out = tmp_path / "x"
+        assert main(["characterize", "--dataset", str(data_path), "--bin-width", "5e-324",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "largest value" in err and "bin width 5e-324 m" in err
+        assert "RuntimeWarning" not in err
+        assert not out.exists()
+
     def test_far_gps_fix_exit_2(self, tmp_path, capsys):
         # One fix ~380 km off would need millions of 0.05 m bins.
         samples = [make_sample(i, 0.5, BASE, noisy=BASE) for i in range(9)]
