@@ -17,10 +17,22 @@ array, normalizers, loss and loss history. Their weights and biases live
 in one (K, P) float64 buffer, P being one model's parameter count, and
 each step writes the gradients into a matching buffer, so the forward
 and backward passes are ``np.matmul`` on (K, ...) stacks and the Adam
-update is a dozen whole-buffer in-place operations. Each step runs one
-forward pass: its output error gives both each model's loss and the
-backprop delta. A stack of one is a single fit; every model in a stack
-rounds exactly as it would if trained alone.
+update is whole-buffer in-place operations. Each step runs one forward
+pass: its output error gives both each model's loss and the backprop
+delta. A stack of one is a single fit; every model in a stack rounds
+exactly as it would if trained alone.
+
+A training step allocates no array data. Before the first epoch the
+trainer allocates one scratch set at the full batch width (a shorter
+last batch uses views of its leading rows), and the forward and backward
+passes write every intermediate into it with ``out=`` and in-place ufuncs:
+pre-activations, ReLU outputs, the output error and its square, the
+backprop deltas, and each ReLU mask as float 0.0/1.0 over its layer's
+spent pre-activations. Each element goes through the same operations in
+the same order as in the allocating form that inference and
+``_gradients`` use, so it rounds the same. From step 356 on,
+``1 - beta1**step`` is exactly 1.0, and the update skips its divide by
+it: m / 1.0 is m, so that is exact too.
 
 Inference is row-exact: ``forward`` runs an (n, d) batch as an (n, 1, d)
 stack, so each row's output is bit for bit its single-row call's. (BLAS
@@ -45,7 +57,10 @@ WEIGHT_INIT_SCALE = 1.0
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss; model_index is the model's place in its stack."""
+    """Training produced a non-finite loss or weight.
+
+    model_index is the model's place in its stack.
+    """
 
     def __init__(self, message: str, model_index: int = 0) -> None:
         super().__init__(message)
@@ -182,32 +197,79 @@ def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean((p - t) ** 2))
 
 
-def _forward_cached(weights, biases, x):
+@dataclass
+class _Scratch:
+    """Buffers for one training step's passes over a (K, width, ...) batch.
+
+    Per layer: its pre-activations and backprop delta; per hidden layer:
+    its ReLU output; the output error and its square. The backward pass
+    overwrites a hidden layer's pre-activations with its ReLU mask (float
+    0.0/1.0) once it has read them. A buffer that is None makes its
+    operation allocate.
+    """
+
+    pre: list
+    acts: list
+    delta: list
+    err: np.ndarray | None = None
+    sq: np.ndarray | None = None
+
+    @classmethod
+    def allocate(cls, k: int, width: int, outs: Sequence[int]) -> "_Scratch":
+        def bufs(widths):
+            return [np.empty((k, width, d)) for d in widths]
+
+        err, sq = bufs(outs[-1:] * 2)
+        return cls(bufs(outs), bufs(outs[:-1]), bufs(outs), err, sq)
+
+    def head(self, width: int) -> "_Scratch":
+        """Views of every buffer's first width rows, for a narrower batch."""
+
+        def cut(bufs):
+            return [b[:, :width] for b in bufs]
+
+        return _Scratch(cut(self.pre), cut(self.acts), cut(self.delta), *cut([self.err, self.sq]))
+
+    @classmethod
+    def none(cls, layers: int) -> "_Scratch":
+        """Every buffer None: each pass allocates its results."""
+        return cls([None] * layers, [None] * (layers - 1), [None] * layers)
+
+
+def _forward_cached(weights, biases, x, scratch: _Scratch | None = None):
     """Pre-activations and activations of one model, or of a (K, ...) stack."""
+    out = scratch or _Scratch.none(len(weights))
     pre, acts = [], [x]
     a = x
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w + b
+        z = np.matmul(a, w, out=out.pre[i])
+        z += b
         pre.append(z)
-        a = np.maximum(z, 0.0) if i < last else z
+        a = np.maximum(z, 0.0, out=out.acts[i]) if i < last else z
         acts.append(a)
     return pre, acts
 
 
-def _backward(weights_t, pre, acts, diff: np.ndarray, grad_w, grad_b) -> None:
+def _backward(
+    weights_t, pre, acts, diff: np.ndarray, grad_w, grad_b, scratch: _Scratch | None = None
+) -> None:
     """Write the backprop gradients of the MSE into grad_w/grad_b.
 
     pre/acts come from _forward_cached, diff is its output minus the
     targets and weights_t holds each layer's transposed weights. On a
     stack, each model's MSE is the mean over its own (batch, d) slice.
+    With a scratch set, the hidden layers' pre-activations are spent.
     """
-    delta = 2.0 * diff / (diff.shape[-2] * diff.shape[-1])
+    out = scratch or _Scratch.none(len(grad_w))
+    delta = np.multiply(diff, 2.0, out=out.delta[-1])
+    delta /= diff.shape[-2] * diff.shape[-1]
     for i in range(len(grad_w) - 1, -1, -1):
         np.matmul(acts[i].swapaxes(-1, -2), delta, out=grad_w[i])
         np.sum(delta, axis=-2, out=grad_b[i])
         if i > 0:
-            delta = (delta @ weights_t[i]) * (pre[i - 1] > 0)
+            delta = np.matmul(delta, weights_t[i], out=out.delta[i - 1])
+            delta *= np.greater(pre[i - 1], 0, out=out.pre[i - 1])
 
 
 def _gradients(model: MlpModel, x: np.ndarray, y: np.ndarray):
@@ -242,8 +304,9 @@ def train(
     are passed through each model's normalizers, so a loss is
     in normalized units. Zero epochs is a no-op. Each model's weights and
     biases are rebound to fresh arrays holding its trained values, so no
-    two models share memory. A non-finite loss raises
-    TrainingDivergedError naming the first model it hits.
+    two models share memory. A non-finite loss, or a non-finite weight
+    or bias after the last step, raises TrainingDivergedError naming the
+    first model it hits; numpy's overflow warnings stay silent on the way.
     """
     models = list(models)
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -282,60 +345,83 @@ def train(
     grad = np.empty_like(params)
     views = _views(grad, model_shapes)
     grad_w, grad_b = views[:layers], views[layers:]
-    # Adam moments and two scratch buffers. The in-place update below must
-    # keep this operation order, element by element:
+    # Adam moments and two buffers for the update. The in-place update below
+    # must keep this operation order, element by element:
     #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
     #   p -= lr*(m/corr1) / (sqrt(v/corr2) + eps)
     # Reordering it (say, folding lr/corr1 into one constant) changes the
     # rounding, and with it every trained model; tests/test_nn.py pins the
-    # result bit for bit to a per-array reference trainer.
+    # result bit for bit to a per-array reference trainer. The one shortcut
+    # is exact: from step 356 on, corr1 = 1 - 0.9**step rounds to 1.0, and
+    # m/1.0 is m, so the update writes m*lr. corr2 first rounds to 1.0 at
+    # step 37,412, past any default fit, so its divide stays.
     m, v, step_buf, denom = (np.zeros_like(params) for _ in range(4))
     lr = config.learning_rate
     n = len(x)
     starts = range(0, n, config.batch_size)
-    batch_sizes = np.array([min(config.batch_size, n - start) for start in starts])
+    widths = [min(config.batch_size, n - start) for start in starts]
+    batch_sizes = np.array(widths)
+    # One step's forward and backward buffers, allocated at the full batch
+    # width; a shorter last batch uses views of their leading rows.
+    full = _Scratch.allocate(len(models), config.batch_size, outs)
+    scratches = {width: full.head(width) for width in set(widths)}
     # Per step, each model's sum of squared errors; a loss is that sum over
     # the batch's element count, taken once per epoch.
     sq_sums = np.empty((len(starts), len(models)))
     step = 0
     histories: list[list[float]] = [[] for _ in models]
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        xs, ys = xk[:, order], yk[:, order]
-        for j, start in enumerate(starts):
-            xb = xs[:, start : start + config.batch_size]
-            yb = ys[:, start : start + config.batch_size]
-            pre, acts = _forward_cached(weights, biases, xb)
-            diff = acts[-1] - yb
-            np.add.reduce(np.square(diff), axis=(1, 2), out=sq_sums[j])
-            if not all(map(math.isfinite, sq_sums[j].tolist())):
-                k = int(np.argmin(np.isfinite(sq_sums[j])))
-                loss = sq_sums[j, k] / diff[k].size
-                raise TrainingDivergedError(
-                    f"model {k}: non-finite loss {loss} at epoch {epoch}, step {step}; "
-                    f"lower the learning rate ({lr})",
-                    k,
-                )
-            _backward(weights_t, pre, acts, diff, grad_w, grad_b)
-            step += 1
-            corr1 = 1.0 - ADAM_BETA1**step
-            corr2 = 1.0 - ADAM_BETA2**step
-            m *= ADAM_BETA1
-            m += np.multiply(grad, 1 - ADAM_BETA1, out=step_buf)
-            v *= ADAM_BETA2
-            np.square(grad, out=step_buf)
-            step_buf *= 1 - ADAM_BETA2
-            v += step_buf
-            np.divide(m, corr1, out=step_buf)
-            step_buf *= lr
-            np.divide(v, corr2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPSILON
-            step_buf /= denom
-            params -= step_buf
-        losses = sq_sums / (batch_sizes * dims[-1])[:, None]
-        for k, history in enumerate(histories):
-            history.append(float(np.average(losses[:, k], weights=batch_sizes)))
+    # A diverging fit overflows in its matmuls before its loss turns
+    # non-finite. The loss check and the weight check after the loop report
+    # it, so numpy's warnings are off for the whole loop, set once.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            xs, ys = xk[:, order], yk[:, order]
+            for j, (start, width) in enumerate(zip(starts, widths)):
+                scratch = scratches[width]
+                xb = xs[:, start : start + width]
+                yb = ys[:, start : start + width]
+                pre, acts = _forward_cached(weights, biases, xb, scratch)
+                diff = np.subtract(acts[-1], yb, out=scratch.err)
+                np.add.reduce(np.square(diff, out=scratch.sq), axis=(1, 2), out=sq_sums[j])
+                if not all(map(math.isfinite, sq_sums[j].tolist())):
+                    k = int(np.argmin(np.isfinite(sq_sums[j])))
+                    loss = sq_sums[j, k] / diff[k].size
+                    raise TrainingDivergedError(
+                        f"model {k}: non-finite loss {loss} at epoch {epoch}, step {step}; "
+                        f"lower the learning rate ({lr})",
+                        k,
+                    )
+                _backward(weights_t, pre, acts, diff, grad_w, grad_b, scratch)
+                step += 1
+                corr1 = 1.0 - ADAM_BETA1**step
+                corr2 = 1.0 - ADAM_BETA2**step
+                m *= ADAM_BETA1
+                m += np.multiply(grad, 1 - ADAM_BETA1, out=step_buf)
+                v *= ADAM_BETA2
+                np.square(grad, out=step_buf)
+                step_buf *= 1 - ADAM_BETA2
+                v += step_buf
+                if corr1 == 1.0:
+                    np.multiply(m, lr, out=step_buf)
+                else:
+                    np.divide(m, corr1, out=step_buf)
+                    step_buf *= lr
+                np.divide(v, corr2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += ADAM_EPSILON
+                step_buf /= denom
+                params -= step_buf
+            losses = sq_sums / (batch_sizes * dims[-1])[:, None]
+            for k, history in enumerate(histories):
+                history.append(float(np.average(losses[:, k], weights=batch_sizes)))
+    # The loss check sees each update but the last through the next forward pass.
+    finite = np.isfinite(params).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise TrainingDivergedError(
+            f"model {k}: non-finite weights after {step} steps; lower the learning rate ({lr})", k
+        )
     for model, own in zip(models, params):
         views = _views(own.copy(), model_shapes)
         model.weights, model.biases = views[:layers], views[layers:]

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -514,6 +515,23 @@ class TestTrainCommand:
         assert f"learning_rate must be finite and > 0, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_diverging_fit_exit_1_without_warnings(self, trained, tmp_path, capsys):
+        # A real divergence: the first update moves the weights by about
+        # 1e300, and the next forward pass overflows to a NaN loss.
+        _, _, data_path = trained
+        out = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--dataset", str(data_path), "--out", str(out),
+                         "--learning-rate", "1e300", "--epochs", "3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        [line] = err.splitlines()
+        assert line.startswith("error: l2r rms0.5: model 0: non-finite loss nan")
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
     def test_gradient_check_on_trained_models(self, trained):
         _, art, _ = trained
         rng = np.random.default_rng(0)
@@ -970,6 +988,20 @@ class TestPipelineRefusal:
         assert "histogram bins" in err
         assert list(tmp_path.iterdir()) == [config]
 
+    def test_diverging_fit_leaves_no_out_without_warnings(self, tmp_path, capsys):
+        config = write_config(tmp_path, learning_rate=1e300, samples_left_to_right=60,
+                              samples_right_to_left=50, epochs=3)
+        out = tmp_path / "new" / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["pipeline", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        [line] = err.splitlines()
+        assert line.startswith("error: l2r rms0.5: model 0: non-finite loss nan")
+        assert [str(w.message) for w in caught] == []
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_refusal_keeps_an_existing_out(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(LATE_REFUSAL))
@@ -1044,7 +1076,6 @@ class TestSharedStageOne:
         assert [calls[0], calls[3]] == train_sizes
         assert len(calls) == 2 * (1 + 2)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_names_direction_and_level_exit_1(self, tmp_path, monkeypatch, capsys):
         # Blow up the second level's denoiser targets past its identity
         # target normalizer; the stack's error must name the level it came from.

@@ -244,7 +244,6 @@ class TestTrain:
         for prev, cur in zip(history, history[1:]):
             assert cur <= prev * 1.05
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_aborts_with_diagnostic(self):
         # Targets near 1e200, left as they are by a bare model's identity
         # normalizers, overflow the squared error to inf on the first batch.
@@ -331,6 +330,34 @@ def _stacked_targets(rng, n, width, case):
     return targets
 
 
+def _check_stack_against_reference(dims, n, batch_size, normalize, case, epochs):
+    """A stack of three trained by train() matches three reference_train runs bit for bit."""
+    rng = np.random.default_rng(31)
+    if case == "one-hot":
+        x = np.eye(dims[0])[rng.integers(0, dims[0], size=n)]
+    else:
+        x = rng.normal(size=(n, dims[0]))
+    targets = _stacked_targets(rng, n, dims[-1], case)
+    init = init_mlp(dims, np.random.default_rng(32))
+    models = []
+    for y in targets:
+        model = init.copy()
+        if normalize:
+            model.input_norm = Normalizer.from_data(x)
+            model.target_norm = Normalizer.from_data(y, constant_feature_scale="negligible")
+        models.append(model)
+    config = TrainConfig(epochs=epochs, batch_size=batch_size, seed=33, learning_rate=3e-3)
+
+    want = [reference_train(m.copy(), x, y, config) for m, y in zip(models, targets)]
+    got = train([m.copy() for m in models], x, targets, config)
+
+    assert len(got) == len(want) == 3
+    for (g, g_hist), (w, w_hist) in zip(got, want):
+        assert g_hist == w_hist
+        assert all(np.array_equal(a, b) for a, b in zip(g.weights, w.weights))
+        assert all(np.array_equal(a, b) for a, b in zip(g.biases, w.biases))
+
+
 class TestFusedTrainerOracle:
     """train() must round every element exactly as the per-array trainer does; in a
     stack of K models, each one exactly as K separate trainings do."""
@@ -395,30 +422,21 @@ class TestFusedTrainerOracle:
         ],
     )
     def test_matches_sequential_reference(self, dims, n, batch_size, normalize, case):
-        rng = np.random.default_rng(31)
-        if case == "one-hot":
-            x = np.eye(dims[0])[rng.integers(0, dims[0], size=n)]
-        else:
-            x = rng.normal(size=(n, dims[0]))
-        targets = _stacked_targets(rng, n, dims[-1], case)
-        init = init_mlp(dims, np.random.default_rng(32))
-        models = []
-        for y in targets:
-            model = init.copy()
-            if normalize:
-                model.input_norm = Normalizer.from_data(x)
-                model.target_norm = Normalizer.from_data(y, constant_feature_scale="negligible")
-            models.append(model)
-        config = TrainConfig(epochs=12, batch_size=batch_size, seed=33, learning_rate=3e-3)
+        _check_stack_against_reference(dims, n, batch_size, normalize, case, epochs=12)
 
-        want = [reference_train(m.copy(), x, y, config) for m, y in zip(models, targets)]
-        got = train([m.copy() for m in models], x, targets, config)
-
-        assert len(got) == len(want) == 3
-        for (g, g_hist), (w, w_hist) in zip(got, want):
-            assert g_hist == w_hist
-            assert all(np.array_equal(a, b) for a, b in zip(g.weights, w.weights))
-            assert all(np.array_equal(a, b) for a, b in zip(g.biases, w.biases))
+    @pytest.mark.parametrize(
+        "n, batch_size, epochs",
+        [
+            (45, 8, 70),  # 420 steps over two batch widths (8 and the last 5)
+            (40, 40, 360),  # 360 steps over one batch width: one batch per epoch
+        ],
+    )
+    def test_stack_matches_reference_past_beta1_skip(self, n, batch_size, epochs):
+        # From step 356 on, 1 - beta1**step rounds to 1.0 and train() skips
+        # dividing by it; the per-array reference always divides.
+        assert 1.0 - nn.ADAM_BETA1 ** (epochs * -(-n // batch_size) - 1) == 1.0
+        _check_stack_against_reference((2, 16, 16, 2), n, batch_size, True, "own-normalizers",
+                                       epochs)
 
     @pytest.mark.parametrize("case", ["own-normalizers", "constant-column"])
     def test_fit_matches_separate_fits(self, case):
@@ -449,7 +467,6 @@ class TestFusedTrainerOracle:
             a[...] = 0.0
         assert all(np.array_equal(a, b) for a, b in zip(others, frozen))
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_names_the_model(self):
         rng = np.random.default_rng(38)
         x = rng.normal(size=(30, 2))
@@ -457,6 +474,20 @@ class TestFusedTrainerOracle:
         models = [init_mlp((2, 8, 2), np.random.default_rng(39)) for _ in range(3)]
         with pytest.raises(TrainingDivergedError, match=r"^model 1: non-finite loss") as exc:
             train(models, x, [y, 1e200 * y, y], TrainConfig(epochs=5, batch_size=10, seed=39))
+        assert exc.value.model_index == 1
+
+    def test_non_finite_last_update_names_the_model(self):
+        # One full batch, one step: every loss the step sees is finite, but
+        # lr * m / corr1 overflows for model 1's large gradients, so only the
+        # check after the last step can catch it.
+        rng = np.random.default_rng(44)
+        x = rng.normal(size=(20, 2))
+        models = [init_mlp((2, 8, 2), np.random.default_rng(45)) for _ in range(2)]
+        targets = [1e-3 * rng.normal(size=(20, 2)), 1e3 * rng.normal(size=(20, 2))]
+        config = TrainConfig(learning_rate=1e308, epochs=1, batch_size=20, seed=46)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^model 1: non-finite weights after 1 steps") as exc:
+            train(models, x, targets, config)
         assert exc.value.model_index == 1
 
     def test_mismatched_stacks_rejected(self):
