@@ -184,6 +184,16 @@ def _direction_tag(direction: Direction) -> str:
     return direction.value.lower()
 
 
+def _output_dir(path: str | Path, flag: str) -> Path:
+    """``path`` as a command's output directory, refused before any work
+    unless it, or else its nearest existing ancestor, is a directory."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{flag}: cannot write to {path}: {existing} is not a directory")
+    return path
+
+
 def _load_scene(config: RunConfig) -> simulate.SceneGeometry:
     if config.scene_path is None:
         return simulate.default_scene()
@@ -237,7 +247,8 @@ def _simulate_datasets(config: RunConfig, seed: int, out_dir: Path) -> Iterator[
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config.seed)
-    out_dir = Path(args.out if args.out else config.output_dir) / "datasets"
+    datasets = Path(args.out or config.output_dir) / "datasets"
+    out_dir = _output_dir(datasets, "--out" if args.out else "output_dir")
     for _, saved in _simulate_datasets(config, seed, out_dir):
         for _, path, bundle in saved:
             print(f"wrote {path} ({len(bundle)} samples, rms {bundle.metadata.noise_rms_m:g} m)")
@@ -288,6 +299,7 @@ def _characterize(
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:
+    out_dir = _output_dir(args.out or Path(args.dataset).parent / "characterize", "--out")
     bundle = dataset.load_csv(args.dataset)
     grid_count = bundle.metadata.grid_count if args.grid_count is None else args.grid_count
     if not 1 <= grid_count <= dataset.MAX_GRID_COUNT:
@@ -296,7 +308,6 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         )
     if not (math.isfinite(args.bin_width) and args.bin_width > 0):
         raise ConfigError(f"--bin-width must be finite and > 0, got {args.bin_width}")
-    out_dir = Path(args.out) if args.out else Path(args.dataset).parent / "characterize"
     try:
         _characterize(bundle, grid_count, args.bin_width, args.positions, out_dir)
     except ValueError as exc:
@@ -401,10 +412,11 @@ def _train_artifacts(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    out_dir = _output_dir(args.out, "--out")
     bundle = dataset.load_csv(args.dataset)
     seed = resolve_seed(args.seed, RunConfig().seed)
     train_config = TrainConfig(args.learning_rate, args.epochs, args.batch_size)
-    levels = [(bundle, Path(args.out))]
+    levels = [(bundle, out_dir)]
     test = _train_artifacts(levels, args.train_fraction, seed, train_config)[0].test
     print(f"trained artifacts in {args.out} (train {len(bundle) - len(test)}, test {len(test)})")
     return 0
@@ -481,6 +493,7 @@ def _evaluate_artifacts(levels: Iterable[_Level], out_dir: Path, bin_width_m: fl
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.bin_width) and args.bin_width > 0):
         raise ConfigError(f"--bin-width must be finite and > 0, got {args.bin_width}")
+    out_dir = _output_dir(args.out, "--out")
     dirs = [Path(d) for d in args.artifacts]
     for d in dirs:
         if not d.exists():
@@ -496,7 +509,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
         owners[tag] = artifact_dir
     levels = (_load_level(*manifest) for manifest in manifests)
-    _evaluate_artifacts(levels, Path(args.out), args.bin_width)
+    _evaluate_artifacts(levels, out_dir, args.bin_width)
     return 0
 
 
@@ -519,7 +532,7 @@ def _removed_on_failure(root: Path) -> Iterator[None]:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config.seed)
-    root = Path(args.out if args.out else config.output_dir)
+    root = _output_dir(args.out or config.output_dir, "--out" if args.out else "output_dir")
     fraction = config.train_fraction
     train_config = TrainConfig(config.learning_rate, config.epochs, config.batch_size)
     with _removed_on_failure(root):
@@ -535,7 +548,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 if tag != "clean":
                     levels.append((bundle, root / "artifacts" / dtag / tag))
             dseed = derived_seed(seed, "train", dtag)
-            trained = _train_artifacts(levels, fraction, dseed, train_config)
+            try:
+                trained = _train_artifacts(levels, fraction, dseed, train_config)
+            except ValueError as exc:
+                raise ConfigError(f"{dtag}: {exc}") from None
             for _, art_dir in levels:
                 print(f"trained {dtag} {art_dir.name}")
             _evaluate_artifacts(trained, root / "eval" / dtag, config.bin_width_m)

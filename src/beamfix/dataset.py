@@ -657,19 +657,18 @@ def remove_outliers(bundle: DatasetBundle) -> DatasetBundle:
     """Drop per-grid outliers by a single scaled-MAD pass over ground truth.
 
     Samples are grouped by the grid of their transmitter detection, at the
-    bundle's own grid count. Within each grid, a sample is removed when its
-    haversine displacement from the grid's ground-truth mean exceeds
+    bundle's own grid count, and ``grid.grid_table`` gives each sample's
+    haversine displacement from its grid's ground-truth mean. Within each
+    grid, a sample is removed when that displacement exceeds
     3 * (1.4826 * median displacement).
     Grids with fewer than 3 samples are left untouched.
     """
-    from .grid import grid_means
+    from .grid import grid_table, group_by_grid
 
-    z = bundle.metadata.grid_count
-    lats, lons = bundle.gt_lat, bundle.gt_lon
+    x, z = tx_centers(bundle)[:, 0], bundle.metadata.grid_count
+    disp = grid_table(x, bundle.gt_lat, bundle.gt_lon, z)[1]
     keep = np.ones(len(bundle), dtype=bool)
-    for idx, mean in grid_means(tx_centers(bundle)[:, 0], lats, lons, z).values():
-        if len(idx) < 3:
-            continue
-        disp = geo.haversine_m(mean.lat_deg, mean.lon_deg, lats[idx], lons[idx])
-        keep[idx] = disp <= 3.0 * 1.4826 * float(np.median(disp))
+    for idx in group_by_grid(x, z).values():
+        if len(idx) >= 3:
+            keep[idx] = disp[idx] <= 3.0 * 1.4826 * float(np.median(disp[idx]))
     return bundle.take(keep)

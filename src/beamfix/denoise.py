@@ -3,14 +3,14 @@
 Two interchangeable predictors built from the training split's noisy
 positions: a grid-indexed lookup table of mean positions, and an MLP
 regressing the selected bounding-box center to a position. The lookup
-table is ``grid.grid_means`` of noisy positions by identified center.
+table is the first four columns of ``grid.grid_table`` of noisy positions
+by identified center.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,17 +26,13 @@ _LUT_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class LookupTable:
-    """Per-grid mean of training-set noisy positions."""
+class LookupTable(NamedTuple):
+    """Per-grid mean of training-set noisy positions, as columns; empty grids are absent."""
 
     grid_count: int
-    means: dict[int, GeoPosition]
-    counts: dict[int, int]
-
-    def __post_init__(self) -> None:
-        if set(self.means) != set(self.counts):
-            raise ValueError("means and counts must cover the same grids")
+    grids: np.ndarray  # (k,) populated grids, ascending
+    counts: np.ndarray  # (k,) training samples per grid
+    means: np.ndarray  # (k, 2) mean noisy lat/lon per grid
 
 
 def build_lut(
@@ -59,10 +55,7 @@ def build_lut(
     order = np.argsort(bundle.ids, kind="stable")
     x = np.asarray(tx_centers, dtype=float)[order, 0]
     lats, lons = (column[order] for column in dataset.positions(bundle, "noisy"))
-    cells = grid.grid_means(x, lats, lons, grid_count)
-    means = {g: mean for g, (_, mean) in cells.items()}
-    counts = {g: len(idx) for g, (idx, _) in cells.items()}
-    return LookupTable(grid_count, means, counts)
+    return LookupTable(*grid.grid_table(x, lats, lons, grid_count)[0][:4])
 
 
 def lut_predict_all(lut: LookupTable, x_centers) -> np.ndarray:
@@ -71,9 +64,7 @@ def lut_predict_all(lut: LookupTable, x_centers) -> np.ndarray:
     Empty grids fall back to the nearest populated grid; equidistant
     neighbors resolve to the lower index.
     """
-    populated = sorted(lut.means)
-    means = np.array([(lut.means[g].lat_deg, lut.means[g].lon_deg) for g in populated])
-    return means[grid.nearest_row(populated, grid.assign_grids(x_centers, lut.grid_count))]
+    return lut.means[grid.nearest_row(lut.grids, grid.assign_grids(x_centers, lut.grid_count))]
 
 
 def lut_predict(lut: LookupTable, x_center: float) -> GeoPosition:
@@ -117,12 +108,10 @@ def mlp_predict(model: MlpModel, centers) -> np.ndarray:
 
 
 def save_lut_csv(lut: LookupTable, path: str | Path) -> None:
-    rows = ((g, lut.counts[g], p.lat_deg, p.lon_deg) for g, p in sorted(lut.means.items()))
+    rows = zip(lut.grids.tolist(), lut.counts.tolist(), *lut.means.T.tolist())
     dataset.write_table_csv(path, [name for name, _ in _LUT_COLUMNS], rows)
 
 
 def load_lut_csv(path: str | Path, grid_count: int) -> LookupTable:
-    columns = grid.read_grid_rows(path, _LUT_COLUMNS, grid_count)
-    grids, counts, lats, lons = (column.tolist() for column in columns)
-    means = {g: GeoPosition(lat, lon) for g, lat, lon in zip(grids, lats, lons)}
-    return LookupTable(grid_count, means, dict(zip(grids, counts)))
+    grids, counts, lats, lons = grid.read_grid_rows(path, _LUT_COLUMNS, grid_count)
+    return LookupTable(grid_count, grids, counts, np.column_stack([lats, lons]))

@@ -2,18 +2,19 @@
 
 The normalized image width is divided into Z equal vertical grids. A
 sample belongs to the grid containing the x-center of its transmitter
-detection. ``group_by_grid``, ``grid_means`` and the ``nearest_row``
-fallback are the one grid layer that outlier removal, the lookup table,
-stage 1 and evaluation share. A ``GridTable`` holds each populated grid's
-count, mean position and average displacement from it (the site-specific
-error measure) as columns; a histogram and a Gaussian fit summarize them.
+detection. ``group_by_grid``, the per-grid builder ``grid_table`` and the
+``nearest_row`` fallback are the one grid layer that outlier removal, the
+lookup table, stage 1 and evaluation share. A ``GridTable`` holds each
+populated grid's count, mean position and average displacement from it
+(the site-specific error measure) as columns; a histogram and a Gaussian
+fit summarize them.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -21,7 +22,6 @@ import numpy as np
 
 from . import dataset, geo
 from .dataset import COUNTS, INTEGERS, DatasetFormatError, PositionSelector, refuse_rows
-from .geo import GeoPosition
 
 if TYPE_CHECKING:
     from .dataset import DatasetBundle
@@ -73,17 +73,6 @@ def group_by_grid(x_centers, grid_count: int) -> dict[int, np.ndarray]:
     return dict(zip(keys.tolist(), np.split(order, starts[1:])))
 
 
-def grid_means(
-    x_centers, lats: np.ndarray, lons: np.ndarray, grid_count: int
-) -> dict[int, tuple[np.ndarray, GeoPosition]]:
-    """Per populated grid: member indices and geo.mean_position of their positions,
-    both in input order."""
-    return {
-        g: (idx, geo.mean_position(lats[idx], lons[idx]))
-        for g, idx in group_by_grid(x_centers, grid_count).items()
-    }
-
-
 def nearest_row(keys: np.ndarray, queries) -> np.ndarray:
     """Row in the ascending ``keys`` of the key nearest each query (an int or an
     array), ties to the lower key: the fallback for any grid or beam a table lacks."""
@@ -106,28 +95,40 @@ class GridTable(NamedTuple):
     avg_displacement_m: np.ndarray  # (k,) mean haversine distance of the members from it
 
 
+def grid_table(
+    x_centers, lats: np.ndarray, lons: np.ndarray, grid_count: int
+) -> tuple[GridTable, np.ndarray]:
+    """Per-grid statistics of positions grouped by x-center, and each row's displacement.
+
+    Per populated grid: the member count, geo.mean_position of the members'
+    positions in input order, and their average haversine displacement from
+    that mean. The second value is each input row's displacement from its
+    grid's mean, in input order.
+    """
+    groups = group_by_grid(x_centers, grid_count)
+    members = list(groups.values())
+    means = np.array([astuple(geo.mean_position(lats[i], lons[i])) for i in members]).reshape(-1, 2)
+    row = np.empty(len(lats), dtype=np.int64)
+    for r, idx in enumerate(members):
+        row[idx] = r
+    displacement = geo.haversine_m(means[row, 0], means[row, 1], lats, lons)
+    counts = np.array([len(idx) for idx in members], dtype=np.int64)
+    avg = np.array([displacement[idx].mean() for idx in members], dtype=float)
+    table = GridTable(grid_count, np.array(list(groups), dtype=np.int64), counts, means, avg)
+    return table, displacement
+
+
 def build_grid_table(
     bundle: "DatasetBundle", selector: PositionSelector, grid_count: int
 ) -> GridTable:
-    """Group samples by transmitter x-center and compute per-grid statistics.
+    """grid_table of a bundle's selected positions, by labeled transmitter x-center.
 
-    Per grid: the arithmetic mean of latitudes and longitudes, then the
-    average haversine displacement between that mean and the members.
     Samples are processed in id order, so the result is independent of the
     row order.
     """
     ordered = bundle.take(np.argsort(bundle.ids, kind="stable"))
     x = dataset.tx_centers(ordered)[:, 0]
-    lats, lons = dataset.positions(ordered, selector)
-    rows = []
-    for g, (idx, mean) in grid_means(x, lats, lons, grid_count).items():
-        disp = geo.haversine_m(mean.lat_deg, mean.lon_deg, lats[idx], lons[idx])
-        rows.append((g, len(idx), mean.lat_deg, mean.lon_deg, float(disp.mean())))
-    grids, counts, mean_lats, mean_lons, avg = zip(*rows) if rows else [()] * 5
-    return GridTable(
-        grid_count, np.array(grids, dtype=np.int64), np.array(counts, dtype=np.int64),
-        np.column_stack([mean_lats, mean_lons]), np.array(avg, dtype=float),
-    )
+    return grid_table(x, *dataset.positions(ordered, selector), grid_count)[0]
 
 
 def per_sample_displacements(

@@ -1013,6 +1013,46 @@ class TestPipelineRefusal:
         assert (out / "notes.txt").read_text() == "kept\n"
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
+    def test_empty_test_split_names_direction(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"samples_left_to_right": 3, "samples_right_to_left": 3}))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: l2r: 3 samples at train_fraction 0.7 leave the test split empty"
+        assert list(tmp_path.iterdir()) == [config]
+
+
+class TestOutputNotADirectory:
+    """Every command refuses an --out that cannot be a directory before any work."""
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize(
+        "command", ["simulate", "characterize", "train", "evaluate", "pipeline"]
+    )
+    def test_exit_2_writes_nothing(self, small_artifacts, tmp_path, capsys, command, below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "run" if below else taken
+        config = str(write_config(tmp_path))
+        data = str(small_artifacts["l2r"].parent / "run" / "datasets" / "l2r_rms0.5.csv")
+        args = {
+            "simulate": ["--config", config],
+            "characterize": ["--dataset", data],
+            "train": ["--dataset", data, "--epochs", "1"],
+            "evaluate": ["--artifacts", str(small_artifacts["l2r"])],
+            "pipeline": ["--config", config],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, *args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: --out: cannot write to ")
+        assert line.endswith(f"{taken} is not a directory")
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+        assert taken.read_text() == "kept\n"
+
 
 @pytest.fixture(scope="module")
 def two_level_pipeline(tmp_path_factory):

@@ -20,7 +20,7 @@ from beamfix.denoise import (
 from beamfix.geo import GeoPosition, LocalOffset, NoiseSpec
 from beamfix.nn import MlpModel, Normalizer, TrainConfig
 
-from conftest import distance, grid_cell, gt_positions, make_bundle, make_sample
+from conftest import distance, grid_cell, gt_positions, make_bundle, make_sample, same_table
 
 BASE = GeoPosition(33.42, -111.93)
 
@@ -33,6 +33,12 @@ def _centers(bundle):
     return [tuple(c) for c in dataset.tx_centers(bundle).tolist()]
 
 
+def _cell(lut, g):
+    """Count and mean position of populated grid g of a LookupTable."""
+    [row] = np.flatnonzero(lut.grids == g)
+    return int(lut.counts[row]), GeoPosition(*lut.means[row].tolist())
+
+
 def _meters_from(predictions, position):
     """Haversine distance of each (lat, lon) prediction row from one position."""
     return geo.haversine_m(position.lat_deg, position.lon_deg, predictions[:, 0], predictions[:, 1])
@@ -42,8 +48,8 @@ class TestBuildLut:
     def test_identical_points_reproduced(self):
         samples = [_noisy_sample(i, 0.205, BASE) for i in range(5)]
         lut = build_lut(make_bundle(samples), 100)
-        assert lut.means[20] == BASE
-        assert lut.counts[20] == 5
+        assert lut.grids.tolist() == [20]
+        assert _cell(lut, 20) == (5, BASE)
 
     def test_symmetric_offsets_average_to_center(self):
         # Analytic mean: +-1 m north of the center averages back to it.
@@ -51,17 +57,29 @@ class TestBuildLut:
         down = geo.apply_offset(BASE, LocalOffset(0.0, -1.0))
         samples = [_noisy_sample(0, 0.205, up), _noisy_sample(1, 0.205, down)]
         lut = build_lut(make_bundle(samples), 100)
-        assert abs(lut.means[20].lat_deg - BASE.lat_deg) < 1e-9
-        assert abs(lut.means[20].lon_deg - BASE.lon_deg) < 1e-9
+        _, mean = _cell(lut, 20)
+        assert abs(mean.lat_deg - BASE.lat_deg) < 1e-9
+        assert abs(mean.lon_deg - BASE.lon_deg) < 1e-9
 
     def test_matches_grid_table_means(self, scene, codebook):
         traj = simulate.TrajectoryConfig(120, Direction.LEFT_TO_RIGHT, 0, seed=1)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 2))
         lut = build_lut(bundle, 100)
         table = grid.build_grid_table(bundle, "noisy", 100)
-        assert sorted(lut.means) == table.grids.tolist()
-        for g in lut.means:
-            assert lut.means[g] == grid_cell(table, g)[1]
+        assert lut.grids.tolist() == table.grids.tolist()
+        for g in lut.grids.tolist():
+            assert _cell(lut, g)[1] == grid_cell(table, g)[1]
+
+    def test_is_the_grid_table_of_noisy_positions(self, scene, codebook):
+        # One per-grid builder: the LUT from labeled centers is the noisy
+        # GridTable's first four columns bit for bit, whatever the row order.
+        traj = simulate.TrajectoryConfig(150, Direction.LEFT_TO_RIGHT, 0, seed=3)
+        bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(1.0, 4))
+        shuffled = bundle.take(np.random.default_rng(5).permutation(len(bundle)))
+        assert not np.array_equal(shuffled.ids, np.sort(shuffled.ids))
+        lut = build_lut(shuffled, 50)
+        table = grid.build_grid_table(shuffled, "noisy", 50)
+        assert same_table(lut, LookupTable(*table[:4]))
 
     def test_empty_bundle_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -77,31 +95,32 @@ class TestBuildLut:
         lut = build_lut(make_bundle(samples), 10)
         path = tmp_path / "lut.csv"
         save_lut_csv(lut, path)
-        assert load_lut_csv(path, 10) == lut
+        assert same_table(load_lut_csv(path, 10), lut)
 
 
 class TestLutPredict:
     def _lut(self, grids):
-        means = {
-            g: geo.apply_offset(BASE, LocalOffset(float(g), 0.0)) for g in grids
-        }
-        return LookupTable(100, means, {g: 1 for g in grids})
+        means = [geo.apply_offset(BASE, LocalOffset(float(g), 0.0)) for g in grids]
+        return LookupTable(
+            100, np.array(grids, dtype=np.int64), np.ones(len(grids), dtype=np.int64),
+            np.array([(m.lat_deg, m.lon_deg) for m in means]).reshape(-1, 2),
+        )
 
     def test_populated_grid_returns_its_mean(self):
         lut = self._lut([20, 30])
-        assert lut_predict(lut, 0.205) == lut.means[20]
+        assert lut_predict(lut, 0.205) == _cell(lut, 20)[1]
 
     def test_empty_grid_falls_back_to_nearest(self):
         lut = self._lut([49, 52])
-        assert lut_predict(lut, 0.505) == lut.means[49]  # grid 50: distance 1 vs 2
+        assert lut_predict(lut, 0.505) == _cell(lut, 49)[1]  # grid 50: distance 1 vs 2
 
     def test_equidistant_falls_back_to_lower_index(self):
         lut = self._lut([10, 14])
-        assert lut_predict(lut, 0.125) == lut.means[10]  # grid 12: tie at distance 2
+        assert lut_predict(lut, 0.125) == _cell(lut, 10)[1]  # grid 12: tie at distance 2
 
     def test_fully_empty_rejected(self):
         with pytest.raises(ValueError, match="no populated"):
-            lut_predict(LookupTable(100, {}, {}), 0.5)
+            lut_predict(self._lut([]), 0.5)
 
     @given(
         grids=st.sets(st.integers(min_value=0, max_value=99), min_size=1, max_size=12),
@@ -115,7 +134,7 @@ class TestLutPredict:
         assert rows.shape == (len(xs), 2)
         for x, row in zip(xs, rows.tolist()):
             g = grid.assign_grid(x, 100)
-            want = lut.means[min(grids, key=lambda k: (abs(k - g), k))]
+            want = _cell(lut, min(grids, key=lambda k: (abs(k - g), k)))[1]
             assert lut_predict(lut, x) == want
             assert row == [want.lat_deg, want.lon_deg]
 
@@ -137,7 +156,7 @@ class TestLutPredict:
                     for i, (e, no) in enumerate(offsets)
                 ]
                 lut = build_lut(make_bundle(samples), 100)
-                residuals.append(distance(lut.means[50], BASE))
+                residuals.append(distance(_cell(lut, 50)[1], BASE))
             return float(np.mean(residuals))
 
         small, large = mean_residual(10), mean_residual(160)
@@ -224,7 +243,7 @@ class TestTrainDenoiser:
         lut_residual = float(
             np.mean(
                 [
-                    distance(lut.means[grid.assign_grid(x, 100)], gt)
+                    distance(_cell(lut, grid.assign_grid(x, 100))[1], gt)
                     for gt, (x, _) in zip(gt_positions(bundle), centers)
                 ]
             )

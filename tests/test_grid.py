@@ -206,6 +206,22 @@ class TestGridTable:
         with pytest.raises(ValueError, match="noisy"):
             build_grid_table(make_bundle(samples), "noisy", 100)
 
+    def test_builder_displacements_in_input_order(self, small_synthetic_bundle):
+        # grid_table's second value is each input row's distance from its
+        # grid's mean: in id order bit for bit what per_sample_displacements
+        # reads off the table, and row by row for rows out of id order.
+        bundle = small_synthetic_bundle.take(np.argsort(small_synthetic_bundle.ids))
+        x = dataset.tx_centers(bundle)[:, 0]
+        table, disp = grid.grid_table(x, bundle.gt_lat, bundle.gt_lon, 100)
+        assert same_table(table, build_grid_table(bundle, "ground_truth", 100))
+        assert disp.tobytes() == per_sample_displacements(bundle, table, "ground_truth").tobytes()
+        for row, g in enumerate(table.grids.tolist()):
+            assert table.avg_displacement_m[row] == disp[assign_grids(x, 100) == g].mean()
+        backward = bundle.take(np.arange(len(bundle))[::-1])
+        table, disp = grid.grid_table(x[::-1], backward.gt_lat, backward.gt_lon, 100)
+        for x_i, position, d in zip(x[::-1].tolist(), gt_positions(backward), disp.tolist()):
+            assert abs(d - distance(grid_cell(table, assign_grid(x_i, 100))[1], position)) < 1e-12
+
     def test_csv_round_trip(self, tmp_path, small_synthetic_bundle):
         table = build_grid_table(small_synthetic_bundle, "ground_truth", 100)
         path = tmp_path / "table.csv"
