@@ -262,16 +262,15 @@ def _characterize(
         selector = "ground_truth" if np.isnan(bundle.noisy_lat).any() else "noisy"
     else:
         selector = {"ground-truth": "ground_truth", "noisy": "noisy"}[positions]
-    table = grid.build_grid_table(bundle, selector, grid_count)
+    table, disp = grid.build_grid_table(bundle, selector, grid_count)
     pergrid_hist = grid.displacement_histogram(table, bin_width_m)
-    disp = grid.per_sample_displacements(bundle, table, selector)
     sample_hist = grid.histogram_from_values(disp, bin_width_m)
 
     summary: dict = {
         "positions": selector,
         "grid_count": grid_count,
         "bin_width_m": bin_width_m,
-        "populated_grids": len(table.grids),
+        "populated_grids": len(table.keys),
         "mean_displacement_m": float(np.mean(table.avg_displacement_m)),
     }
     try:
@@ -321,10 +320,10 @@ class _Level(NamedTuple):
 
     level: float
     test: DatasetBundle
-    anchor: grid.GridTable
-    txid_table: txid.BeamTable
+    anchor: grid.KeyedTable
+    txid_table: grid.KeyedTable
     denoiser_model: nn.MlpModel
-    lut: denoise.LookupTable
+    lut: grid.KeyedTable
 
 
 def _train_artifacts(
@@ -347,7 +346,7 @@ def _train_artifacts(
     ]
     first = levels[0][0]
     z = first.metadata.grid_count
-    anchor = grid.build_grid_table(first, "ground_truth", z)
+    anchor = grid.build_grid_table(first, "ground_truth", z)[0]
     train_bundles = [train for train, _ in splits]
     if train_config.batch_size > len(train_bundles[0]):
         train_config = dataclasses.replace(train_config, batch_size=len(train_bundles[0]))
@@ -461,7 +460,7 @@ def _evaluate_artifacts(levels: Iterable[_Level], out_dir: Path, bin_width_m: fl
         report = evaluate.per_grid_error(test_bundle, predictions, anchor)
         histogram = None
         if _level_tag(level) == PLOT_LEVEL_TAG:
-            gt_table = grid.build_grid_table(test_bundle, "ground_truth", report.grid_count)
+            gt_table = grid.build_grid_table(test_bundle, "ground_truth", report.grid_count)[0]
             histogram = grid.displacement_histogram(gt_table, bin_width_m)
         scored.append((level, test_bundle, predictions, identified, report, histogram))
 

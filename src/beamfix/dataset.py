@@ -268,6 +268,8 @@ def read_csv(
                     break
     except (csv.Error, UnicodeDecodeError) as exc:  # e.g. a cell over 128 KiB, or bad UTF-8
         raise DatasetFormatError(f"{path}: not a readable CSV file: {exc}") from None
+    except IsADirectoryError:
+        raise DatasetFormatError(f"{path}: is a directory, not a file") from None
     merged = [np.concatenate(arrays) for arrays in zip(*parts)]
     return _named_rows(path, np.concatenate(row_nums), finish, merged)
 
@@ -399,6 +401,8 @@ def read_json(path: str | Path) -> dict:
             doc = json.load(fh)
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: not valid JSON: {exc}") from None
+    except IsADirectoryError:
+        raise DatasetFormatError(f"{path}: is a directory, not a file") from None
     if not isinstance(doc, dict):
         raise DatasetFormatError(f"{path}: expected a JSON object")
     return doc

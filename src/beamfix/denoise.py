@@ -3,44 +3,33 @@
 Two interchangeable predictors built from the training split's noisy
 positions: a grid-indexed lookup table of mean positions, and an MLP
 regressing the selected bounding-box center to a position. The lookup
-table is the first four columns of ``grid.grid_table`` of noisy positions
-by identified center.
+table is the ``grid.KeyedTable`` of ``grid.grid_table`` of noisy positions
+by identified center, without the displacement column, and is read with
+``grid.lookup``.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import dataset, grid, nn
-from .dataset import COUNTS, INTEGERS, DatasetBundle
+from .dataset import DatasetBundle
 from .geo import GeoPosition
+from .grid import KeyedTable
 from .nn import MlpModel, TrainConfig
 
 HIDDEN_DIMS = (64, 64)
-
-_LUT_COLUMNS = (
-    ("grid", INTEGERS), ("count", COUNTS), ("mean_lat", grid.LATITUDE), ("mean_lon", grid.LONGITUDE)
-)
-
-
-class LookupTable(NamedTuple):
-    """Per-grid mean of training-set noisy positions, as columns; empty grids are absent."""
-
-    grid_count: int
-    grids: np.ndarray  # (k,) populated grids, ascending
-    counts: np.ndarray  # (k,) training samples per grid
-    means: np.ndarray  # (k, 2) mean noisy lat/lon per grid
 
 
 def build_lut(
     bundle: DatasetBundle,
     grid_count: int,
     tx_centers: Sequence[tuple[float, float]] | None = None,
-) -> LookupTable:
-    """Group training samples by grid and store mean noisy lat/lon per grid.
+) -> KeyedTable:
+    """Group training samples by grid and store count and mean noisy lat/lon per grid.
 
     ``tx_centers`` overrides the labeled transmitter centers with
     identified ones (same order as the samples); by default the labels
@@ -55,19 +44,19 @@ def build_lut(
     order = np.argsort(bundle.ids, kind="stable")
     x = np.asarray(tx_centers, dtype=float)[order, 0]
     lats, lons = (column[order] for column in dataset.positions(bundle, "noisy"))
-    return LookupTable(*grid.grid_table(x, lats, lons, grid_count)[0][:4])
+    return KeyedTable(*grid.grid_table(x, lats, lons, grid_count)[0][:4])
 
 
-def lut_predict_all(lut: LookupTable, x_centers) -> np.ndarray:
+def lut_predict_all(lut: KeyedTable, x_centers) -> np.ndarray:
     """De-noised (lat, lon) rows, one per bounding-box x-center.
 
     Empty grids fall back to the nearest populated grid; equidistant
     neighbors resolve to the lower index.
     """
-    return lut.means[grid.nearest_row(lut.grids, grid.assign_grids(x_centers, lut.grid_count))]
+    return grid.lookup(lut, grid.assign_grids(x_centers, lut.key_count))[0]
 
 
-def lut_predict(lut: LookupTable, x_center: float) -> GeoPosition:
+def lut_predict(lut: KeyedTable, x_center: float) -> GeoPosition:
     """lut_predict_all for one x-center."""
     return GeoPosition(*lut_predict_all(lut, [x_center])[0].tolist())
 
@@ -107,11 +96,9 @@ def mlp_predict(model: MlpModel, centers) -> np.ndarray:
     return out
 
 
-def save_lut_csv(lut: LookupTable, path: str | Path) -> None:
-    rows = zip(lut.grids.tolist(), lut.counts.tolist(), *lut.means.T.tolist())
-    dataset.write_table_csv(path, [name for name, _ in _LUT_COLUMNS], rows)
+def save_lut_csv(lut: KeyedTable, path: str | Path) -> None:
+    grid.save_table_csv(lut, path, grid.GRID_TABLE_COLUMNS[:4])
 
 
-def load_lut_csv(path: str | Path, grid_count: int) -> LookupTable:
-    grids, counts, lats, lons = grid.read_grid_rows(path, _LUT_COLUMNS, grid_count)
-    return LookupTable(grid_count, grids, counts, np.column_stack([lats, lons]))
+def load_lut_csv(path: str | Path, grid_count: int) -> KeyedTable:
+    return grid.load_table_csv(path, grid.GRID_TABLE_COLUMNS[:4], grid_count)

@@ -1,9 +1,9 @@
 """Per-grid haversine evaluation, cross-noise-level comparison, plot exports.
 
 Errors are measured against per-grid ground-truth anchor means: test
-samples are grouped with ``grid.group_by_grid``, each grid finds its anchor
-row once (``grid.nearest_row``), and the haversine distances from that mean
-to the predictions are averaged per grid, then equally across grids.
+samples are grouped with ``grid.group_by_grid``, each grid looks up its
+anchor mean once (``grid.lookup``), and the haversine distances from that
+mean to the predictions are averaged per grid, then equally across grids.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import numpy as np
 
 from . import dataset, denoise, geo, grid, txid
 from .dataset import DatasetBundle
-from .denoise import LookupTable
-from .grid import GridTable
+from .grid import KeyedTable
 from .nn import MlpModel
 
 METHOD_ORDER = ("noisy", "lut", "mlp")
@@ -44,7 +43,7 @@ class EvalReport:
 def per_grid_error(
     test_bundle: DatasetBundle,
     predictions: Mapping[str, np.ndarray],
-    gt_anchor: GridTable,
+    gt_anchor: KeyedTable,
 ) -> EvalReport:
     """Score methods' (n, 2) lat/lon predictions against ground-truth anchor means.
 
@@ -67,25 +66,24 @@ def per_grid_error(
     methods += [m for m in predictions if m not in METHOD_ORDER]
 
     positions = {m: predictions[m].tolist() for m in methods}
-    groups = grid.group_by_grid(dataset.tx_centers(test_bundle)[:, 0], gt_anchor.grid_count)
-    anchor_rows = grid.nearest_row(gt_anchor.grids, list(groups))
-    anchors = zip(gt_anchor.grids[anchor_rows].tolist(), gt_anchor.means[anchor_rows].tolist())
+    groups = grid.group_by_grid(dataset.tx_centers(test_bundle)[:, 0], gt_anchor.key_count)
+    means, own = grid.lookup(gt_anchor, list(groups))
     rows = []
     fallback_samples = 0
-    for (g, idx), (anchor_grid, (lat, lon)) in zip(groups.items(), anchors):
-        if anchor_grid != g:
+    for (g, idx), (lat, lon), anchored in zip(groups.items(), means.tolist(), own.tolist()):
+        if not anchored:
             fallback_samples += len(idx)
         mean_error = {
             m: float(np.mean([geo.haversine_distance(lat, lon, *positions[m][i]) for i in idx]))
             for m in methods
         }
-        rows.append(GridErrorRow(g, len(idx), mean_error, anchor_grid != g))
+        rows.append(GridErrorRow(g, len(idx), mean_error, not anchored))
     overall = {m: float(np.mean([r.mean_error_m[m] for r in rows])) for m in methods}
     return EvalReport(
         per_grid=tuple(rows),
         overall=overall,
         noise_rms_m=test_bundle.metadata.noise_rms_m,
-        grid_count=gt_anchor.grid_count,
+        grid_count=gt_anchor.key_count,
         dataset_tag=test_bundle.metadata.source,
         fallback_samples=fallback_samples,
     )
@@ -93,8 +91,8 @@ def per_grid_error(
 
 def predict_methods(
     bundle: DatasetBundle,
-    txid_table: txid.BeamTable,
-    lut: LookupTable,
+    txid_table: KeyedTable,
+    lut: KeyedTable,
     mlp_model: MlpModel,
 ) -> tuple[dict[str, np.ndarray], txid.Identification]:
     """Run identification then both denoisers over a bundle.

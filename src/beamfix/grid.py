@@ -1,13 +1,15 @@
-"""Grid assignment and grouping, per-grid GPS error statistics, Gaussian fitting.
+"""Grid assignment and grouping, per-key tables, per-grid GPS error statistics, Gaussian fitting.
 
 The normalized image width is divided into Z equal vertical grids. A
 sample belongs to the grid containing the x-center of its transmitter
-detection. ``group_by_grid``, the per-grid builder ``grid_table`` and the
-``nearest_row`` fallback are the one grid layer that outlier removal, the
-lookup table, stage 1 and evaluation share. A ``GridTable`` holds each
-populated grid's count, mean position and average displacement from it
-(the site-specific error measure) as columns; a histogram and a Gaussian
-fit summarize them.
+detection. ``group_by_grid`` and the per-grid builder ``grid_table`` are
+the one grid layer that outlier removal, the lookup table and evaluation
+share. Every table is a ``KeyedTable``: ascending keys (grids, or stage 1's
+beams), their counts and (k, 2) means as columns, plus each grid's average
+displacement from its mean (the site-specific error measure) in the
+per-grid table. One spec-driven CSV writer and reader store every table,
+and ``lookup`` is the one read, with the nearest-key fallback for a key
+the table lacks. A histogram and a Gaussian fit summarize the displacements.
 """
 
 from __future__ import annotations
@@ -85,19 +87,26 @@ def nearest_row(keys: np.ndarray, queries) -> np.ndarray:
     return np.where(np.abs(keys[above] - q) < np.abs(q - keys[below]), above, below)
 
 
-class GridTable(NamedTuple):
-    """Per-grid statistics over the populated grids, as columns; empty grids are absent."""
+class KeyedTable(NamedTuple):
+    """Per-key statistics over the populated keys, as columns; keys without rows are absent."""
 
-    grid_count: int
-    grids: np.ndarray  # (k,) populated grids, ascending
-    counts: np.ndarray  # (k,) samples per grid
-    means: np.ndarray  # (k, 2) mean lat/lon per grid
-    avg_displacement_m: np.ndarray  # (k,) mean haversine distance of the members from it
+    key_count: int  # keys lie in [0, key_count): the grid count, or the codebook size
+    keys: np.ndarray  # (k,) populated keys, ascending
+    counts: np.ndarray  # (k,) samples per key
+    means: np.ndarray  # (k, 2) mean lat/lon per grid, or mean x/y center per beam
+    avg_displacement_m: np.ndarray | None = None  # (k,) per-grid only: members' distance from it
+
+
+def lookup(table: KeyedTable, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Each query key's mean row (for an int query, one row), and whether the key
+    has its own row; a key without one takes the nearest key's, ties to the lower."""
+    rows = nearest_row(table.keys, queries)
+    return table.means[rows], table.keys[rows] == queries
 
 
 def grid_table(
     x_centers, lats: np.ndarray, lons: np.ndarray, grid_count: int
-) -> tuple[GridTable, np.ndarray]:
+) -> tuple[KeyedTable, np.ndarray]:
     """Per-grid statistics of positions grouped by x-center, and each row's displacement.
 
     Per populated grid: the member count, geo.mean_position of the members'
@@ -114,39 +123,34 @@ def grid_table(
     displacement = geo.haversine_m(means[row, 0], means[row, 1], lats, lons)
     counts = np.array([len(idx) for idx in members], dtype=np.int64)
     avg = np.array([displacement[idx].mean() for idx in members], dtype=float)
-    table = GridTable(grid_count, np.array(list(groups), dtype=np.int64), counts, means, avg)
+    table = KeyedTable(grid_count, np.array(list(groups), dtype=np.int64), counts, means, avg)
     return table, displacement
 
 
 def build_grid_table(
     bundle: "DatasetBundle", selector: PositionSelector, grid_count: int
-) -> GridTable:
+) -> tuple[KeyedTable, np.ndarray]:
     """grid_table of a bundle's selected positions, by labeled transmitter x-center.
 
-    Samples are processed in id order, so the result is independent of the
-    row order.
+    Samples are processed in id order, so the table is independent of the
+    row order, and the displacements come in id order.
     """
     ordered = bundle.take(np.argsort(bundle.ids, kind="stable"))
     x = dataset.tx_centers(ordered)[:, 0]
-    return grid_table(x, *dataset.positions(ordered, selector), grid_count)[0]
+    return grid_table(x, *dataset.positions(ordered, selector), grid_count)
 
 
 def per_sample_displacements(
-    bundle: "DatasetBundle", table: GridTable, selector: PositionSelector
+    bundle: "DatasetBundle", table: KeyedTable, selector: PositionSelector
 ) -> np.ndarray:
     """Each sample's haversine distance to its own grid's mean, in id order."""
     ordered = bundle.take(np.argsort(bundle.ids, kind="stable"))
-    x = dataset.tx_centers(ordered)[:, 0]
-    lats, lons = dataset.positions(ordered, selector)
-    row_of = {g: row for row, g in enumerate(table.grids.tolist())}
-    out = np.empty(len(ordered))
-    for g, idx in group_by_grid(x, table.grid_count).items():
-        if g not in row_of:
-            sid = ordered.ids[idx[0]]
-            raise ValueError(f"sample {sid}: grid {g} is not populated in the table")
-        lat, lon = table.means[row_of[g]].tolist()
-        out[idx] = geo.haversine_m(lat, lon, lats[idx], lons[idx])
-    return out
+    grids = assign_grids(dataset.tx_centers(ordered)[:, 0], table.key_count)
+    means, own = lookup(table, grids)
+    if not own.all():
+        i = int(own.argmin())
+        raise ValueError(f"sample {ordered.ids[i]}: grid {grids[i]} is not populated in the table")
+    return geo.haversine_m(means[:, 0], means[:, 1], *dataset.positions(ordered, selector))
 
 
 @dataclass(frozen=True)
@@ -189,9 +193,9 @@ def histogram_from_values(values: Sequence[float], bin_width_m: float) -> Histog
     return Histogram(bin_width_m, counts)
 
 
-def displacement_histogram(table: GridTable, bin_width_m: float) -> Histogram:
+def displacement_histogram(table: KeyedTable, bin_width_m: float) -> Histogram:
     """Histogram of the per-grid average displacements over populated grids."""
-    if not len(table.grids):
+    if not len(table.keys):
         raise ValueError("grid table has no populated grids")
     return histogram_from_values(table.avg_displacement_m, bin_width_m)
 
@@ -301,24 +305,31 @@ def fit_gaussian(histogram: Histogram) -> GaussianFit:
     )
 
 
-# Column parsers for the position columns of the per-grid tables.
-LATITUDE = dataset.floats(-90.0, 90.0)
-LONGITUDE = dataset.floats(-180.0, 180.0)
-
-_GRID_TABLE_COLUMNS = (
+# Column spec of the per-grid table CSV; the lookup table's is its first four.
+GRID_TABLE_COLUMNS = (
     ("grid", INTEGERS),
     ("count", COUNTS),
-    ("mean_lat", LATITUDE),
-    ("mean_lon", LONGITUDE),
+    ("mean_lat", dataset.floats(-90.0, 90.0)),
+    ("mean_lon", dataset.floats(-180.0, 180.0)),
     ("avg_displacement_m", dataset.floats(0.0, sys.float_info.max)),
 )
 
 
-def read_grid_rows(
-    path: str | Path, columns: Sequence[tuple[str, dataset.ColumnParser]], grid_count: int
-) -> list[np.ndarray]:
-    """The parsed columns of a table CSV, sorted by the leading grid (or beam)
-    column, which must hold each key in [0, grid_count) at most once, in at
+def save_table_csv(
+    table: KeyedTable, path: str | Path, columns: Sequence[tuple[str, dataset.ColumnParser]]
+) -> None:
+    """Write a table under ``columns``' names: key, count, the two mean columns,
+    then avg_displacement_m if there is a fifth column."""
+    values = (table.keys, table.counts, *table.means.T, table.avg_displacement_m)
+    rows = zip(*(column.tolist() for column in values[: len(columns)]))
+    dataset.write_table_csv(path, [name for name, _ in columns], rows)
+
+
+def load_table_csv(
+    path: str | Path, columns: Sequence[tuple[str, dataset.ColumnParser]], key_count: int
+) -> KeyedTable:
+    """The table save_table_csv wrote under ``columns``, rows sorted by the key
+    column, which must hold each key in [0, key_count) at most once, in at
     least one row. Every row must have one cell per column; see dataset.read_csv."""
     names = [name for name, _ in columns]
     key = names[0]
@@ -328,8 +339,8 @@ def read_grid_rows(
         every = np.ones(len(widths), dtype=bool)
         parsed = [parse_column(c, name, every) for (name, parse_column), c in zip(columns, cells)]
         keys = parsed[0]
-        outside = (keys < 0) | (keys >= grid_count)
-        refuse_rows(outside, lambda i: f"column '{key}': {keys[i]} outside [0, {grid_count})")
+        outside = (keys < 0) | (keys >= key_count)
+        refuse_rows(outside, lambda i: f"column '{key}': {keys[i]} outside [0, {key_count})")
         return parsed
 
     def key_sorted(parsed: list[np.ndarray]) -> list[np.ndarray]:
@@ -340,23 +351,18 @@ def read_grid_rows(
         order = np.argsort(keys)
         return [column[order] for column in parsed]
 
-    parsed = dataset.read_csv(path, lambda width: names, parse, key_sorted)
-    if not len(parsed[0]):
+    keys, counts, a, b, *rest = dataset.read_csv(path, lambda width: names, parse, key_sorted)
+    if not len(keys):
         raise DatasetFormatError(f"{path}: no {key} rows")
-    return parsed
+    return KeyedTable(key_count, keys, counts, np.column_stack([a, b]), *rest)
 
 
-def save_grid_table_csv(table: GridTable, path: str | Path) -> None:
-    rows = zip(
-        table.grids.tolist(), table.counts.tolist(), *table.means.T.tolist(),
-        table.avg_displacement_m.tolist(),
-    )
-    dataset.write_table_csv(path, [name for name, _ in _GRID_TABLE_COLUMNS], rows)
+def save_grid_table_csv(table: KeyedTable, path: str | Path) -> None:
+    save_table_csv(table, path, GRID_TABLE_COLUMNS)
 
 
-def load_grid_table_csv(path: str | Path, grid_count: int) -> GridTable:
-    grids, counts, lats, lons, avg = read_grid_rows(path, _GRID_TABLE_COLUMNS, grid_count)
-    return GridTable(grid_count, grids, counts, np.column_stack([lats, lons]), avg)
+def load_grid_table_csv(path: str | Path, grid_count: int) -> KeyedTable:
+    return load_table_csv(path, GRID_TABLE_COLUMNS, grid_count)
 
 
 def save_histogram_csv(histogram: Histogram, path: str | Path) -> None:

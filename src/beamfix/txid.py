@@ -3,9 +3,10 @@
 The paper regresses a one-hot beam index to the transmitter's box center
 with an MLP. Under MSE the exact minimizer for one-hot inputs is each
 beam's mean training center, so stage 1 is that closed form: a per-beam
-table. A beam absent from training takes the nearest trained beam's
-center, ties to the lower index (codebook beams are ordered by steering
-angle). The detected object nearest that center is the transmitter.
+``grid.KeyedTable`` of centers, read with ``grid.lookup``. A beam absent
+from training takes the nearest trained beam's center, ties to the lower
+index (codebook beams are ordered by steering angle). The detected object
+nearest that center is the transmitter.
 """
 
 from __future__ import annotations
@@ -17,18 +18,10 @@ import numpy as np
 
 from . import dataset, grid
 from .dataset import COUNTS, INTEGERS, DatasetBundle
+from .grid import KeyedTable
 
 _UNIT = dataset.floats(0.0, 1.0)
 _TABLE_COLUMNS = (("beam", INTEGERS), ("count", COUNTS), ("x_center", _UNIT), ("y_center", _UNIT))
-
-
-class BeamTable(NamedTuple):
-    """Mean transmitter center and training row count of each trained beam."""
-
-    codebook_size: int
-    beams: np.ndarray  # (k,) trained beams, ascending
-    counts: np.ndarray  # (k,) training rows per beam
-    centers: np.ndarray  # (k, 2) mean x/y center per beam
 
 
 class Identification(NamedTuple):
@@ -39,8 +32,8 @@ class Identification(NamedTuple):
     selected_centers: np.ndarray  # (n, 2) that detection's x/y center
 
 
-def train_txid(bundle: DatasetBundle) -> BeamTable:
-    """Per-beam mean of the labeled transmitter centers, summed in row order.
+def train_txid(bundle: DatasetBundle) -> KeyedTable:
+    """Training row count and mean labeled transmitter center per beam, summed in row order.
 
     Every training sample must carry a transmitter-labeled detection; the
     first sample without one is named in the error.
@@ -48,10 +41,10 @@ def train_txid(bundle: DatasetBundle) -> BeamTable:
     targets = dataset.tx_centers(bundle)
     beams, slot, counts = np.unique(bundle.beams, return_inverse=True, return_counts=True)
     sums = np.column_stack([np.bincount(slot, weights=column) for column in targets.T])
-    return BeamTable(bundle.metadata.codebook_size, beams, counts, sums / counts[:, None])
+    return KeyedTable(bundle.metadata.codebook_size, beams, counts, sums / counts[:, None])
 
 
-def identify(table: BeamTable, beams, det_x, det_y, det_count) -> Identification:
+def identify(table: KeyedTable, beams, det_x, det_y, det_count) -> Identification:
     """Beam -> table center -> nearest detection, for every row at once.
 
     Rows are a bundle's ``beams`` and its padded ``det_x``/``det_y``
@@ -60,14 +53,14 @@ def identify(table: BeamTable, beams, det_x, det_y, det_count) -> Identification
     real slot at the smallest ``np.hypot`` distance from its estimate;
     ties resolve to the lowest detection index.
     """
-    q = table.codebook_size
+    q = table.key_count
     beams = np.asarray(beams)
     outside = (beams < 0) | (beams >= q)
     if outside.any():
         raise ValueError(f"beam index {beams[outside][0]} outside [0, {q - 1}]")
     if (det_count < 1).any():
         raise ValueError("cannot select from an empty detection list")
-    estimates = table.centers[grid.nearest_row(table.beams, beams)]
+    estimates = grid.lookup(table, beams)[0]
     dist = np.hypot(det_x - estimates[:, :1], det_y - estimates[:, 1:])
     dist[np.arange(dist.shape[1]) >= det_count[:, None]] = np.inf
     index = dist.argmin(axis=1) if len(dist) else np.zeros(0, dtype=np.int64)
@@ -76,19 +69,17 @@ def identify(table: BeamTable, beams, det_x, det_y, det_count) -> Identification
     return Identification(estimates, index, centers)
 
 
-def identify_all(table: BeamTable, bundle: DatasetBundle) -> Identification:
+def identify_all(table: KeyedTable, bundle: DatasetBundle) -> Identification:
     """identify() over a bundle's beam and detection columns."""
     return identify(table, bundle.beams, bundle.det_x, bundle.det_y, bundle.det_count)
 
 
-def save_table_csv(table: BeamTable, path: str | Path) -> None:
-    rows = zip(table.beams.tolist(), table.counts.tolist(), *table.centers.T.tolist())
-    dataset.write_table_csv(path, [name for name, _ in _TABLE_COLUMNS], rows)
+def save_table_csv(table: KeyedTable, path: str | Path) -> None:
+    grid.save_table_csv(table, path, _TABLE_COLUMNS)
 
 
-def load_table_csv(path: str | Path, codebook_size: int) -> BeamTable:
-    beams, counts, x, y = grid.read_grid_rows(path, _TABLE_COLUMNS, codebook_size)
-    return BeamTable(codebook_size, beams, counts, np.column_stack([x, y]))
+def load_table_csv(path: str | Path, codebook_size: int) -> KeyedTable:
+    return grid.load_table_csv(path, _TABLE_COLUMNS, codebook_size)
 
 
 def save_predictions_csv(

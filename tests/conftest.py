@@ -144,18 +144,19 @@ def distance(a: GeoPosition, b: GeoPosition) -> float:
 
 
 def grid_cell(table, g) -> tuple[int, GeoPosition, float]:
-    """Count, mean position and average displacement of populated grid g of a GridTable."""
-    [row] = np.flatnonzero(table.grids == g)
+    """Count, mean position and average displacement of populated grid g of a per-grid table."""
+    [row] = np.flatnonzero(table.keys == g)
     mean = GeoPosition(*table.means[row].tolist())
     return int(table.counts[row]), mean, float(table.avg_displacement_m[row])
 
 
+def _bits(column):
+    return None if column is None else (column.dtype, column.shape, column.tobytes())
+
+
 def same_table(a, b) -> bool:
-    """Equal grid counts, and every column of two GridTables equal bit for bit."""
-    return a.grid_count == b.grid_count and all(
-        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-        for x, y in zip(a[1:], b[1:])
-    )
+    """Equal key counts, and every column of two KeyedTables equal bit for bit or absent in both."""
+    return a.key_count == b.key_count and [_bits(c) for c in a[1:]] == [_bits(c) for c in b[1:]]
 
 
 @pytest.fixture

@@ -185,9 +185,9 @@ def denoise_suite(codebook) -> DenoiseSuite:
     base_train = simulate.generate_scenario(scene, codebook, train_traj, NoiseSpec(0.0, 201))
     base_test = simulate.generate_scenario(scene, codebook, test_traj, NoiseSpec(0.0, 202))
 
-    counts = grid.build_grid_table(base_train, "ground_truth", 100)
+    counts = grid.build_grid_table(base_train, "ground_truth", 100)[0]
     min_per_grid = int(counts.counts.min())
-    anchor = grid.build_grid_table(concat(base_train, base_test), "ground_truth", 100)
+    anchor = grid.build_grid_table(concat(base_train, base_test), "ground_truth", 100)[0]
     txid_model = txid.train_txid(base_train)
 
     overall: dict[float, dict[str, float]] = {}
@@ -240,7 +240,7 @@ def test_07_method_comparability(denoise_suite):
 def test_08_gaussian_fit_quality(scene, codebook):
     traj = simulate.TrajectoryConfig(4000, Direction.LEFT_TO_RIGHT, 0, seed=801)
     bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.3, 802))
-    table = grid.build_grid_table(bundle, "noisy", 100)
+    table = grid.build_grid_table(bundle, "noisy", 100)[0]
     disp = grid.per_sample_displacements(bundle, table, "noisy")
     fit = grid.fit_gaussian(grid.histogram_from_values(disp, 0.05))
     synthetic_ok = fit.adjusted_r_squared >= 0.95

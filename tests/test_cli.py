@@ -1054,6 +1054,36 @@ class TestOutputNotADirectory:
         assert taken.read_text() == "kept\n"
 
 
+class TestInputIsADirectory:
+    """A directory where an input file belongs exits 2 naming it, before any output."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["characterize", "train", *(f"evaluate-{name}" for name in
+                                    ("test", "anchor", "txid_table", "denoiser_model", "lut"))],
+    )
+    def test_exit_2_writes_nothing(self, small_artifacts, tmp_path, capsys, case):
+        folder = tmp_path / "folder.csv"
+        folder.mkdir()
+        out = tmp_path / "out"
+        if case.startswith("evaluate-"):
+            art = tmp_path / "art"
+            shutil.copytree(small_artifacts["l2r"], art)
+            manifest = json.loads((art / "manifest.json").read_text())
+            manifest["files"][case.removeprefix("evaluate-")] = str(folder)
+            (art / "manifest.json").write_text(json.dumps(manifest))
+            args = ["evaluate", "--artifacts", str(art)]
+        else:
+            args = [case, "--dataset", str(folder)]
+        before = sorted(tmp_path.rglob("*"))
+        assert main([*args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and f"{folder}: is a directory, not a file" in line
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.fixture(scope="module")
 def two_level_pipeline(tmp_path_factory):
     """A pipeline run at 0.5 and 1 m."""

@@ -657,7 +657,7 @@ class TestColumnParsers:
     @pytest.mark.parametrize(
         "parser",
         [dataset.INTEGERS, dataset.COUNTS, dataset.integers(0, 63), dataset.FLOATS,
-         grid.LATITUDE, grid.LONGITUDE, dataset.floats(0.0, 1.0),
+         *(parse for _, parse in grid.GRID_TABLE_COLUMNS[2:4]), dataset.floats(0.0, 1.0),
          dataset.floats(0.0, sys.float_info.max)],
         ids=["int64", "count", "beam", "float", "latitude", "longitude", "unit", "distance"],
     )
@@ -840,11 +840,11 @@ class TestRemoveOutliers:
             samples.extend(_grid_cluster(sid, x, spread))
             sid += len(spread)
         bundle = make_bundle(samples)
-        before = grid.build_grid_table(bundle, "ground_truth", 100)
+        before = grid.build_grid_table(bundle, "ground_truth", 100)[0]
         cleaned = remove_outliers(bundle)
-        after = grid.build_grid_table(cleaned, "ground_truth", 100)
+        after = grid.build_grid_table(cleaned, "ground_truth", 100)[0]
         assert len(cleaned) < len(bundle)
-        for g in after.grids.tolist():
+        for g in after.keys.tolist():
             assert grid_cell(after, g)[2] <= grid_cell(before, g)[2] + 1e-9
 
     def test_missing_transmitter_label_rejected(self):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from beamfix import dataset, geo, grid, simulate
 from beamfix.dataset import Direction, inject_noise
 from beamfix.denoise import (
-    LookupTable,
     build_lut,
     load_lut_csv,
     lut_predict,
@@ -18,6 +17,7 @@ from beamfix.denoise import (
     train_denoiser,
 )
 from beamfix.geo import GeoPosition, LocalOffset, NoiseSpec
+from beamfix.grid import KeyedTable
 from beamfix.nn import MlpModel, Normalizer, TrainConfig
 
 from conftest import distance, grid_cell, gt_positions, make_bundle, make_sample, same_table
@@ -34,8 +34,8 @@ def _centers(bundle):
 
 
 def _cell(lut, g):
-    """Count and mean position of populated grid g of a LookupTable."""
-    [row] = np.flatnonzero(lut.grids == g)
+    """Count and mean position of populated grid g of a lookup table."""
+    [row] = np.flatnonzero(lut.keys == g)
     return int(lut.counts[row]), GeoPosition(*lut.means[row].tolist())
 
 
@@ -48,7 +48,7 @@ class TestBuildLut:
     def test_identical_points_reproduced(self):
         samples = [_noisy_sample(i, 0.205, BASE) for i in range(5)]
         lut = build_lut(make_bundle(samples), 100)
-        assert lut.grids.tolist() == [20]
+        assert lut.keys.tolist() == [20]
         assert _cell(lut, 20) == (5, BASE)
 
     def test_symmetric_offsets_average_to_center(self):
@@ -65,21 +65,21 @@ class TestBuildLut:
         traj = simulate.TrajectoryConfig(120, Direction.LEFT_TO_RIGHT, 0, seed=1)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 2))
         lut = build_lut(bundle, 100)
-        table = grid.build_grid_table(bundle, "noisy", 100)
-        assert lut.grids.tolist() == table.grids.tolist()
-        for g in lut.grids.tolist():
+        table = grid.build_grid_table(bundle, "noisy", 100)[0]
+        assert lut.keys.tolist() == table.keys.tolist()
+        for g in lut.keys.tolist():
             assert _cell(lut, g)[1] == grid_cell(table, g)[1]
 
     def test_is_the_grid_table_of_noisy_positions(self, scene, codebook):
         # One per-grid builder: the LUT from labeled centers is the noisy
-        # GridTable's first four columns bit for bit, whatever the row order.
+        # grid table's first four columns bit for bit, whatever the row order.
         traj = simulate.TrajectoryConfig(150, Direction.LEFT_TO_RIGHT, 0, seed=3)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(1.0, 4))
         shuffled = bundle.take(np.random.default_rng(5).permutation(len(bundle)))
         assert not np.array_equal(shuffled.ids, np.sort(shuffled.ids))
         lut = build_lut(shuffled, 50)
-        table = grid.build_grid_table(shuffled, "noisy", 50)
-        assert same_table(lut, LookupTable(*table[:4]))
+        table = grid.build_grid_table(shuffled, "noisy", 50)[0]
+        assert same_table(lut, KeyedTable(*table[:4]))
 
     def test_empty_bundle_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -97,11 +97,17 @@ class TestBuildLut:
         save_lut_csv(lut, path)
         assert same_table(load_lut_csv(path, 10), lut)
 
+    def test_csv_header(self, tmp_path):
+        path = tmp_path / "lut.csv"
+        lut = KeyedTable(100, np.array([3]), np.array([2]), np.array([[33.42, -111.93]]))
+        save_lut_csv(lut, path)
+        assert path.read_bytes() == b"grid,count,mean_lat,mean_lon\r\n3,2,33.42,-111.93\r\n"
+
 
 class TestLutPredict:
     def _lut(self, grids):
         means = [geo.apply_offset(BASE, LocalOffset(float(g), 0.0)) for g in grids]
-        return LookupTable(
+        return KeyedTable(
             100, np.array(grids, dtype=np.int64), np.ones(len(grids), dtype=np.int64),
             np.array([(m.lat_deg, m.lon_deg) for m in means]).reshape(-1, 2),
         )

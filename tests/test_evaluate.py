@@ -30,10 +30,10 @@ def per_row_scores(bundle, predictions, anchor):
     """per_grid_error one row at a time: grid.assign_grid, the min-rule fallback
     and the scalar haversine. Returns (grid, count, errors, fallback) rows and
     the fallback sample count."""
-    keys = anchor.grids.tolist()
+    keys = anchor.keys.tolist()
     members: dict[int, list[int]] = {}
     for i, x in enumerate(dataset.tx_centers(bundle)[:, 0].tolist()):
-        members.setdefault(grid.assign_grid(x, anchor.grid_count), []).append(i)
+        members.setdefault(grid.assign_grid(x, anchor.key_count), []).append(i)
     rows, fallback_samples = [], 0
     for g in sorted(members):
         nearest = min(keys, key=lambda k: (abs(k - g), k))
@@ -70,7 +70,7 @@ def scoring_cases(draw):
     degrees = st.floats(min_value=-1e-3, max_value=1e-3)
     means = np.array(draw(st.lists(st.tuples(degrees, degrees), min_size=len(keys),
                                    max_size=len(keys)))) + (BASE.lat_deg, BASE.lon_deg)
-    anchor = grid.GridTable(
+    anchor = grid.KeyedTable(
         z, np.array(keys), np.ones(len(keys), dtype=np.int64), means, np.zeros(len(keys))
     )
     bundle = make_bundle([make_sample(i, x, BASE) for i, x in enumerate(xs)], grid_count=z)
@@ -95,7 +95,7 @@ class TestPerGridError:
         anchor = grid.build_grid_table(
             make_bundle([_noisy(0, 0.105, a, gt=a), _noisy(1, 0.145, b, gt=b)]),
             "ground_truth", 100,
-        )
+        )[0]
         stray = make_bundle([_noisy(5, 0.125, BASE)])  # grid 12: grids 10 and 14 both 2 away
         report = assert_matches_per_row(stray, {"noisy": noisy_positions(stray)}, anchor)
         assert report.per_grid[0].anchor_fallback
@@ -104,7 +104,7 @@ class TestPerGridError:
     def test_anchor_means_score_zero(self):
         samples = [_noisy(i, (i % 10) / 10 + 0.05, BASE) for i in range(30)]
         bundle = make_bundle(samples)
-        anchor = grid.build_grid_table(bundle, "ground_truth", 100)
+        anchor = grid.build_grid_table(bundle, "ground_truth", 100)[0]
         means = [
             grid_cell(anchor, grid.assign_grid(x, 100))[1]
             for x in dataset.tx_centers(bundle)[:, 0].tolist()
@@ -121,7 +121,7 @@ class TestPerGridError:
         bundle = simulate.generate_scenario(
             scene, codebook, traj, NoiseSpec(level, 2 + int(level * 10))
         )
-        anchor = grid.build_grid_table(bundle, "ground_truth", 100)
+        anchor = grid.build_grid_table(bundle, "ground_truth", 100)[0]
         report = per_grid_error(
             bundle, {"noisy": noisy_positions(bundle)}, anchor
         )
@@ -135,9 +135,9 @@ class TestPerGridError:
         test_traj = simulate.TrajectoryConfig(700, Direction.LEFT_TO_RIGHT, 0, seed=4)
         train_bundle = simulate.generate_scenario(scene, codebook, train_traj, NoiseSpec(0.5, 5))
         test_bundle = simulate.generate_scenario(scene, codebook, test_traj, NoiseSpec(0.5, 6))
-        counts = grid.build_grid_table(train_bundle, "ground_truth", 100)
+        counts = grid.build_grid_table(train_bundle, "ground_truth", 100)[0]
         assert counts.counts.min() >= 10
-        anchor = grid.build_grid_table(concat(train_bundle, test_bundle), "ground_truth", 100)
+        anchor = grid.build_grid_table(concat(train_bundle, test_bundle), "ground_truth", 100)[0]
         lut = denoise.build_lut(train_bundle, 100)
         predictions = {"lut": denoise.lut_predict_all(lut, dataset.tx_centers(test_bundle)[:, 0])}
         report = per_grid_error(test_bundle, predictions, anchor)
@@ -146,7 +146,7 @@ class TestPerGridError:
     def test_overall_is_mean_of_per_grid(self, scene, codebook):
         traj = simulate.TrajectoryConfig(300, Direction.LEFT_TO_RIGHT, 0, seed=7)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 8))
-        anchor = grid.build_grid_table(bundle, "ground_truth", 100)
+        anchor = grid.build_grid_table(bundle, "ground_truth", 100)[0]
         report = per_grid_error(
             bundle, {"noisy": noisy_positions(bundle)}, anchor
         )
@@ -155,7 +155,7 @@ class TestPerGridError:
 
     def test_missing_anchor_grid_falls_back_and_flags(self):
         anchored = [_noisy(0, 0.105, BASE), _noisy(1, 0.305, BASE)]
-        anchor = grid.build_grid_table(make_bundle(anchored), "ground_truth", 100)
+        anchor = grid.build_grid_table(make_bundle(anchored), "ground_truth", 100)[0]
         stray = make_bundle([_noisy(5, 0.505, BASE)])  # grid 50 has no anchor
         report = per_grid_error(
             stray, {"noisy": noisy_positions(stray)}, anchor
@@ -169,7 +169,7 @@ class TestPerGridError:
 
     def test_prediction_length_mismatch_rejected(self):
         bundle = make_bundle([_noisy(0, 0.5, BASE)])
-        anchor = grid.build_grid_table(bundle, "ground_truth", 100)
+        anchor = grid.build_grid_table(bundle, "ground_truth", 100)[0]
         with pytest.raises(ValueError, match="predictions"):
             per_grid_error(bundle, {"noisy": []}, anchor)
         with pytest.raises(ValueError, match="no prediction"):
@@ -180,7 +180,7 @@ class TestPerGridError:
 
         traj = simulate.TrajectoryConfig(200, Direction.LEFT_TO_RIGHT, 0, seed=19)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 20))
-        anchor = grid.build_grid_table(bundle, "ground_truth", 100)
+        anchor = grid.build_grid_table(bundle, "ground_truth", 100)[0]
         report = per_grid_error(
             bundle, {"noisy": noisy_positions(bundle)}, anchor
         )
@@ -212,7 +212,7 @@ class TestCompareMethods:
         # lookup-table errors are exactly zero; the trained net should sit
         # within a centimeter of the same residual.
         bundle = _coincident_fixture()
-        anchor = grid.build_grid_table(bundle, "ground_truth", 100)
+        anchor = grid.build_grid_table(bundle, "ground_truth", 100)[0]
         centers = dataset.tx_centers(bundle)
         lut = denoise.build_lut(bundle, 100)
         [(model, _)] = denoise.train_denoiser(
@@ -231,7 +231,7 @@ class TestCompareMethods:
     def test_noisy_error_non_decreasing_in_level(self, scene, codebook):
         traj = simulate.TrajectoryConfig(800, Direction.LEFT_TO_RIGHT, 0, seed=10)
         clean = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.0, 11))
-        anchor = grid.build_grid_table(clean, "ground_truth", 100)
+        anchor = grid.build_grid_table(clean, "ground_truth", 100)[0]
         overall = []
         for i, level in enumerate((0.0, 0.1, 0.5, 1.0, 2.0, 3.0)):
             from beamfix.dataset import inject_noise
@@ -251,7 +251,7 @@ class TestExports:
             _noisy(2, 0.505, BASE),
         ]
         bundle = make_bundle(samples)
-        anchor = grid.build_grid_table(bundle, "ground_truth", 100)
+        anchor = grid.build_grid_table(bundle, "ground_truth", 100)[0]
         base = np.array([[BASE.lat_deg, BASE.lon_deg]] * 3)
         predictions = {"noisy": noisy_positions(bundle), "lut": base, "mlp": base}
         histogram = grid.displacement_histogram(anchor, 0.05)
@@ -284,7 +284,7 @@ class TestExports:
     def test_comparison_table_shape(self, scene, codebook):
         traj = simulate.TrajectoryConfig(60, Direction.LEFT_TO_RIGHT, 1, seed=15)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.5, 16))
-        anchor = grid.build_grid_table(bundle, "ground_truth", 100)
+        anchor = grid.build_grid_table(bundle, "ground_truth", 100)[0]
         txid_table = txid.train_txid(bundle)
         centers = [tuple(c) for c in dataset.tx_centers(bundle).tolist()]
         lut = denoise.build_lut(bundle, 100)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamfix import dataset, geo, grid
+from beamfix import dataset, denoise, geo, grid, txid
 from beamfix.geo import GeoPosition, LocalOffset
 from beamfix.grid import (
     Histogram,
@@ -112,18 +112,105 @@ class TestNearestGrid:
     def test_scalar_query_and_table_grids(self):
         assert int(grid.nearest_row(np.array([10, 14]), 12)) == 0  # tie at distance 2
         samples = [make_sample(0, 0.105, BASE), make_sample(1, 0.145, BASE)]
-        table = build_grid_table(make_bundle(samples), "ground_truth", 100)
-        assert table.grids[grid.nearest_row(table.grids, [12, 13, 14])].tolist() == [10, 14, 14]
+        table = build_grid_table(make_bundle(samples), "ground_truth", 100)[0]
+        assert table.keys[grid.nearest_row(table.keys, [12, 13, 14])].tolist() == [10, 14, 14]
 
     def test_no_populated_grids_rejected(self):
         with pytest.raises(ValueError, match="no populated keys"):
             grid.nearest_row(np.array([], dtype=np.int64), [3])
 
 
+def keyed_table(keys, key_count=100, columns=4):
+    """A table whose key k has count k + 1 and mean (k, -k), plus an avg_displacement_m
+    column of k / 8 when ``columns`` is 5."""
+    keys = np.array(keys, dtype=np.int64)
+    means = np.column_stack([keys, -keys]).astype(float).reshape(-1, 2)
+    avg = [keys / 8.0] if columns == 5 else []
+    return grid.KeyedTable(key_count, keys, keys + 1, means, *avg)
+
+
+class TestLookup:
+    """grid.lookup: each query's mean row and whether its key has its own row."""
+
+    def test_own_row_and_nearest_fallback(self):
+        # 12 ties between 10 and 14 (lower wins); 13 is nearer 14; 0 and 99 clamp.
+        means, own = grid.lookup(keyed_table([10, 14]), [10, 12, 13, 14, 0, 99])
+        assert means.tolist() == [[10, -10], [10, -10], [14, -14], [14, -14], [10, -10],
+                                  [14, -14]]
+        assert own.tolist() == [True, False, False, True, False, False]
+
+    def test_scalar_and_array_queries(self):
+        table = keyed_table([3, 40, 41])
+        for q in range(100):
+            means, own = grid.lookup(table, q)
+            assert means.shape == (2,) and own.shape == ()
+            batch_means, batch_own = grid.lookup(table, np.array([q]))
+            assert means.tolist() == batch_means[0].tolist() and bool(own) == batch_own[0]
+        means, own = grid.lookup(table, np.array([], dtype=np.int64))
+        assert means.shape == (0, 2) and own.shape == (0,)
+
+    @given(
+        keys=st.sets(st.integers(min_value=0, max_value=60), min_size=1, max_size=15),
+        queries=st.lists(st.integers(min_value=0, max_value=60), max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_min_rule_and_own_mask(self, keys, queries):
+        keys = sorted(keys)
+        means, own = grid.lookup(keyed_table(keys), queries)
+        nearest = [min(keys, key=lambda k: (abs(k - q), k)) for q in queries]
+        assert means.reshape(-1, 2).tolist() == [[k, -k] for k in nearest]
+        assert own.tolist() == [q in keys for q in queries]
+
+    def test_empty_table_rejected(self):
+        for queries in (5, [5], np.array([1, 2])):
+            with pytest.raises(ValueError, match="no populated keys"):
+                grid.lookup(keyed_table([]), queries)
+
+
+# Each table CSV's writer and reader, as train writes and evaluate reads them,
+# with its key count: the per-grid table (anchor.csv), the lookup table
+# (lut.csv) and the stage-1 beam table (txid.csv).
+TABLE_FILES = {
+    "grid": (save_grid_table_csv, load_grid_table_csv, 100),
+    "lut": (denoise.save_lut_csv, denoise.load_lut_csv, 100),
+    "txid": (txid.save_table_csv, txid.load_table_csv, 64),
+}
+
+
+class TestTableCsv:
+    @pytest.mark.parametrize("spec", TABLE_FILES)
+    def test_round_trip_bit_for_bit(self, tmp_path, spec):
+        save, load, key_count = TABLE_FILES[spec]
+        rng = np.random.default_rng(17)
+        keys = np.sort(rng.choice(key_count, size=12, replace=False))
+        if spec == "txid":
+            means = rng.uniform(0.0, 1.0, size=(12, 2))
+        else:
+            means = np.column_stack([rng.uniform(-90, 90, 12), rng.uniform(-180, 180, 12)])
+        extra = [rng.exponential(0.4, 12)] if spec == "grid" else []
+        counts = rng.integers(1, 2**62, size=12)
+        table = grid.KeyedTable(key_count, keys, counts, means, *extra)
+        path = tmp_path / f"{spec}.csv"
+        save(table, path)
+        loaded = load(path, key_count)
+        assert same_table(loaded, table)
+        save(loaded, path.with_name("again.csv"))
+        assert path.with_name("again.csv").read_bytes() == path.read_bytes()
+
+    def test_rows_read_back_in_key_order(self, tmp_path):
+        path = tmp_path / "anchor.csv"
+        path.write_text("grid,count,mean_lat,mean_lon,avg_displacement_m\n"
+                        "7,1,1.5,2.5,0.5\n2,3,-1.0,-2.0,0.25\n")
+        table = load_grid_table_csv(path, 10)
+        assert table.keys.tolist() == [2, 7] and table.counts.tolist() == [3, 1]
+        assert table.means.tolist() == [[-1.0, -2.0], [1.5, 2.5]]
+        assert table.avg_displacement_m.tolist() == [0.25, 0.5]
+
+
 class TestGridTable:
     def test_identical_points_zero_displacement(self):
         samples = [make_sample(i, 0.105, BASE) for i in range(6)]
-        table = build_grid_table(make_bundle(samples), "ground_truth", 100)
+        table = build_grid_table(make_bundle(samples), "ground_truth", 100)[0]
         assert grid_cell(table, 10)[2] == 0.0
 
     def test_two_points_two_meters_apart(self):
@@ -131,7 +218,7 @@ class TestGridTable:
         a = geo.apply_offset(BASE, LocalOffset(0.0, 1.0))
         b = geo.apply_offset(BASE, LocalOffset(0.0, -1.0))
         samples = [make_sample(0, 0.105, a), make_sample(1, 0.105, b)]
-        table = build_grid_table(make_bundle(samples), "ground_truth", 100)
+        table = build_grid_table(make_bundle(samples), "ground_truth", 100)[0]
         count, mean, avg = grid_cell(table, 10)
         assert count == 2
         assert abs(avg - 1.0) < 1e-6
@@ -148,18 +235,19 @@ class TestGridTable:
             make_sample(i, 0.5, geo.apply_offset(BASE, LocalOffset(float(e), float(no))))
             for i, (e, no) in enumerate(offsets)
         ]
-        table = build_grid_table(make_bundle(samples), "ground_truth", 100)
+        table = build_grid_table(make_bundle(samples), "ground_truth", 100)[0]
         expected = sigma * math.sqrt(math.pi / 2) * math.sqrt((n - 1) / n)
         assert abs(grid_cell(table, 50)[2] - expected) / expected < 0.03
 
     def test_permutation_invariant(self, small_synthetic_bundle):
         bundle = small_synthetic_bundle
-        table_a = build_grid_table(bundle, "ground_truth", 100)
-        table_b = build_grid_table(bundle.take(np.arange(len(bundle))[::-1]), "ground_truth", 100)
+        table_a = build_grid_table(bundle, "ground_truth", 100)[0]
+        reverse = bundle.take(np.arange(len(bundle))[::-1])
+        table_b = build_grid_table(reverse, "ground_truth", 100)[0]
         assert same_table(table_a, table_b)
 
     def test_counts_sum_to_samples(self, small_synthetic_bundle):
-        table = build_grid_table(small_synthetic_bundle, "ground_truth", 100)
+        table = build_grid_table(small_synthetic_bundle, "ground_truth", 100)[0]
         assert table.counts.sum() == len(small_synthetic_bundle)
 
     @pytest.mark.parametrize(
@@ -191,10 +279,10 @@ class TestGridTable:
             for i, s in enumerate(samples)
         ]
         _, before_mean, before_avg = grid_cell(
-            build_grid_table(make_bundle(samples), "ground_truth", 100), 33
+            build_grid_table(make_bundle(samples), "ground_truth", 100)[0], 33
         )
         _, after_mean, after_avg = grid_cell(
-            build_grid_table(make_bundle(shifted), "ground_truth", 100), 33
+            build_grid_table(make_bundle(shifted), "ground_truth", 100)[0], 33
         )
         assert abs(after_avg - before_avg) < 1e-9
         moved = geo.offset_between(before_mean, after_mean)
@@ -210,12 +298,16 @@ class TestGridTable:
         # grid_table's second value is each input row's distance from its
         # grid's mean: in id order bit for bit what per_sample_displacements
         # reads off the table, and row by row for rows out of id order.
+        # build_grid_table returns the same pair, in id order whatever the
+        # bundle's row order.
         bundle = small_synthetic_bundle.take(np.argsort(small_synthetic_bundle.ids))
         x = dataset.tx_centers(bundle)[:, 0]
         table, disp = grid.grid_table(x, bundle.gt_lat, bundle.gt_lon, 100)
-        assert same_table(table, build_grid_table(bundle, "ground_truth", 100))
+        shuffled = bundle.take(np.random.default_rng(4).permutation(len(bundle)))
+        built, built_disp = build_grid_table(shuffled, "ground_truth", 100)
+        assert same_table(table, built) and built_disp.tobytes() == disp.tobytes()
         assert disp.tobytes() == per_sample_displacements(bundle, table, "ground_truth").tobytes()
-        for row, g in enumerate(table.grids.tolist()):
+        for row, g in enumerate(table.keys.tolist()):
             assert table.avg_displacement_m[row] == disp[assign_grids(x, 100) == g].mean()
         backward = bundle.take(np.arange(len(bundle))[::-1])
         table, disp = grid.grid_table(x[::-1], backward.gt_lat, backward.gt_lon, 100)
@@ -223,16 +315,23 @@ class TestGridTable:
             assert abs(d - distance(grid_cell(table, assign_grid(x_i, 100))[1], position)) < 1e-12
 
     def test_csv_round_trip(self, tmp_path, small_synthetic_bundle):
-        table = build_grid_table(small_synthetic_bundle, "ground_truth", 100)
+        table = build_grid_table(small_synthetic_bundle, "ground_truth", 100)[0]
         path = tmp_path / "table.csv"
         save_grid_table_csv(table, path)
         assert same_table(load_grid_table_csv(path, 100), table)
+
+    def test_csv_header(self, tmp_path):
+        path = tmp_path / "anchor.csv"
+        save_grid_table_csv(keyed_table([3], columns=5), path)
+        assert path.read_bytes() == (
+            b"grid,count,mean_lat,mean_lon,avg_displacement_m\r\n3,4,3.0,-3.0,0.375\r\n"
+        )
 
 
 class TestHistogram:
     def test_single_grid_single_bin(self):
         samples = [make_sample(0, 0.5, BASE)]
-        table = build_grid_table(make_bundle(samples), "ground_truth", 100)
+        table = build_grid_table(make_bundle(samples), "ground_truth", 100)[0]
         hist = displacement_histogram(table, 0.05)
         assert hist.counts.sum() == 1
 
@@ -250,9 +349,9 @@ class TestHistogram:
                 histogram_from_values(values, width)
 
     def test_counts_cover_populated_grids(self, small_synthetic_bundle):
-        table = build_grid_table(small_synthetic_bundle, "ground_truth", 100)
+        table = build_grid_table(small_synthetic_bundle, "ground_truth", 100)[0]
         hist = displacement_histogram(table, 0.05)
-        assert hist.counts.sum() == len(table.grids)
+        assert hist.counts.sum() == len(table.keys)
 
     def test_mode_near_noise_level(self, scene, codebook):
         # Generation oracle: per-grid average displacement of a 0.3 m RMS
@@ -263,7 +362,7 @@ class TestHistogram:
 
         traj = simulate.TrajectoryConfig(2000, Direction.LEFT_TO_RIGHT, 0, seed=5)
         bundle = simulate.generate_scenario(scene, codebook, traj, NoiseSpec(0.3, 6))
-        table = build_grid_table(bundle, "noisy", 100)
+        table = build_grid_table(bundle, "noisy", 100)[0]
         hist = displacement_histogram(table, 0.05)
         mode_center = float(hist.bin_centers()[int(np.argmax(hist.counts))])
         assert 0.2 <= mode_center <= 0.4
@@ -316,8 +415,14 @@ class TestFitGaussian:
 
 
 class TestPerSampleDisplacements:
+    def test_unpopulated_grid_named(self):
+        samples = [make_sample(4, 0.105, BASE), make_sample(9, 0.505, BASE)]
+        table = keyed_table([10], columns=5)
+        with pytest.raises(ValueError, match="sample 9: grid 50 is not populated in the table"):
+            per_sample_displacements(make_bundle(samples), table, "ground_truth")
+
     def test_matches_direct_computation(self, small_synthetic_bundle):
-        table = build_grid_table(small_synthetic_bundle, "ground_truth", 100)
+        table = build_grid_table(small_synthetic_bundle, "ground_truth", 100)[0]
         disp = per_sample_displacements(small_synthetic_bundle, table, "ground_truth")
         ordered = small_synthetic_bundle.take(np.argsort(small_synthetic_bundle.ids))
         centers = dataset.tx_centers(ordered)

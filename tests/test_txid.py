@@ -9,24 +9,25 @@ from beamfix import dataset, simulate
 from beamfix.dataset import DetectionClass, Direction
 from beamfix.geo import GeoPosition, NoiseSpec
 from beamfix.txid import (
-    BeamTable, identify, identify_all, load_table_csv, save_table_csv, train_txid,
+    identify, identify_all, load_table_csv, save_table_csv, train_txid,
 )
+from beamfix.grid import KeyedTable
 
 from conftest import make_bundle, make_sample, rows_of
 
 BASE = GeoPosition(33.42, -111.93)
 
 
-def beam_table(centers, beams=None, codebook_size=None) -> BeamTable:
+def beam_table(centers, beams=None, codebook_size=None) -> KeyedTable:
     """A stage-1 table whose trained beam b (default: every beam in order) has the
     given center; each count is 1."""
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     beams = np.arange(len(centers)) if beams is None else np.asarray(beams, dtype=np.int64)
     size = len(centers) if codebook_size is None else codebook_size
-    return BeamTable(size, beams, np.ones(len(beams), dtype=np.int64), centers)
+    return KeyedTable(size, beams, np.ones(len(beams), dtype=np.int64), centers)
 
 
-def constant_center_table(q: int, center=(0.5, 0.5)) -> BeamTable:
+def constant_center_table(q: int, center=(0.5, 0.5)) -> KeyedTable:
     """One trained beam, so every beam of a q-beam codebook falls back to its center."""
     return beam_table([center], [0], q)
 
@@ -51,9 +52,9 @@ def per_row_identify(table, beam_index, centers):
     """Stage 1 for one row, kept as the oracle of the batched identify(): the
     nearest trained beam by a scalar scan (ties to the lower index), its
     center, then a scan with math.hypot keeping the first strict minimum."""
-    trained = table.beams.tolist()
+    trained = table.keys.tolist()
     nearest = min(trained, key=lambda b: (abs(b - beam_index), b))
-    ex, ey = table.centers[trained.index(nearest)].tolist()
+    ex, ey = table.means[trained.index(nearest)].tolist()
     best_index, best_dist = 0, math.inf
     for i, (x, y) in enumerate(centers):
         dist = math.hypot(x - ex, y - ey)
@@ -217,10 +218,10 @@ class TestBeamTable:
         expected = {}
         for beam, center, _ in rows:
             expected.setdefault(beam, []).append(center)
-        assert table.codebook_size == 8
-        assert table.beams.tolist() == sorted(expected)
+        assert table.key_count == 8
+        assert table.keys.tolist() == sorted(expected)
         assert table.counts.tolist() == [len(expected[b]) for b in sorted(expected)]
-        for b, center in zip(table.beams.tolist(), table.centers.tolist()):
+        for b, center in zip(table.keys.tolist(), table.means.tolist()):
             sums = [0.0, 0.0]
             for x, y in expected[b]:
                 sums[0] += x
@@ -248,8 +249,8 @@ class TestBeamTable:
         table = train_txid(bundle_of(rows))
         save_table_csv(table, path)
         loaded = load_table_csv(path, 8)
-        assert loaded.codebook_size == 8
-        for name in ("beams", "counts", "centers"):
+        assert loaded.key_count == 8
+        for name in ("keys", "counts", "means"):
             a, b = getattr(table, name), getattr(loaded, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         save_table_csv(loaded, path.with_name("again.csv"))
@@ -265,8 +266,8 @@ class TestTrainAndIdentify:
     def test_memorizes_single_sample(self):
         sample = make_sample(0, 0.37, BASE, beam_index=20)
         table = train_txid(make_bundle([sample]))
-        assert table.beams.tolist() == [20] and table.counts.tolist() == [1]
-        assert table.centers.tolist() == [[0.37, 0.5]]
+        assert table.keys.tolist() == [20] and table.counts.tolist() == [1]
+        assert table.means.tolist() == [[0.37, 0.5]]
 
     def test_missing_label_names_sample(self):
         bad = make_sample(7, 0.5, BASE, detections=((DetectionClass.DISTRACTOR, 0.5, 0.5),))
