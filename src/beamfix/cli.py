@@ -14,12 +14,15 @@ import contextlib
 import dataclasses
 import math
 import os
+import pickle
 import shutil
 import sys
+import tempfile
+import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -206,8 +209,7 @@ def _load_scene(config: RunConfig) -> simulate.SceneGeometry:
 def _simulate_datasets(config: RunConfig, seed: int, out_dir: Path) -> Iterator[tuple]:
     """Save one clean bundle plus one per noise level, per direction, each
     direction's in one pass; once a direction is saved, yield it with its
-    (tag, path, bundle) triples, clean first. The next direction is simulated
-    only when asked for, so one direction's bundles are alive at a time."""
+    (tag, path, bundle) triples, clean first."""
     scene = _load_scene(config)
     codebook = simulate.build_dft_codebook(config.codebook_antennas, config.codebook_beams)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -257,7 +259,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _characterize(
     bundle: DatasetBundle, grid_count: int, bin_width_m: float, positions: str, out_dir: Path
-) -> None:
+) -> str:
+    """Write the characterization files; returns the Gaussian fit's console line."""
     if positions == "auto":
         selector = "ground_truth" if np.isnan(bundle.noisy_lat).any() else "noisy"
     else:
@@ -282,19 +285,20 @@ def _characterize(
             "r_squared": fit.r_squared,
             "adjusted_r_squared": fit.adjusted_r_squared,
         }
-        print(
+        line = (
             f"gaussian fit: mean {fit.mean_m:.3f} m, sigma {fit.sigma_m:.3f} m, "
             f"adjusted R^2 {fit.adjusted_r_squared:.4f}"
         )
     except (ValueError, FitConvergenceError) as exc:
         summary["fit"] = None
         summary["fit_skipped_reason"] = str(exc)
-        print(f"gaussian fit skipped: {exc}")
+        line = f"gaussian fit skipped: {exc}"
     out_dir.mkdir(parents=True, exist_ok=True)
     grid.save_grid_table_csv(table, out_dir / "pergrid.csv")
     grid.save_histogram_csv(pergrid_hist, out_dir / "histogram.csv")
     grid.save_histogram_csv(sample_hist, out_dir / "sample_histogram.csv")
     dataset.write_json(out_dir / "fit.json", summary)
+    return line
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:
@@ -308,7 +312,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.bin_width) and args.bin_width > 0):
         raise ConfigError(f"--bin-width must be finite and > 0, got {args.bin_width}")
     try:
-        _characterize(bundle, grid_count, args.bin_width, args.positions, out_dir)
+        print(_characterize(bundle, grid_count, args.bin_width, args.positions, out_dir))
     except ValueError as exc:
         raise DatasetFormatError(f"{args.dataset}: {exc}") from None
     print(f"wrote characterization to {out_dir}")
@@ -326,13 +330,25 @@ class _Level(NamedTuple):
     lut: grid.KeyedTable
 
 
-def _train_artifacts(
-    levels: list[tuple[DatasetBundle, Path]],
-    train_fraction: float,
-    seed: int,
-    train_config: TrainConfig,
-) -> list[_Level]:
-    """Both stages on the seed's train split, one artifact directory per level.
+# The files train writes into an artifact directory, by their key under the
+# manifest's "files" (which lists all but the last two); the train and test
+# CSVs each get a metadata sidecar too.
+_ARTIFACT_FILES = {
+    "train": "train.csv",
+    "test": "test.csv",
+    "anchor": "anchor.csv",
+    "txid_table": "txid.csv",
+    "denoiser_model": "denoiser.json",
+    "lut": "lut.csv",
+    "loss": "denoiser_loss.csv",
+    "manifest": "manifest.json",
+}
+
+
+class _Training:
+    """One direction's noise levels split, with stage 1 built: ``inputs`` are
+    the arguments of its denoiser stack (``denoise.train_denoiser``), and
+    finish() writes each level's artifacts once the stack has trained.
 
     ``levels`` pairs each noise level's bundle with its artifact directory.
     The bundles are one direction's capture at several noise levels, so
@@ -340,74 +356,92 @@ def _train_artifacts(
     stage-1 table and the identified centers are computed once (stage 1
     never reads GPS), and the denoisers train as one stacked fit.
     """
-    splits = [
-        dataset.split_train_test(bundle, train_fraction, derived_seed(seed, "split"))
-        for bundle, _ in levels
-    ]
-    first = levels[0][0]
-    z = first.metadata.grid_count
-    anchor = grid.build_grid_table(first, "ground_truth", z)[0]
-    train_bundles = [train for train, _ in splits]
-    if train_config.batch_size > len(train_bundles[0]):
-        train_config = dataclasses.replace(train_config, batch_size=len(train_bundles[0]))
-    txid_table = txid.train_txid(train_bundles[0])
-    centers = txid.identify_all(txid_table, train_bundles[0]).selected_centers
-    denoiser_config = dataclasses.replace(train_config, seed=derived_seed(seed, "denoiser"))
-    try:
-        denoisers = denoise.train_denoiser(train_bundles, centers, denoiser_config)
-    except TrainingDivergedError as exc:
-        meta = levels[exc.model_index][0].metadata
-        where = f"{_direction_tag(meta.direction)} {_level_tag(meta.noise_rms_m)}"
-        raise TrainingDivergedError(f"{where}: {exc}", exc.model_index) from None
 
-    for _, out_dir in levels:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    dataset.save_csvs([  # the levels share one split, so their splits share all but noisy GPS
-        (part, out_dir / name)
-        for (_, out_dir), split in zip(levels, splits)
-        for part, name in zip(split, ("train.csv", "test.csv"))
-    ])
-    trained = []
-    for (bundle, out_dir), (train_bundle, test_bundle), denoiser in zip(levels, splits, denoisers):
-        denoiser_model, denoiser_history = denoiser
-        lut = denoise.build_lut(train_bundle, z, centers)
-        grid.save_grid_table_csv(anchor, out_dir / "anchor.csv")
-        txid.save_table_csv(txid_table, out_dir / "txid.csv")
-        nn.save_weights(denoiser_model, out_dir / "denoiser.json")
-        denoise.save_lut_csv(lut, out_dir / "lut.csv")
-        loss_rows = enumerate(denoiser_history)
-        dataset.write_table_csv(out_dir / "denoiser_loss.csv", ["epoch", "loss"], loss_rows)
+    def __init__(
+        self,
+        levels: list[tuple[DatasetBundle, Path]],
+        train_fraction: float,
+        seed: int,
+        train_config: TrainConfig,
+    ) -> None:
+        self.files = [
+            {key: out_dir / name for key, name in _ARTIFACT_FILES.items()} for _, out_dir in levels
+        ]
+        for files in self.files:
+            sidecars = [dataset._meta_path(files[part]) for part in ("train", "test")]
+            for path in [*files.values(), *sidecars]:
+                if path.is_dir():  # refused before any work
+                    raise ConfigError(f"cannot write {path}: it is a directory")
+        self.splits = [
+            dataset.split_train_test(bundle, train_fraction, derived_seed(seed, "split"))
+            for bundle, _ in levels
+        ]
+        first = levels[0][0]
+        self.z = first.metadata.grid_count
+        self.anchor = grid.build_grid_table(first, "ground_truth", self.z)[0]
+        train_bundles = [train for train, _ in self.splits]
+        if train_config.batch_size > len(train_bundles[0]):
+            train_config = dataclasses.replace(train_config, batch_size=len(train_bundles[0]))
+        self.txid_table = txid.train_txid(train_bundles[0])
+        self.centers = txid.identify_all(self.txid_table, train_bundles[0]).selected_centers
+        denoiser_config = dataclasses.replace(train_config, seed=derived_seed(seed, "denoiser"))
+        self.inputs = (train_bundles, self.centers, denoiser_config)
+        self.levels = [(bundle.metadata, out_dir) for bundle, out_dir in levels]
+        self.train_fraction, self.seed, self.train_config = train_fraction, seed, train_config
 
-        manifest = {
-            "grid_count": z,
-            "codebook_size": bundle.metadata.codebook_size,
-            "noise_rms_m": bundle.metadata.noise_rms_m,
-            "direction": bundle.metadata.direction.value,
-            "source": bundle.metadata.source,
-            "seed": seed,
-            "train_fraction": train_fraction,
-            "train_samples": len(train_bundle),
-            "test_samples": len(test_bundle),
-            "hyperparameters": {
-                "learning_rate": train_config.learning_rate,
-                "epochs": train_config.epochs,
-                "batch_size": train_config.batch_size,
-                "weight_init_scale": nn.WEIGHT_INIT_SCALE,
-            },
-            "files": {
-                "train": "train.csv",
-                "test": "test.csv",
-                "anchor": "anchor.csv",
-                "txid_table": "txid.csv",
-                "denoiser_model": "denoiser.json",
-                "lut": "lut.csv",
-            },
-        }
-        dataset.write_json(out_dir / "manifest.json", manifest)
-        trained.append(
-            _Level(bundle.metadata.noise_rms_m, test_bundle, anchor, txid_table, denoiser_model, lut)
-        )
-    return trained
+    def finish(self, train: Callable[[], list]) -> list[_Level]:
+        """Write each level's artifacts from the stack's models, which ``train()``
+        returns; a divergence there is named by its model's direction and level."""
+        try:
+            denoisers = train()
+        except TrainingDivergedError as exc:
+            meta = self.levels[exc.model_index][0]
+            where = f"{_direction_tag(meta.direction)} {_level_tag(meta.noise_rms_m)}"
+            raise TrainingDivergedError(f"{where}: {exc}", exc.model_index) from None
+
+        for _, out_dir in self.levels:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        dataset.save_csvs([  # the levels share one split, so their splits share all but noisy GPS
+            (part, paths[key])
+            for paths, split in zip(self.files, self.splits)
+            for part, key in zip(split, ("train", "test"))
+        ])
+        trained = []
+        for (meta, _), paths, (train_bundle, test_bundle), denoiser in zip(
+            self.levels, self.files, self.splits, denoisers
+        ):
+            denoiser_model, denoiser_history = denoiser
+            lut = denoise.build_lut(train_bundle, self.z, self.centers)
+            grid.save_grid_table_csv(self.anchor, paths["anchor"])
+            txid.save_table_csv(self.txid_table, paths["txid_table"])
+            nn.save_weights(denoiser_model, paths["denoiser_model"])
+            denoise.save_lut_csv(lut, paths["lut"])
+            loss_rows = enumerate(denoiser_history)
+            dataset.write_table_csv(paths["loss"], ["epoch", "loss"], loss_rows)
+
+            manifest = {
+                "grid_count": self.z,
+                "codebook_size": meta.codebook_size,
+                "noise_rms_m": meta.noise_rms_m,
+                "direction": meta.direction.value,
+                "source": meta.source,
+                "seed": self.seed,
+                "train_fraction": self.train_fraction,
+                "train_samples": len(train_bundle),
+                "test_samples": len(test_bundle),
+                "hyperparameters": {
+                    "learning_rate": self.train_config.learning_rate,
+                    "epochs": self.train_config.epochs,
+                    "batch_size": self.train_config.batch_size,
+                    "weight_init_scale": nn.WEIGHT_INIT_SCALE,
+                },
+                "files": {key: _ARTIFACT_FILES[key] for key in ("train", *_MANIFEST_FILES)},
+            }
+            dataset.write_json(paths["manifest"], manifest)
+            trained.append(_Level(
+                meta.noise_rms_m, test_bundle, self.anchor, self.txid_table, denoiser_model, lut
+            ))
+        return trained
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -415,8 +449,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     bundle = dataset.load_csv(args.dataset)
     seed = resolve_seed(args.seed, RunConfig().seed)
     train_config = TrainConfig(args.learning_rate, args.epochs, args.batch_size)
-    levels = [(bundle, out_dir)]
-    test = _train_artifacts(levels, args.train_fraction, seed, train_config)[0].test
+    training = _Training([(bundle, out_dir)], args.train_fraction, seed, train_config)
+    test = training.finish(lambda: denoise.train_denoiser(*training.inputs))[0].test
     print(f"trained artifacts in {args.out} (train {len(bundle) - len(test)}, test {len(test)})")
     return 0
 
@@ -528,32 +562,139 @@ def _removed_on_failure(root: Path) -> Iterator[None]:
         raise
 
 
+# The denoiser worker's program. Its argument is the directory beamfix is
+# imported from; it runs denoise.train_denoiser on the arguments pickled on
+# its stdin and pickles to its stdout the models, or the exception raised,
+# with the warnings the training issued.
+_WORKER_CODE = """\
+import pickle, sys, warnings
+sys.path.insert(0, sys.argv[1])
+from beamfix import denoise
+with warnings.catch_warnings(record=True) as caught:
+    try:
+        result = denoise.train_denoiser(*pickle.load(sys.stdin.buffer))
+    except Exception as exc:
+        result = exc
+issued = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+pickle.dump((result, issued), sys.stdout.buffer)
+"""
+
+
+class _DenoiserWorker:
+    """``denoise.train_denoiser(*inputs)``, started in a child Python process.
+
+    result() waits for the child, issues here the warnings the training
+    issued there (so this process's filters decide them, as if it had
+    trained here), and returns its models, or raises the exception the
+    training raised; a child that ends without either raises
+    ChildProcessError naming ``name``. close() kills the child if it still
+    runs and reaps it, so no process or pipe outlives the handle.
+    """
+
+    def __init__(self, inputs: tuple, name: str) -> None:
+        import subprocess  # only a pipeline needs it, so `import beamfix.cli` does not
+
+        self.name = name
+        # The inputs go in through an unlinked file, not a pipe, so starting
+        # the child never waits for it to read them; the parent's -W options
+        # hold in the child too.
+        with tempfile.TemporaryFile() as stdin:
+            pickle.dump(inputs, stdin)
+            stdin.seek(0)
+            self.process = subprocess.Popen(
+                [
+                    sys.executable,
+                    *(f"-W{option}" for option in sys.warnoptions),
+                    "-c",
+                    _WORKER_CODE,
+                    str(Path(__file__).parents[1]),
+                ],
+                stdin=stdin,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+
+    def result(self) -> list[tuple[nn.MlpModel, list[float]]]:
+        out, err = self.process.communicate()
+        if self.process.returncode != 0 or not out:
+            why = err.decode(errors="replace").strip().splitlines()[-1:]
+            status = f"{self.name}: denoiser worker exited with status {self.process.returncode}"
+            raise ChildProcessError(": ".join([status, *why]))
+        sys.stderr.write(err.decode(errors="replace"))
+        result, issued = pickle.loads(out)
+        for message, category, filename, lineno in issued:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    def close(self) -> None:
+        self.process.kill()  # no signal is sent once the child has been reaped
+        self.process.communicate()
+
+
+@contextlib.contextmanager
+def _named_direction(dtag: str) -> Iterator[None]:
+    """A refusal of one direction's data, named by the direction."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{dtag}: {exc}") from None
+
+
+class _Direction(NamedTuple):
+    """One pipeline direction, prepared for its denoiser stack."""
+
+    tag: str
+    lines: list[str]  # characterize's console lines, clean first
+    training: _Training
+
+
+def _prepared_directions(
+    config: RunConfig, seed: int, root: Path, train_config: TrainConfig
+) -> list[_Direction]:
+    """Each direction simulated, characterized, split and with stage 1 built.
+    Of its bundles, only what training and evaluation need is kept."""
+    prepared = []
+    for direction, saved in _simulate_datasets(config, seed, root / "datasets"):
+        dtag = _direction_tag(direction)
+        lines, levels = [], []
+        for tag, _, bundle in saved:
+            char_dir = root / "characterize" / f"{dtag}_{tag}"
+            try:
+                lines.append(
+                    _characterize(bundle, config.grid_count, config.bin_width_m, "auto", char_dir)
+                )
+            except ValueError as exc:
+                raise DatasetFormatError(f"{dtag} {tag}: {exc}") from None
+            if tag != "clean":
+                levels.append((bundle, root / "artifacts" / dtag / tag))
+        dseed = derived_seed(seed, "train", dtag)
+        with _named_direction(dtag):
+            training = _Training(levels, config.train_fraction, dseed, train_config)
+        prepared.append(_Direction(dtag, lines, training))
+    return prepared
+
+
 def cmd_pipeline(args: argparse.Namespace) -> int:
+    """Both directions prepared first; then r2l's denoiser stack trains in a
+    worker process while l2r's trains here, and each direction's artifacts
+    and evaluation are written, l2r first, as if the two ran one by one."""
     config = load_run_config(args.config)
     seed = resolve_seed(args.seed, config.seed)
     root = _output_dir(args.out or config.output_dir, "--out" if args.out else "output_dir")
-    fraction = config.train_fraction
     train_config = TrainConfig(config.learning_rate, config.epochs, config.batch_size)
     with _removed_on_failure(root):
-        for direction, saved in _simulate_datasets(config, seed, root / "datasets"):
-            dtag = _direction_tag(direction)
-            levels = []
-            for tag, _, bundle in saved:
-                char_dir = root / "characterize" / f"{dtag}_{tag}"
-                try:
-                    _characterize(bundle, config.grid_count, config.bin_width_m, "auto", char_dir)
-                except ValueError as exc:
-                    raise DatasetFormatError(f"{dtag} {tag}: {exc}") from None
-                if tag != "clean":
-                    levels.append((bundle, root / "artifacts" / dtag / tag))
-            dseed = derived_seed(seed, "train", dtag)
-            try:
-                trained = _train_artifacts(levels, fraction, dseed, train_config)
-            except ValueError as exc:
-                raise ConfigError(f"{dtag}: {exc}") from None
-            for _, art_dir in levels:
-                print(f"trained {dtag} {art_dir.name}")
-            _evaluate_artifacts(trained, root / "eval" / dtag, config.bin_width_m)
+        l2r, r2l = _prepared_directions(config, seed, root, train_config)
+        with contextlib.closing(_DenoiserWorker(r2l.training.inputs, r2l.tag)) as worker:
+            stacks = (lambda: denoise.train_denoiser(*l2r.training.inputs), worker.result)
+            for (dtag, lines, training), train in zip((l2r, r2l), stacks):
+                print(*lines, sep="\n")
+                with _named_direction(dtag):
+                    trained = training.finish(train)
+                for _, art_dir in training.levels:
+                    print(f"trained {dtag} {art_dir.name}")
+                _evaluate_artifacts(trained, root / "eval" / dtag, config.bin_width_m)
     print(f"pipeline outputs in {root}")
     return 0
 

@@ -1,6 +1,9 @@
+import contextlib
 import csv
+import gc
 import json
 import math
+import os
 import re
 import shutil
 import warnings
@@ -8,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from beamfix import dataset, geo, nn, txid
+from beamfix import cli, dataset, denoise, geo, nn, txid
 from beamfix.cli import derived_seed, main
 from beamfix.geo import GeoPosition, LocalOffset
 
@@ -531,6 +534,26 @@ class TestTrainCommand:
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in caught] == []
         assert not out.exists()
+
+    ARTIFACT_FILES = (
+        "train.csv", "train.csv.meta.json", "test.csv", "test.csv.meta.json", "anchor.csv",
+        "txid.csv", "denoiser.json", "lut.csv", "denoiser_loss.csv", "manifest.json",
+    )
+
+    @pytest.mark.parametrize("name", ARTIFACT_FILES)
+    def test_artifact_path_is_a_directory_exit_2(self, trained, tmp_path, capsys, name):
+        # Every file train writes is checked before any work: one that is a
+        # directory is named, and nothing is written.
+        _, art, data_path = trained
+        assert sorted(p.name for p in art.iterdir()) == sorted(self.ARTIFACT_FILES)
+        out = tmp_path / "art"
+        (out / name).mkdir(parents=True)
+        assert main(["train", "--dataset", str(data_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line == f"error: cannot write {out / name}: it is a directory"
+        assert captured.out == ""
+        assert [p.name for p in out.iterdir()] == [name]
 
     def test_gradient_check_on_trained_models(self, trained):
         _, art, _ = trained
@@ -1126,7 +1149,8 @@ class TestSharedStageOne:
 
     def test_identify_all_once_per_direction_split(self, tmp_path, monkeypatch):
         # Training identifies the shared train split once per direction,
-        # and evaluate once per level's test split.
+        # and evaluate once per level's test split. Both directions are
+        # prepared before either trains, so the train splits come first.
         calls = []
         identify_all = txid.identify_all
 
@@ -1143,7 +1167,7 @@ class TestSharedStageOne:
                        .read_text())["train_samples"]
             for d in ("l2r", "r2l")
         ]
-        assert [calls[0], calls[3]] == train_sizes
+        assert calls[:2] == train_sizes
         assert len(calls) == 2 * (1 + 2)
 
     def test_divergence_names_direction_and_level_exit_1(self, tmp_path, monkeypatch, capsys):
@@ -1174,3 +1198,142 @@ class TestSharedStageOne:
         for path in expected:
             again = tmp_path / "e" / path.relative_to(out / "eval" / "r2l")
             assert again.read_bytes() == path.read_bytes(), path.name
+
+
+class TestDenoiserWorker:
+    """The pipeline trains r2l's denoiser stack in a worker process while
+    l2r's trains in-process; outputs, console and exit codes stay serial."""
+
+    def test_stdout_in_serial_order(self, tmp_path, capsys):
+        config = write_config(tmp_path, samples_left_to_right=60, samples_right_to_left=50,
+                              epochs=2)
+        out = tmp_path / "pipe"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = []
+        for dtag in ("l2r", "r2l"):
+            for tag in ("clean", "rms0.5", "rms1"):
+                data = out / "datasets" / f"{dtag}_{tag}.csv"
+                assert main(["characterize", "--dataset", str(data),
+                             "--out", str(tmp_path / "char" / data.stem)]) == 0
+                expected.append(capsys.readouterr().out.splitlines()[0])
+            expected += [f"trained {dtag} rms0.5", f"trained {dtag} rms1"]
+            evaluated = out / "eval" / dtag
+            expected += (evaluated / "comparison.txt").read_text().splitlines()
+            expected.append(f"plot data for the 0.5 m level in {evaluated / 'plots_rms0.5'}")
+        expected.append(f"pipeline outputs in {out}")
+        assert lines == expected
+
+    @pytest.mark.parametrize("outcome", ["success", "l2r-divergence", "interrupt"])
+    def test_no_process_or_pipe_left(self, tmp_path, monkeypatch, capsys, outcome):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        if outcome == "interrupt":
+            monkeypatch.setattr(denoise, "train_denoiser", interrupted)
+        lr = 1e300 if outcome == "l2r-divergence" else 1e-3
+        config = write_config(tmp_path, samples_left_to_right=60, samples_right_to_left=50,
+                              epochs=2, learning_rate=lr)
+        args = ["pipeline", "--config", str(config), "--out", str(tmp_path / "pipe")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if outcome == "interrupt":
+                with pytest.raises(KeyboardInterrupt):
+                    main(args)
+            else:
+                assert main(args) == (0 if outcome == "success" else 1)
+            gc.collect()
+        assert [str(w.message) for w in caught] == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if outcome == "l2r-divergence":
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: l2r rms0.5: model 0: non-finite loss nan")
+
+    @staticmethod
+    def tiny_inputs(learning_rate):
+        rows = [make_sample(i, 0.1 * i, BASE, noisy=GeoPosition(BASE.lat_deg + 1e-5 * i,
+                                                                  BASE.lon_deg))
+                for i in range(4)]
+        centers = [(0.1 * i, 0.5) for i in range(4)]
+        config = nn.TrainConfig(learning_rate=learning_rate, epochs=3, batch_size=2)
+        return [make_bundle(rows)], centers, config
+
+    def test_worker_divergence_keeps_model_index(self):
+        worker = cli._DenoiserWorker(self.tiny_inputs(1e300), "r2l")
+        with contextlib.closing(worker), pytest.raises(nn.TrainingDivergedError) as info:
+            worker.result()
+        assert info.value.model_index == 0
+        assert str(info.value).startswith("model 0: non-finite loss ")
+
+    @staticmethod
+    def warning_worker(monkeypatch):
+        """The worker, with a training that issues a RuntimeWarning first."""
+        code = cli._WORKER_CODE.replace(
+            "from beamfix import denoise\n",
+            "from beamfix import denoise\n"
+            "fit = denoise.train_denoiser\n"
+            "def warned(*args):\n"
+            "    warnings.warn('overflow in the worker', RuntimeWarning)\n"
+            "    return fit(*args)\n"
+            "denoise.train_denoiser = warned\n",
+        )
+        assert code != cli._WORKER_CODE
+        monkeypatch.setattr(cli, "_WORKER_CODE", code)
+
+    def test_worker_warning_issued_here(self, monkeypatch):
+        # This process's filters decide the worker's warnings, as if its
+        # training had run here.
+        self.warning_worker(monkeypatch)
+        worker = cli._DenoiserWorker(self.tiny_inputs(1e-3), "r2l")
+        with contextlib.closing(worker), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            [(_, history)] = worker.result()
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "overflow in the worker")
+        ]
+        assert len(history) == 3
+
+    def test_worker_runtime_warning_fails_the_pipeline(self, tmp_path, monkeypatch):
+        # The suite's error::RuntimeWarning filter covers r2l's fit too.
+        self.warning_worker(monkeypatch)
+        config = write_config(tmp_path, samples_left_to_right=60, samples_right_to_left=50,
+                              epochs=2)
+        with pytest.raises(RuntimeWarning, match="overflow in the worker"):
+            main(["pipeline", "--config", str(config), "--out", str(tmp_path / "pipe")])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize(
+        "code, ends",
+        [("import sys; sys.exit(3)", "status 3"),
+         ("import sys; sys.exit('worker fell over')", "status 1: worker fell over")],
+        ids=["status", "stderr"],
+    )
+    def test_worker_ending_without_result_exit_1(self, tmp_path, monkeypatch, capsys, code,
+                                                 ends):
+        monkeypatch.setattr(cli, "_WORKER_CODE", code)
+        config = write_config(tmp_path, samples_left_to_right=60, samples_right_to_left=50,
+                              epochs=2)
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "pipe")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: r2l: denoiser worker exited with {ends}"
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_artifact_path_is_a_directory_exit_2_before_training(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        def not_reached(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(denoise, "train_denoiser", not_reached)
+        monkeypatch.setattr(cli, "_DenoiserWorker", not_reached)
+        config = write_config(tmp_path, samples_left_to_right=60, samples_right_to_left=50,
+                              epochs=2)
+        out = tmp_path / "pipe"
+        lut = out / "artifacts" / "r2l" / "rms1" / "lut.csv"
+        lut.mkdir(parents=True)
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: r2l: cannot write {lut}: it is a directory"
+        assert [p.name for p in out.iterdir()] == ["artifacts"]
