@@ -278,13 +278,7 @@ def _characterize(
     }
     try:
         fit = grid.fit_gaussian(sample_hist)
-        summary["fit"] = {
-            "amplitude": fit.amplitude,
-            "mean_m": fit.mean_m,
-            "sigma_m": fit.sigma_m,
-            "r_squared": fit.r_squared,
-            "adjusted_r_squared": fit.adjusted_r_squared,
-        }
+        summary["fit"] = {k: v for k, v in dataclasses.asdict(fit).items() if k != "iterations"}
         line = (
             f"gaussian fit: mean {fit.mean_m:.3f} m, sigma {fit.sigma_m:.3f} m, "
             f"adjusted R^2 {fit.adjusted_r_squared:.4f}"
@@ -420,12 +414,9 @@ class _Training:
             dataset.write_table_csv(paths["loss"], ["epoch", "loss"], loss_rows)
 
             manifest = {
-                "grid_count": self.z,
-                "codebook_size": meta.codebook_size,
-                "noise_rms_m": meta.noise_rms_m,
+                **dataclasses.asdict(meta),
                 "direction": meta.direction.value,
-                "source": meta.source,
-                "seed": self.seed,
+                "seed": self.seed,  # the training seed; the dataset's is in its sidecar
                 "train_fraction": self.train_fraction,
                 "train_samples": len(train_bundle),
                 "test_samples": len(test_bundle),
@@ -565,9 +556,13 @@ def _removed_on_failure(root: Path) -> Iterator[None]:
 # The denoiser worker's program. Its argument is the directory beamfix is
 # imported from; it runs denoise.train_denoiser on the arguments pickled on
 # its stdin and pickles to its stdout the models, or the exception raised,
-# with the warnings the training issued.
+# with the warnings the training issued. The pickle goes to a copy of fd 1;
+# fd 1 itself then points at stderr, so whatever else the child prints lands
+# there and cannot corrupt the pickle.
 _WORKER_CODE = """\
-import pickle, sys, warnings
+import os, pickle, sys, warnings
+result_out = os.fdopen(os.dup(1), "wb")
+os.dup2(2, 1)
 sys.path.insert(0, sys.argv[1])
 from beamfix import denoise
 with warnings.catch_warnings(record=True) as caught:
@@ -576,7 +571,8 @@ with warnings.catch_warnings(record=True) as caught:
     except Exception as exc:
         result = exc
 issued = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-pickle.dump((result, issued), sys.stdout.buffer)
+with result_out:
+    pickle.dump((result, issued), result_out)
 """
 
 
@@ -586,9 +582,10 @@ class _DenoiserWorker:
     result() waits for the child, issues here the warnings the training
     issued there (so this process's filters decide them, as if it had
     trained here), and returns its models, or raises the exception the
-    training raised; a child that ends without either raises
-    ChildProcessError naming ``name``. close() kills the child if it still
-    runs and reaps it, so no process or pipe outlives the handle.
+    training raised; a child that ends without either, or whose result
+    cannot be read, raises ChildProcessError naming ``name``. close() kills
+    the child if it still runs and reaps it, so no process or pipe outlives
+    the handle.
     """
 
     def __init__(self, inputs: tuple, name: str) -> None:
@@ -621,7 +618,12 @@ class _DenoiserWorker:
             status = f"{self.name}: denoiser worker exited with status {self.process.returncode}"
             raise ChildProcessError(": ".join([status, *why]))
         sys.stderr.write(err.decode(errors="replace"))
-        result, issued = pickle.loads(out)
+        try:
+            result, issued = pickle.loads(out)
+        except Exception as exc:  # whatever bytes the child wrote
+            raise ChildProcessError(
+                f"{self.name}: denoiser worker sent an unreadable result: {exc}"
+            ) from None
         for message, category, filename, lineno in issued:
             warnings.warn_explicit(message, category, filename, lineno)
         if isinstance(result, BaseException):

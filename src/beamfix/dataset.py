@@ -645,8 +645,8 @@ def inject_noise(bundle: DatasetBundle, spec: NoiseSpec) -> DatasetBundle:
     """Set the noisy position of every row from seeded isotropic Gaussian noise.
 
     Ground-truth positions are left untouched. Offsets are drawn as one
-    (n, 2) block, which matches n successive add_gps_noise draws on the
-    same generator.
+    (n, 2) block by geo.gaussian_offsets, row for row the draws n
+    successive per-fix calls would make on the same generator.
     """
     rng = np.random.default_rng(spec.seed)
     offsets = geo.gaussian_offsets(spec, len(bundle), rng)

@@ -8,7 +8,7 @@ mean to the predictions are averaged per grid, then equally across grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -33,7 +33,7 @@ class GridErrorRow:
 @dataclass(frozen=True)
 class EvalReport:
     per_grid: tuple[GridErrorRow, ...]
-    overall: dict[str, float]
+    overall_m: dict[str, float]
     noise_rms_m: float
     grid_count: int
     dataset_tag: str
@@ -81,7 +81,7 @@ def per_grid_error(
     overall = {m: float(np.mean([r.mean_error_m[m] for r in rows])) for m in methods}
     return EvalReport(
         per_grid=tuple(rows),
-        overall=overall,
+        overall_m=overall,
         noise_rms_m=test_bundle.metadata.noise_rms_m,
         grid_count=gt_anchor.key_count,
         dataset_tag=test_bundle.metadata.source,
@@ -113,54 +113,35 @@ def comparison_rows(reports: Mapping[float, EvalReport]) -> list[dict]:
     rows = []
     for level in sorted(reports):
         row = {"noise_rms_m": level}
-        row.update(reports[level].overall)
+        row.update(reports[level].overall_m)
         rows.append(row)
     return rows
 
 
 def save_comparison_csv(reports: Mapping[float, EvalReport], path: str | Path) -> None:
-    methods = [m for m in METHOD_ORDER if all(m in r.overall for r in reports.values())]
+    methods = [m for m in METHOD_ORDER if all(m in r.overall_m for r in reports.values())]
     rows = (
-        [float(level)] + [reports[level].overall[m] for m in methods] for level in sorted(reports)
+        [float(level)] + [reports[level].overall_m[m] for m in methods] for level in sorted(reports)
     )
     dataset.write_table_csv(path, ["noise_rms_m"] + [f"{m}_m" for m in methods], rows)
 
 
 def comparison_text_table(reports: Mapping[float, EvalReport]) -> str:
-    methods = [m for m in METHOD_ORDER if all(m in r.overall for r in reports.values())]
+    methods = [m for m in METHOD_ORDER if all(m in r.overall_m for r in reports.values())]
     header = f"{'noise_rms_m':>12}" + "".join(f"{m + '_m':>12}" for m in methods)
     lines = [header]
     for level in sorted(reports):
-        cells = "".join(f"{reports[level].overall[m]:>12.4f}" for m in methods)
+        cells = "".join(f"{reports[level].overall_m[m]:>12.4f}" for m in methods)
         lines.append(f"{level:>12.4f}" + cells)
     return "\n".join(lines)
 
 
-def report_to_json(report: EvalReport) -> dict:
-    return {
-        "noise_rms_m": report.noise_rms_m,
-        "grid_count": report.grid_count,
-        "dataset_tag": report.dataset_tag,
-        "fallback_samples": report.fallback_samples,
-        "overall_m": report.overall,
-        "per_grid": [
-            {
-                "grid": r.grid,
-                "count": r.count,
-                "mean_error_m": r.mean_error_m,
-                "anchor_fallback": r.anchor_fallback,
-            }
-            for r in report.per_grid
-        ],
-    }
-
-
 def save_report_json(report: EvalReport, path: str | Path) -> None:
-    dataset.write_json(path, report_to_json(report))
+    dataset.write_json(path, asdict(report))
 
 
 def save_pergrid_csv(report: EvalReport, path: str | Path) -> None:
-    methods = [m for m in METHOD_ORDER if m in report.overall]
+    methods = [m for m in METHOD_ORDER if m in report.overall_m]
     header = ["grid", "count"] + [f"mean_error_{m}_m" for m in methods] + ["anchor_fallback"]
     rows = (
         [r.grid, r.count] + [r.mean_error_m[m] for m in methods] + [int(r.anchor_fallback)]

@@ -172,20 +172,9 @@ def calibrate_axis_sigma(spec: NoiseSpec) -> float:
 def gaussian_offsets(spec: NoiseSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a (count, 2) array of (east, north) noise offsets in meters.
 
-    Row i matches the draw add_gps_noise would make for the i-th call on
-    the same generator state.
+    Row i is what the i-th of ``count`` successive per-fix
+    ``rng.normal(0, sigma, size=2)`` draws would give on the same generator
+    state, so one block and a fix-by-fix loop make the same noise.
     """
     sigma = calibrate_axis_sigma(spec)
     return rng.normal(0.0, sigma, size=(count, 2))
-
-
-def add_gps_noise(pos: GeoPosition, spec: NoiseSpec, rng: np.random.Generator) -> GeoPosition:
-    """Apply one seeded draw of isotropic Gaussian position noise.
-
-    Consumes exactly one ``rng.normal(size=2)`` draw in (east, north)
-    order, so a fixed generator state yields a reproducible sequence.
-    At target_rms_m == 0 the output equals the input exactly.
-    """
-    sigma = calibrate_axis_sigma(spec)
-    east, north = rng.normal(0.0, sigma, size=2)
-    return apply_offset(pos, LocalOffset(float(east), float(north)))

@@ -30,11 +30,7 @@ if TYPE_CHECKING:
 
 
 class FitConvergenceError(RuntimeError):
-    """Gaussian fit failed to converge; carries the last parameter iterate."""
-
-    def __init__(self, message: str, last_params: tuple[float, float, float]):
-        super().__init__(message)
-        self.last_params = last_params
+    """Gaussian fit failed to converge."""
 
 
 def _snap(g, x, grid_count: int):
@@ -277,8 +273,7 @@ def fit_gaussian(histogram: Histogram) -> GaussianFit:
             lam *= 10.0
         if not accepted:
             raise FitConvergenceError(
-                f"damping exhausted after {iterations} iterations (SSE {sse:.6g})",
-                tuple(float(p) for p in params),
+                f"damping exhausted after {iterations} iterations (SSE {sse:.6g})"
             )
         params = candidate
         lam = max(lam / 10.0, 1e-12)
@@ -288,8 +283,7 @@ def fit_gaussian(histogram: Histogram) -> GaussianFit:
             break
     else:
         raise FitConvergenceError(
-            f"no convergence within {GAUSSIAN_MAX_ITERATIONS} iterations (SSE {sse:.6g})",
-            tuple(float(p) for p in params),
+            f"no convergence within {GAUSSIAN_MAX_ITERATIONS} iterations (SSE {sse:.6g})"
         )
 
     n = len(y)

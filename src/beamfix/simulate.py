@@ -10,7 +10,7 @@ distractor detections and calibrated GPS noise complete the sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -183,14 +183,7 @@ def load_scene(path: str | Path) -> SceneGeometry:
 
 
 def save_scene(scene: SceneGeometry, path: str | Path) -> None:
-    doc = {
-        "bs_position": {"lat_deg": scene.bs_position.lat_deg, "lon_deg": scene.bs_position.lon_deg},
-        "bs_heading_deg": scene.bs_heading_deg,
-        "camera_hfov_deg": scene.camera_hfov_deg,
-        "road": [{"lat_deg": p.lat_deg, "lon_deg": p.lon_deg} for p in scene.road],
-        "array_normal_deg": scene.array_normal_deg,
-    }
-    dataset.write_json(path, doc)
+    dataset.write_json(path, asdict(scene))
 
 
 def generate_scenario(

@@ -200,7 +200,7 @@ def denoise_suite(codebook) -> DenoiseSuite:
             [tr], centers, TrainConfig(epochs=600, batch_size=64, seed=600 + int(level * 10))
         )
         predictions, _ = evaluate.predict_methods(te, txid_model, lut, den)
-        overall[level] = evaluate.per_grid_error(te, predictions, anchor).overall
+        overall[level] = evaluate.per_grid_error(te, predictions, anchor).overall_m
     return DenoiseSuite(overall, min_per_grid, time.perf_counter() - start)
 
 

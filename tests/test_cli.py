@@ -6,12 +6,16 @@ import math
 import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from beamfix import cli, dataset, denoise, geo, nn, txid
+from beamfix import cli, dataset, denoise, geo, grid, nn, txid
 from beamfix.cli import derived_seed, main
 from beamfix.geo import GeoPosition, LocalOffset
 
@@ -326,6 +330,35 @@ class TestCharacterizeCommand:
         assert summary["grid_count"] == 100  # metadata default applied
         assert summary["fit"]["adjusted_r_squared"] >= 0.95
 
+    def test_fit_json_keys_and_bytes(self, trained, tmp_path):
+        # The fit block is asdict(fit) less its iterations: fit.json has the
+        # same keys and bytes as the dict once built by hand.
+        data_path = trained[2]
+        out = tmp_path / "char"
+        assert main(["characterize", "--dataset", str(data_path), "--bin-width", "0.2",
+                     "--out", str(out)]) == 0
+        table, disp = grid.build_grid_table(dataset.load_csv(data_path), "noisy", 100)
+        fit = grid.fit_gaussian(grid.histogram_from_values(disp, 0.2))
+        dataset.write_json(tmp_path / "by_hand.json", {
+            "positions": "noisy",
+            "grid_count": 100,
+            "bin_width_m": 0.2,
+            "populated_grids": len(table.keys),
+            "mean_displacement_m": float(np.mean(table.avg_displacement_m)),
+            "fit": {
+                "amplitude": fit.amplitude,
+                "mean_m": fit.mean_m,
+                "sigma_m": fit.sigma_m,
+                "r_squared": fit.r_squared,
+                "adjusted_r_squared": fit.adjusted_r_squared,
+            },
+        })
+        written = (out / "fit.json").read_bytes()
+        assert written == (tmp_path / "by_hand.json").read_bytes()
+        assert sorted(json.loads(written)["fit"]) == [
+            "adjusted_r_squared", "amplitude", "mean_m", "r_squared", "sigma_m"
+        ]
+
     def test_unparseable_dataset_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,direction\n0,L2R\n")
@@ -578,6 +611,34 @@ class TestTrainCommand:
         manifest = json.loads((art / "manifest.json").read_text())
         assert manifest["train_samples"] == 112  # ceil(160 * 0.7)
         assert manifest["test_samples"] == 48
+
+    def test_manifest_keys_and_bytes(self, trained, tmp_path):
+        # The dataset keys are asdict(meta), with the training seed in place
+        # of the dataset's: the same keys and bytes as the dict once built by hand.
+        _, art, data_path = trained
+        meta = dataset.load_csv(data_path).metadata
+        assert meta.seed != 5
+        dataset.write_json(tmp_path / "by_hand.json", {
+            "grid_count": meta.grid_count,
+            "codebook_size": meta.codebook_size,
+            "noise_rms_m": meta.noise_rms_m,
+            "direction": meta.direction.value,
+            "source": meta.source,
+            "seed": 5,
+            "train_fraction": 0.7,
+            "train_samples": 112,
+            "test_samples": 48,
+            "hyperparameters": {
+                "learning_rate": nn.TrainConfig.learning_rate,
+                "epochs": 30,
+                "batch_size": nn.TrainConfig.batch_size,
+                "weight_init_scale": nn.WEIGHT_INIT_SCALE,
+            },
+            "files": {"train": "train.csv", "test": "test.csv", "anchor": "anchor.csv",
+                      "txid_table": "txid.csv", "denoiser_model": "denoiser.json",
+                      "lut": "lut.csv"},
+        })
+        assert (art / "manifest.json").read_bytes() == (tmp_path / "by_hand.json").read_bytes()
 
     def test_missing_tx_labels_exit_2(self, tmp_path):
         from beamfix.dataset import DetectionClass
@@ -1204,12 +1265,9 @@ class TestDenoiserWorker:
     """The pipeline trains r2l's denoiser stack in a worker process while
     l2r's trains in-process; outputs, console and exit codes stay serial."""
 
-    def test_stdout_in_serial_order(self, tmp_path, capsys):
-        config = write_config(tmp_path, samples_left_to_right=60, samples_right_to_left=50,
-                              epochs=2)
-        out = tmp_path / "pipe"
-        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
-        lines = capsys.readouterr().out.splitlines()
+    @staticmethod
+    def serial_stdout(out, tmp_path, capsys):
+        """The stdout lines of the pipeline run in ``out``, as if its steps ran one by one."""
         expected = []
         for dtag in ("l2r", "r2l"):
             for tag in ("clean", "rms0.5", "rms1"):
@@ -1222,7 +1280,32 @@ class TestDenoiserWorker:
             expected += (evaluated / "comparison.txt").read_text().splitlines()
             expected.append(f"plot data for the 0.5 m level in {evaluated / 'plots_rms0.5'}")
         expected.append(f"pipeline outputs in {out}")
-        assert lines == expected
+        return expected
+
+    def test_stdout_in_serial_order(self, tmp_path, capsys):
+        config = write_config(tmp_path, samples_left_to_right=60, samples_right_to_left=50,
+                              epochs=2)
+        out = tmp_path / "pipe"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == self.serial_stdout(out, tmp_path, capsys)
+
+    def test_printing_worker_keeps_stdout_serial(self, tmp_path, monkeypatch, capsys):
+        # What the worker prints goes to its stderr, which is copied here,
+        # not into the pickled result.
+        code = cli._WORKER_CODE.replace(
+            "from beamfix import denoise\n",
+            "from beamfix import denoise\nprint('stray worker output')\n",
+        )
+        assert code != cli._WORKER_CODE
+        monkeypatch.setattr(cli, "_WORKER_CODE", code)
+        config = write_config(tmp_path, samples_left_to_right=60, samples_right_to_left=50,
+                              epochs=2)
+        out = tmp_path / "pipe"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "stray worker output\n"
+        assert captured.out.splitlines() == self.serial_stdout(out, tmp_path, capsys)
 
     @pytest.mark.parametrize("outcome", ["success", "l2r-divergence", "interrupt"])
     def test_no_process_or_pipe_left(self, tmp_path, monkeypatch, capsys, outcome):
@@ -1321,6 +1404,15 @@ class TestDenoiserWorker:
         assert line == f"error: r2l: denoiser worker exited with {ends}"
         assert list(tmp_path.iterdir()) == [config]
 
+    def test_unreadable_worker_result_exit_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_WORKER_CODE", "import sys; sys.stdout.buffer.write(b'junk')")
+        config = write_config(tmp_path, samples_left_to_right=60, samples_right_to_left=50,
+                              epochs=2)
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "pipe")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: r2l: denoiser worker sent an unreadable result: ")
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_artifact_path_is_a_directory_exit_2_before_training(self, tmp_path, monkeypatch,
                                                                  capsys):
         def not_reached(*args):
@@ -1337,3 +1429,53 @@ class TestDenoiserWorker:
         [line] = capsys.readouterr().err.splitlines()
         assert line == f"error: r2l: cannot write {lut}: it is a directory"
         assert [p.name for p in out.iterdir()] == ["artifacts"]
+
+
+class TestCommandLineProcess:
+    """``python -m beamfix.cli`` as its own process: ``__main__``, piped stdout
+    and the ``-W`` options handed on to the denoiser worker."""
+
+    @staticmethod
+    def run(args, cwd):
+        """Run the CLI in a new process group; once it has ended, no process
+        (such as the denoiser worker) may be left in that group."""
+        paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        with subprocess.Popen(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "beamfix.cli", *args],
+            cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        ) as proc:
+            try:
+                out, err = proc.communicate(timeout=600)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                raise
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        return proc.returncode, out, err
+
+    def test_pipeline_matches_in_process_run(self, tmp_path, capsys):
+        config = write_config(tmp_path, samples_left_to_right=60, samples_right_to_left=50,
+                              epochs=2)
+        here, there = tmp_path / "in_process", tmp_path / "as_process"
+        assert main(["pipeline", "--config", str(config), "--out", str(here)]) == 0
+        expected = capsys.readouterr().out.replace(str(here), "<out>").splitlines()
+        code, out, err = self.run(["pipeline", "--config", str(config), "--out", str(there)],
+                                  tmp_path)
+        assert (code, err) == (0, "")
+        assert out.replace(str(there), "<out>").splitlines() == expected
+        files = sorted(p.relative_to(here) for p in here.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(there) for p in there.rglob("*") if p.is_file())
+        for name in files:
+            assert (there / name).read_bytes() == (here / name).read_bytes(), name
+
+    def test_late_refusal_exit_2(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(LATE_REFUSAL))
+        code, _, err = self.run(["pipeline", "--config", str(config), "--out",
+                                 str(tmp_path / "run")], tmp_path)
+        assert code == 2
+        [line] = err.splitlines()
+        assert line.startswith("error: l2r rms1000: largest value ")
+        assert list(tmp_path.iterdir()) == [config]

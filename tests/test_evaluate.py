@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from beamfix.evaluate import (
     export_plot_data,
     per_grid_error,
     predict_methods,
+    save_report_json,
 )
 from beamfix.geo import GeoPosition, LocalOffset, NoiseSpec
 from beamfix.nn import TrainConfig
@@ -56,7 +58,7 @@ def assert_matches_per_row(bundle, predictions, anchor):
     assert got == rows
     assert report.fallback_samples == fallback_samples
     for m in predictions:
-        assert report.overall[m] == float(np.mean([errors[m] for _, _, errors, _ in rows]))
+        assert report.overall_m[m] == float(np.mean([errors[m] for _, _, errors, _ in rows]))
     return report
 
 
@@ -111,7 +113,7 @@ class TestPerGridError:
         ]
         predictions = {"noisy": np.array([(p.lat_deg, p.lon_deg) for p in means])}
         report = per_grid_error(bundle, predictions, anchor)
-        assert report.overall["noisy"] == 0.0
+        assert report.overall_m["noisy"] == 0.0
 
     @pytest.mark.parametrize("level", [0.5, 1.0, 2.0])
     def test_noisy_baseline_matches_rayleigh_mean(self, scene, codebook, level):
@@ -126,7 +128,7 @@ class TestPerGridError:
             bundle, {"noisy": noisy_positions(bundle)}, anchor
         )
         expected = math.sqrt(math.pi) / 2 * level
-        assert abs(report.overall["noisy"] - expected) <= 0.1 * level
+        assert abs(report.overall_m["noisy"] - expected) <= 0.1 * level
 
     def test_lut_beats_standard_error_bound(self, scene, codebook):
         # Standard-error oracle: a per-grid mean of >= 10 noisy samples at
@@ -141,7 +143,7 @@ class TestPerGridError:
         lut = denoise.build_lut(train_bundle, 100)
         predictions = {"lut": denoise.lut_predict_all(lut, dataset.tx_centers(test_bundle)[:, 0])}
         report = per_grid_error(test_bundle, predictions, anchor)
-        assert report.overall["lut"] <= 0.35
+        assert report.overall_m["lut"] <= 0.35
 
     def test_overall_is_mean_of_per_grid(self, scene, codebook):
         traj = simulate.TrajectoryConfig(300, Direction.LEFT_TO_RIGHT, 0, seed=7)
@@ -151,7 +153,7 @@ class TestPerGridError:
             bundle, {"noisy": noisy_positions(bundle)}, anchor
         )
         recomputed = float(np.mean([r.mean_error_m["noisy"] for r in report.per_grid]))
-        assert report.overall["noisy"] == pytest.approx(recomputed, abs=1e-15)
+        assert report.overall_m["noisy"] == pytest.approx(recomputed, abs=1e-15)
 
     def test_missing_anchor_grid_falls_back_and_flags(self):
         anchored = [_noisy(0, 0.105, BASE), _noisy(1, 0.305, BASE)]
@@ -190,7 +192,7 @@ class TestPerGridError:
             rows = list(csv.reader(fh))
         col = rows[0].index("mean_error_noisy_m")
         parsed = [float(r[col]) for r in rows[1:]]
-        assert float(np.mean(parsed)) == report.overall["noisy"]
+        assert float(np.mean(parsed)) == report.overall_m["noisy"]
 
 
 def _coincident_fixture():
@@ -224,9 +226,9 @@ class TestCompareMethods:
             "mlp": denoise.mlp_predict(model, centers),
         }
         report = per_grid_error(bundle, predictions, anchor)
-        assert report.overall["noisy"] == 0.0
-        assert report.overall["lut"] == 0.0
-        assert report.overall["mlp"] <= 0.01
+        assert report.overall_m["noisy"] == 0.0
+        assert report.overall_m["lut"] == 0.0
+        assert report.overall_m["mlp"] <= 0.01
 
     def test_noisy_error_non_decreasing_in_level(self, scene, codebook):
         traj = simulate.TrajectoryConfig(800, Direction.LEFT_TO_RIGHT, 0, seed=10)
@@ -240,7 +242,7 @@ class TestCompareMethods:
             report = per_grid_error(
                 noisy, {"noisy": noisy_positions(noisy)}, anchor
             )
-            overall.append(report.overall["noisy"])
+            overall.append(report.overall_m["noisy"])
         assert all(b >= a for a, b in zip(overall, overall[1:]))
 
 class TestExports:
@@ -280,6 +282,37 @@ class TestExports:
                 rows = list(csv.reader(fh))
             assert len(rows) >= 2
             assert all(len(r) == len(rows[0]) for r in rows)
+
+    def test_report_json_keys_and_bytes(self, tmp_path):
+        # The report is written as asdict(report): the same keys and bytes as
+        # the dict once built by hand, including a fallback grid's row.
+        anchor = grid.build_grid_table(
+            make_bundle([_noisy(0, 0.105, BASE), _noisy(1, 0.305, BASE)]), "ground_truth", 100
+        )[0]
+        bundle = make_bundle([_noisy(2, 0.305, geo.apply_offset(BASE, LocalOffset(0.3, 0.1))),
+                              _noisy(3, 0.505, BASE)])
+        base = np.array([[BASE.lat_deg, BASE.lon_deg]] * 2)
+        report = per_grid_error(bundle, {"noisy": noisy_positions(bundle), "lut": base}, anchor)
+        assert [r.anchor_fallback for r in report.per_grid] == [False, True]
+        save_report_json(report, tmp_path / "report.json")
+        dataset.write_json(tmp_path / "by_hand.json", {
+            "noise_rms_m": report.noise_rms_m,
+            "grid_count": report.grid_count,
+            "dataset_tag": report.dataset_tag,
+            "fallback_samples": report.fallback_samples,
+            "overall_m": report.overall_m,
+            "per_grid": [
+                {"grid": r.grid, "count": r.count, "mean_error_m": r.mean_error_m,
+                 "anchor_fallback": r.anchor_fallback}
+                for r in report.per_grid
+            ],
+        })
+        written = (tmp_path / "report.json").read_bytes()
+        assert written == (tmp_path / "by_hand.json").read_bytes()
+        doc = json.loads(written)
+        assert sorted(doc) == ["dataset_tag", "fallback_samples", "grid_count", "noise_rms_m",
+                               "overall_m", "per_grid"]
+        assert sorted(doc["per_grid"][0]) == ["anchor_fallback", "count", "grid", "mean_error_m"]
 
     def test_comparison_table_shape(self, scene, codebook):
         traj = simulate.TrajectoryConfig(60, Direction.LEFT_TO_RIGHT, 1, seed=15)

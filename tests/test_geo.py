@@ -11,7 +11,6 @@ from beamfix.geo import (
     GeoPosition,
     LocalOffset,
     NoiseSpec,
-    add_gps_noise,
     apply_offset,
     calibrate_axis_sigma,
     haversine_distance,
@@ -21,6 +20,13 @@ from beamfix.geo import (
 latitudes = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 longitudes = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
 positions = st.tuples(latitudes, longitudes)
+
+
+def add_gps_noise(pos: GeoPosition, spec: NoiseSpec, rng: np.random.Generator) -> GeoPosition:
+    """The per-fix oracle for geo.gaussian_offsets: one seeded draw of isotropic
+    Gaussian noise, a single ``rng.normal(size=2)`` in (east, north) order."""
+    east, north = rng.normal(0.0, calibrate_axis_sigma(spec), size=2)
+    return apply_offset(pos, LocalOffset(float(east), float(north)))
 
 
 class TestGeoPosition:

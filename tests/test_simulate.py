@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from beamfix.simulate import (
     SceneGeometry,
     TrajectoryConfig,
     build_dft_codebook,
+    default_scene,
     generate_scenario,
     load_scene,
     project_to_image,
@@ -109,6 +112,36 @@ class TestProjection:
 
     def test_scene_json_round_trip(self, scene, tmp_path):
         save_scene(scene, tmp_path / "scene.json")
+        assert load_scene(tmp_path / "scene.json") == scene
+
+    @pytest.mark.parametrize("which", ["default", "hand-made"])
+    def test_scene_json_keys_and_bytes(self, tmp_path, which):
+        # A scene is written as asdict(scene): the same keys and bytes as the
+        # dict once built by hand.
+        bs = GeoPosition(-12.5, 130.25)
+        scene = default_scene() if which == "default" else SceneGeometry(
+            bs_position=bs,
+            bs_heading_deg=20.0,
+            camera_hfov_deg=80.5,
+            road=(geo.apply_offset(bs, LocalOffset(-3.0, 20.0)),
+                  geo.apply_offset(bs, LocalOffset(9.0, 14.0))),
+            array_normal_deg=15.0,
+        )
+        save_scene(scene, tmp_path / "scene.json")
+        dataset.write_json(tmp_path / "by_hand.json", {
+            "bs_position": {"lat_deg": scene.bs_position.lat_deg,
+                            "lon_deg": scene.bs_position.lon_deg},
+            "bs_heading_deg": scene.bs_heading_deg,
+            "camera_hfov_deg": scene.camera_hfov_deg,
+            "road": [{"lat_deg": p.lat_deg, "lon_deg": p.lon_deg} for p in scene.road],
+            "array_normal_deg": scene.array_normal_deg,
+        })
+        written = (tmp_path / "scene.json").read_bytes()
+        assert written == (tmp_path / "by_hand.json").read_bytes()
+        doc = json.loads(written)
+        assert sorted(doc) == ["array_normal_deg", "bs_heading_deg", "bs_position",
+                               "camera_hfov_deg", "road"]
+        assert [sorted(p) for p in doc["road"]] == [["lat_deg", "lon_deg"]] * 2
         assert load_scene(tmp_path / "scene.json") == scene
 
 
